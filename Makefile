@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race ci lint lint-baseline doccheck bench bench-train bench-engine bench-elastic bench-serve bench-smoke soak soak-short fuzz-smoke cluster-demo
+.PHONY: build test race ci lint lint-baseline doccheck bench bench-train bench-engine bench-elastic bench-serve bench-smoke bench-check soak soak-short fuzz-smoke cluster-demo
 
 build:
 	$(GO) build ./...
@@ -112,3 +112,13 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkMulMatTo|BenchmarkMulVecToLoop' -benchtime 1x -benchmem ./internal/mat/
 	$(GO) test -run xxx -bench 'Benchmark(Batch|Serial|Quant)Forward' -benchtime 1x -benchmem ./internal/nn/
 	$(GO) test -run xxx -bench 'BenchmarkServe' -benchtime 1x -benchmem ./internal/serve/
+
+# The repository's benchmark (bench/, see BENCHMARK.json) is a module of its
+# own, so `go build ./... && go test ./...` never compiles it. Vet it, run
+# its self-tests, then run the two open-loop latency workloads for 3 s each;
+# a run passes when the last line it prints — the contract's JSON object —
+# says its correctness checks held.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	bash bench/bench.sh --workload app_paced --seed 1 --seconds 3 --trace 0 | tail -n 1 | grep '"correct":true'
+	bash bench/bench.sh --workload serve_predict --seed 1 --seconds 3 --trace 0 | tail -n 1 | grep '"correct":true'

@@ -1,10 +1,11 @@
 // Command predictd is the prediction server: it loads a fitted DRNN
 // checkpoint (or trains a small model on the synthetic trace for demos)
 // and serves predictions over HTTP/JSON and an optional raw-TCP binary
-// protocol. Concurrent requests are coalesced into micro-batches for the
-// batched GEMM forward path, admission is bounded with 429 shedding, and
-// p50/p99 latency SLOs are exported on the observability /metrics
-// endpoint as the predstream_serve_* families.
+// protocol. A request that finds the model idle is evaluated at once; those
+// that arrive while it is busy are coalesced into the next micro-batch for
+// the batched GEMM forward path. Admission is bounded with 429 shedding, and
+// p50/p99 latency SLOs are exported on the observability /metrics endpoint
+// as the predstream_serve_* families.
 //
 // Quickstart:
 //
@@ -52,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	modelPath := fs.String("model", "", "DRNN checkpoint to serve (from predict -save); empty trains a demo model on the synthetic trace")
 	quantized := fs.Bool("quantized", false, "serve int8 fixed-point inference instead of float64")
 	maxBatch := fs.Int("batch", 16, "largest micro-batch per forward pass")
-	flush := fs.Duration("flush", 2*time.Millisecond, "max wait before flushing a partial micro-batch")
 	queue := fs.Int("queue", 256, "admission queue depth; overflow is shed with HTTP 429")
 	duration := fs.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
 	steps := fs.Int("steps", 240, "synthetic training trace length in windows (demo model only)")
@@ -83,11 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reg.Register(obs.NewRuntimeCollector())
 	}
 	metrics := serve.NewMetrics(reg)
-	coal := serve.NewCoalescer(inf, serve.Options{
-		MaxBatch:      *maxBatch,
-		FlushInterval: *flush,
-		QueueDepth:    *queue,
-	}, metrics)
+	coal := serve.NewCoalescer(inf, serve.Options{MaxBatch: *maxBatch, QueueDepth: *queue}, metrics)
 	defer coal.Close()
 	if reg != nil {
 		reg.Register(coal)

@@ -7,7 +7,7 @@
 //	GET /snapshot         → the current dsps.Snapshot
 //	GET /workers          → per-worker latest telemetry window
 //	GET /workers?id=X     → one worker's full window series
-//	GET /control          → the controller's step history (if attached)
+//	GET /control          → the controller's most recent step reports (if attached)
 package console
 
 import (

@@ -204,8 +204,11 @@ type Controller struct {
 	sampler    *telemetry.Sampler
 	predictors map[string]timeseries.Predictor
 	fitted     bool
-	history    []StepReport
-	scalers    map[string]*ScalePlanner // per component, when cfg.Scale is set
+	// history is a ring of the last historyCap reports: report n (from 0)
+	// sits in slot n % historyCap. steps counts every report recorded.
+	history []StepReport
+	steps   int
+	scalers map[string]*ScalePlanner // per component, when cfg.Scale is set
 }
 
 // NewController builds a controller for the given engine and control
@@ -258,13 +261,44 @@ func (c *Controller) Fitted() bool {
 	return c.fitted
 }
 
-// History returns a copy of all step reports so far.
+// historyCap bounds the step reports a controller retains: a loop that runs
+// for days must not grow, and pay to copy, one report per step forever.
+const historyCap = 4096
+
+// record appends report to the history ring, overwriting the oldest once
+// historyCap are held.
+func (c *Controller) record(report StepReport) {
+	if len(c.history) < historyCap {
+		c.history = append(c.history, report)
+	} else {
+		c.history[c.steps%historyCap] = report
+	}
+	c.steps++
+}
+
+// History returns a copy of the most recent step reports, oldest first, at
+// most the last 4096; Last's count keeps counting past that.
 func (c *Controller) History() []StepReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]StepReport, len(c.history))
-	copy(out, c.history)
-	return out
+	// Before the ring first fills, oldest == len(history): the first append
+	// adds nothing and the second adds everything.
+	oldest := c.steps % historyCap
+	out := make([]StepReport, 0, len(c.history))
+	out = append(out, c.history[oldest:]...)
+	return append(out, c.history[:oldest]...)
+}
+
+// Last returns the most recent step report and how many steps have run since
+// construction; the report is the zero value while steps is 0. It is what a
+// metrics scrape needs, without History's copy.
+func (c *Controller) Last() (report StepReport, steps int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.steps == 0 {
+		return StepReport{}, 0
+	}
+	return c.history[(c.steps-1)%historyCap], c.steps
 }
 
 // Sampler exposes the controller's window history (read-only use).
@@ -318,7 +352,7 @@ func (c *Controller) Step() (StepReport, error) {
 	workers := c.sampler.Workers()
 	if len(workers) == 0 {
 		// First sample only establishes the baseline.
-		c.history = append(c.history, report)
+		c.record(report)
 		return report, nil
 	}
 	for _, id := range workers {
@@ -427,7 +461,7 @@ func (c *Controller) Step() (StepReport, error) {
 			}
 		}
 	}
-	c.history = append(c.history, report)
+	c.record(report)
 	return report, nil
 }
 

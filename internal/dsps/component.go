@@ -49,7 +49,8 @@ type Spout interface {
 	// Open is called once per task before any NextTuple.
 	Open(ctx TopologyContext, collector SpoutCollector)
 	// NextTuple emits zero or more tuples via the collector and reports
-	// whether it did any work; the executor backs off briefly on false.
+	// whether it did any work; on false the executor asks again after a
+	// completion (Ack or Fail) arrives or a short interval passes.
 	NextTuple() bool
 	// Ack signals that the tuple tree rooted at msgID fully processed.
 	Ack(msgID any)

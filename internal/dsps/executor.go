@@ -973,12 +973,41 @@ func (rt *runningTopology) handleAckBatch(tk *task, rb []ackResult) {
 	rt.fl.putAcks(rb)
 }
 
+// Upper bounds on one spout park; a completion ends either early. A timer
+// wait shorter than 1 ms still takes at least 1 ms on Linux (the netpoller's
+// epoll_wait sleeps in milliseconds), so the ack channel has to be a wake
+// source of the park: an ack left for the timer to find costs a root a full
+// quantum of complete latency.
+const (
+	// spoutRepollInterval is how long a spout whose NextTuple had nothing
+	// waits before it asks again.
+	spoutRepollInterval = 100 * time.Microsecond
+	// spoutThrottleRecheck is how long a paused or MaxSpoutPending-bound
+	// spout waits before it re-reads the pause flag.
+	spoutThrottleRecheck = time.Millisecond
+)
+
+// parkSpout is the spout loop's one wait. It flushes first — the acks that
+// would wake the spout may never be produced while tuples sit in its output
+// buffers — then blocks until a completion arrives (delivered before it
+// returns), d elapses, or the topology stops, for which it returns false.
+func (rt *runningTopology) parkSpout(tk *task, d time.Duration) bool {
+	rt.flushOut(tk)
+	select {
+	case <-rt.ctx.Done():
+		return false
+	case rb := <-tk.ackCh:
+		rt.handleAckBatch(tk, rb)
+	case <-time.After(d):
+	}
+	return true
+}
+
 func (rt *runningTopology) runSpout(tk *task) {
 	defer rt.wg.Done()
 	defer close(tk.done)
 	collector := &spoutCollector{rt: rt, tk: tk}
 	tk.spout.Open(rt.taskContext(tk), collector)
-	idleBackoff := 100 * time.Microsecond
 	for {
 		select {
 		case <-rt.ctx.Done():
@@ -999,15 +1028,8 @@ func (rt *runningTopology) runSpout(tk *task) {
 			break
 		}
 		if rt.spoutsPaused.Load() || tk.pending >= rt.cfg.MaxSpoutPending {
-			// About to block: anything buffered must go out first or the
-			// acks that would unblock us may never be produced.
-			rt.flushOut(tk)
-			select {
-			case <-rt.ctx.Done():
+			if !rt.parkSpout(tk, spoutThrottleRecheck) {
 				return
-			case rb := <-tk.ackCh:
-				rt.handleAckBatch(tk, rb)
-			case <-time.After(time.Millisecond):
 			}
 			continue
 		}
@@ -1033,13 +1055,8 @@ func (rt *runningTopology) runSpout(tk *task) {
 			if tk.firstBufNs != 0 && rt.clock.nowNs()-tk.firstBufNs >= rt.flushNs {
 				rt.flushOut(tk)
 			}
-		} else {
-			rt.flushOut(tk)
-			select {
-			case <-rt.ctx.Done():
-				return
-			case <-time.After(idleBackoff):
-			}
+		} else if !rt.parkSpout(tk, spoutRepollInterval) {
+			return
 		}
 	}
 }

@@ -244,13 +244,12 @@ func NewClusterCollector(c Snapshotter) Collector {
 // detector verdicts, and the ratios applied to each controlled component.
 func NewControllerCollector(ctrl *core.Controller) Collector {
 	return CollectorFunc(func() []Family {
-		history := ctrl.History()
+		last, n := ctrl.Last()
 		steps := Family{Name: "predstream_controller_steps_total", Help: "Control steps executed.",
-			Type: TypeCounter, Samples: []Sample{{Value: float64(len(history))}}}
-		if len(history) == 0 {
+			Type: TypeCounter, Samples: []Sample{{Value: float64(n)}}}
+		if n == 0 {
 			return []Family{steps}
 		}
-		last := history[len(history)-1]
 
 		usedModel := 0.0
 		if last.UsedModel {

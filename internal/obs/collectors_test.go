@@ -175,6 +175,55 @@ func TestControllerCollector(t *testing.T) {
 	}
 }
 
+// tickEngine is a core.Engine with no tasks whose snapshots are stamped one
+// second apart, so every controller step is cheap and identifiable by At.
+type tickEngine struct{ n int }
+
+func (e *tickEngine) Snapshot() *dsps.Snapshot {
+	e.n++
+	return &dsps.Snapshot{At: time.Unix(int64(e.n), 0)}
+}
+func (*tickEngine) QueueSize() int                                     { return 0 }
+func (*tickEngine) ScaleUp(string, string, int) error                  { return nil }
+func (*tickEngine) ScaleDown(string, string, int, time.Duration) error { return nil }
+
+type nopActuator struct{}
+
+func (nopActuator) SetRatios([]float64) error { return nil }
+
+// TestControllerHistoryBoundedStepsKeepCounting pins that a long-running
+// control loop retains only its most recent 4096 reports, newest last, while
+// predstream_controller_steps_total goes on counting every step.
+func TestControllerHistoryBoundedStepsKeepCounting(t *testing.T) {
+	const steps, kept = 5000, 4096
+	ctrl, err := core.NewController(&tickEngine{},
+		[]core.ControlTarget{{Component: "work", Grouping: nopActuator{}}}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := ctrl.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := ctrl.History()
+	if len(hist) != kept {
+		t.Fatalf("history holds %d reports, want %d", len(hist), kept)
+	}
+	for i, r := range hist {
+		if want := time.Unix(int64(steps-kept+1+i), 0); !r.At.Equal(want) {
+			t.Fatalf("history[%d].At = %v, want %v (oldest first, newest last)", i, r.At, want)
+		}
+	}
+	if last, n := ctrl.Last(); n != steps || !last.At.Equal(hist[kept-1].At) {
+		t.Fatalf("Last() = (At %v, %d), want (At %v, %d)", last.At, n, hist[kept-1].At, steps)
+	}
+	fams := famMap(NewControllerCollector(ctrl).Collect())
+	if got := sumValues(fams["predstream_controller_steps_total"]); got != steps {
+		t.Fatalf("predstream_controller_steps_total = %v, want %d", got, steps)
+	}
+}
+
 func TestChaosCollector(t *testing.T) {
 	m := &chaos.Metrics{}
 	m.Runs.Add(1)

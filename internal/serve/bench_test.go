@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"predstream/internal/nn"
 	"predstream/internal/obs"
@@ -51,7 +50,7 @@ func (n *nnBackend) PredictBatch(windows [][][]float64, out []float64) error {
 func BenchmarkServePredict(b *testing.B) {
 	backend := newNNBackend(10, 9)
 	m := NewMetrics(obs.NewRegistry())
-	c := NewCoalescer(backend, Options{MaxBatch: 16, FlushInterval: 500 * time.Microsecond, QueueDepth: 1024}, m)
+	c := NewCoalescer(backend, Options{MaxBatch: 16, QueueDepth: 1024}, m)
 	defer c.Close()
 	window := testWindow(10, 9, 1)
 	b.SetParallelism(8)

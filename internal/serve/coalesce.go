@@ -24,11 +24,12 @@ type result struct {
 }
 
 // Coalescer admits prediction requests into a bounded queue and batches
-// them for the backend: a batch flushes as soon as it reaches
-// Options.MaxBatch or when its oldest request has waited
-// Options.FlushInterval, whichever comes first. A full queue sheds new
-// requests with ErrOverloaded instead of building unbounded latency. All
-// methods are safe for concurrent use.
+// them for the backend naturally: a request that finds the backend idle is
+// evaluated at once, and a batch is whatever queued up (at most
+// Options.MaxBatch) while the previous one was being evaluated, so batch
+// size follows load and no timer sits on the latency path. A full queue
+// sheds new requests with ErrOverloaded instead of building unbounded
+// latency. All methods are safe for concurrent use.
 type Coalescer struct {
 	backend Backend
 	opts    Options
@@ -129,64 +130,44 @@ func (c *Coalescer) Close() {
 	<-c.done
 }
 
-// dispatch is the single consumer of the queue: it gathers batches and
-// hands them to the backend.
+// dispatch is the single consumer of the queue. Whenever it waits for an
+// opener the backend is idle, so the opener goes out at once together with
+// whatever queued up behind the previous flush; no request waits for
+// company.
 func (c *Coalescer) dispatch() {
 	defer close(c.done)
 	batch := make([]*request, 0, c.opts.MaxBatch)
 	windows := make([][][]float64, 0, c.opts.MaxBatch)
 	out := make([]float64, c.opts.MaxBatch)
-	timer := time.NewTimer(c.opts.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		// Wait for the batch opener.
 		select {
 		case req := <-c.queue:
-			batch = append(batch[:0], req)
+			c.flush(c.fill(append(batch[:0], req)), windows, out)
 		case <-c.stop:
-			c.drain(batch[:0], windows, out)
-			return
-		}
-		// Fill until full or the opener has waited FlushInterval.
-		timer.Reset(c.opts.FlushInterval)
-		filling := true
-		for filling && len(batch) < c.opts.MaxBatch {
-			select {
-			case req := <-c.queue:
-				batch = append(batch, req)
-			case <-timer.C:
-				filling = false
-			case <-c.stop:
-				filling = false
+			// Close has barred new admits: flush what is left and exit.
+			for {
+				rest := c.fill(batch[:0])
+				if len(rest) == 0 {
+					return
+				}
+				c.flush(rest, windows, out)
 			}
 		}
-		if filling && !timer.Stop() {
-			<-timer.C
-		}
-		c.flush(batch, windows, out)
 	}
 }
 
-// drain flushes everything left in the queue at shutdown in MaxBatch
-// chunks.
-func (c *Coalescer) drain(batch []*request, windows [][][]float64, out []float64) {
-	for {
+// fill tops batch up to MaxBatch with requests that are already queued,
+// without waiting for any.
+func (c *Coalescer) fill(batch []*request) []*request {
+	for len(batch) < c.opts.MaxBatch {
 		select {
 		case req := <-c.queue:
 			batch = append(batch, req)
-			if len(batch) == c.opts.MaxBatch {
-				c.flush(batch, windows, out)
-				batch = batch[:0]
-			}
 		default:
-			if len(batch) > 0 {
-				c.flush(batch, windows, out)
-			}
-			return
+			return batch
 		}
 	}
+	return batch
 }
 
 // flush evaluates one micro-batch and delivers per-request results.

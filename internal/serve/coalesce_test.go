@@ -67,77 +67,131 @@ func testWindow(window, features int, id float64) [][]float64 {
 	return w
 }
 
-// TestCoalescerSingleRequestFlushesAtInterval pins the no-starvation
-// guarantee: a lone request is answered after FlushInterval without
-// waiting for a full batch.
-func TestCoalescerSingleRequestFlushesAtInterval(t *testing.T) {
+// TestCoalescerLoneRequestNeverWaits pins the idle-backend rule: a request
+// that finds the dispatcher idle is evaluated at once, alone, however far
+// below MaxBatch it is. Any wait for company shows a hundredfold here: a
+// 2 ms fill timer makes 100 sequential lone requests take 200 ms.
+func TestCoalescerLoneRequestNeverWaits(t *testing.T) {
+	const N = 100
 	b := newStubBackend(3, 2)
-	c := NewCoalescer(b, Options{MaxBatch: 64, FlushInterval: 5 * time.Millisecond, QueueDepth: 8}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 64, QueueDepth: 8}, nil)
 	defer c.Close()
 	start := time.Now()
-	got, err := c.Predict(context.Background(), testWindow(3, 2, 42))
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < N; i++ {
+		got, err := c.Predict(context.Background(), testWindow(3, 2, float64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != float64(i) {
+			t.Fatalf("request %d got %v", i, got)
+		}
 	}
-	if got != 42 {
-		t.Fatalf("prediction %v, want 42", got)
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Fatalf("%d sequential lone requests took %v, want < 100ms: something waits for company", N, elapsed)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lone request took %v; starvation?", elapsed)
+	sizes := b.batchSizes()
+	if len(sizes) != N {
+		t.Fatalf("%d batches for %d lone requests", len(sizes), N)
 	}
-	if sizes := b.batchSizes(); len(sizes) != 1 || sizes[0] != 1 {
-		t.Fatalf("batch sizes %v, want [1]", sizes)
+	for _, s := range sizes {
+		if s != 1 {
+			t.Fatalf("batch sizes %v, want all 1", sizes)
+		}
 	}
 }
 
-// TestCoalescerFullBatchFlushesImmediately pins the opposite bound: with a
-// long flush interval, MaxBatch concurrent requests complete in one batch
-// long before the timer.
+// TestCoalescerFullBatchFlushesImmediately pins where batches come from:
+// what queues up behind a busy backend goes out together as soon as the
+// backend is free. A gated opener holds the dispatcher in its own batch of
+// 1; the B requests enqueued meanwhile leave as one batch of B.
 func TestCoalescerFullBatchFlushesImmediately(t *testing.T) {
 	const B = 8
 	b := newStubBackend(2, 1)
-	// Gate the backend so the first request cannot be flushed alone
-	// before the rest arrive: the opener blocks inside PredictBatch only
-	// after its batch is sealed, so instead hold the gate closed until
-	// all B are enqueued.
 	b.gate = make(chan struct{})
-	c := NewCoalescer(b, Options{MaxBatch: B, FlushInterval: time.Hour, QueueDepth: 2 * B}, nil)
+	m := NewMetrics(nil)
+	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: 2 * B}, m)
 	defer c.Close()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, B)
+	errs := make(chan error, B+1)
+	predict := func(i int) {
+		defer wg.Done()
+		got, err := c.Predict(context.Background(), testWindow(2, 1, float64(i)))
+		if err == nil && got != float64(i) {
+			err = fmt.Errorf("request %d got %v", i, got)
+		}
+		errs <- err
+	}
+	wg.Add(1)
+	go predict(B)
+	waitFor(t, func() bool { return b.calls.Load() == 1 })
 	for i := 0; i < B; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := c.Predict(context.Background(), testWindow(2, 1, float64(i)))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got != float64(i) {
-				errs <- fmt.Errorf("request %d got %v", i, got)
-			}
-		}(i)
+		go predict(i)
 	}
-	// With FlushInterval=1h the only way the dispatcher calls the backend
-	// before the gate opens is a full batch. Wait for that call, then
-	// release it.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.calls.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never flushed a full batch")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitFor(t, func() bool { return m.Admitted.Value() == B+1 })
 	close(b.gate)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sizes := b.batchSizes(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != B {
+		t.Fatalf("batch sizes %v, want [1 %d]", sizes, B)
+	}
+}
+
+// TestCoalescerClosedLoopKeepsBatchesFull pins that batching needs no
+// timer under load: with 2×MaxBatch closed-loop clients and a backend that
+// takes 1 ms per call, a full batch is always waiting when a flush returns.
+func TestCoalescerClosedLoopKeepsBatchesFull(t *testing.T) {
+	const (
+		B       = 8
+		clients = 2 * B
+		perC    = 50
+	)
+	b := &slowBackend{stubBackend: newStubBackend(2, 1), delay: time.Millisecond}
+	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: clients}, nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for i := 0; i < perC; i++ {
+				id := float64(cl*perC + i)
+				got, err := c.Predict(context.Background(), testWindow(2, 1, id))
+				if err == nil && got != id {
+					err = fmt.Errorf("request %v got %v", id, got)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	c.Close()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	if sizes := b.batchSizes(); len(sizes) != 1 || sizes[0] != B {
-		t.Fatalf("batch sizes %v, want [%d]", sizes, B)
+	sizes := b.batchSizes()
+	rows := 0
+	for _, s := range sizes {
+		if s < 1 || s > B {
+			t.Fatalf("batch size %d outside [1, MaxBatch]", s)
+		}
+		rows += s
+	}
+	if rows != clients*perC {
+		t.Fatalf("backend saw %d rows, want %d", rows, clients*perC)
+	}
+	if mean := float64(rows) / float64(len(sizes)); mean < B/2 {
+		t.Fatalf("mean batch %.1f over %d batches, want >= %d", mean, len(sizes), B/2)
 	}
 }
 
@@ -146,7 +200,7 @@ func TestCoalescerFullBatchFlushesImmediately(t *testing.T) {
 // caller's own id.
 func TestCoalescerConcurrentCallersGetOwnRows(t *testing.T) {
 	b := newStubBackend(4, 3)
-	c := NewCoalescer(b, Options{MaxBatch: 7, FlushInterval: 200 * time.Microsecond, QueueDepth: 1024}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 7, QueueDepth: 1024}, nil)
 	defer c.Close()
 	const N = 300
 	var wg sync.WaitGroup
@@ -190,7 +244,7 @@ func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 	b.gate = make(chan struct{})
 	const Q = 4
 	m := NewMetrics(nil)
-	c := NewCoalescer(b, Options{MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: Q}, m)
+	c := NewCoalescer(b, Options{MaxBatch: 1, QueueDepth: Q}, m)
 	defer c.Close()
 
 	// Occupy the dispatcher: one request opens a batch of 1 (MaxBatch=1)
@@ -246,7 +300,7 @@ func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 func TestCoalescerContextCancel(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
-	c := NewCoalescer(b, Options{MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: 4}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 1, QueueDepth: 4}, nil)
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -272,7 +326,7 @@ func TestCoalescerBackendErrorPropagates(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.fail.Store(true)
 	m := NewMetrics(nil)
-	c := NewCoalescer(b, Options{MaxBatch: 4, FlushInterval: time.Millisecond, QueueDepth: 8}, m)
+	c := NewCoalescer(b, Options{MaxBatch: 4, QueueDepth: 8}, m)
 	defer c.Close()
 	if _, err := c.Predict(context.Background(), testWindow(2, 1, 1)); err == nil {
 		t.Fatal("expected backend error")
@@ -305,7 +359,7 @@ func TestCoalescerShapeValidation(t *testing.T) {
 func TestCoalescerCloseFlushesQueued(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
-	c := NewCoalescer(b, Options{MaxBatch: 2, FlushInterval: time.Millisecond, QueueDepth: 16}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 2, QueueDepth: 16}, nil)
 
 	const N = 5
 	var wg sync.WaitGroup

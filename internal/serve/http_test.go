@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func postPredict(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -20,7 +19,7 @@ func postPredict(t *testing.T, h http.Handler, body string) *httptest.ResponseRe
 
 func TestHTTPPredict(t *testing.T) {
 	b := newStubBackend(2, 2)
-	c := NewCoalescer(b, Options{MaxBatch: 4, FlushInterval: 200 * time.Microsecond, QueueDepth: 16}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 4, QueueDepth: 16}, nil)
 	defer c.Close()
 	h := Handler(c)
 
@@ -65,7 +64,7 @@ func TestHTTPBadRequests(t *testing.T) {
 func TestHTTPOverloadMapsTo429(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
-	c := NewCoalescer(b, Options{MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: 1}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 1, QueueDepth: 1}, nil)
 	defer c.Close()
 	h := Handler(c)
 

@@ -131,7 +131,7 @@ func TestLoadOpenLoopAccounting(t *testing.T) {
 			base := newStubBackend(4, 3)
 			b := &slowBackend{stubBackend: base, delay: 5 * time.Millisecond}
 			m := NewMetrics(nil)
-			c := NewCoalescer(b, Options{MaxBatch: 4, FlushInterval: time.Millisecond, QueueDepth: 8}, m)
+			c := NewCoalescer(b, Options{MaxBatch: 4, QueueDepth: 8}, m)
 			ok, shed, got := runLoad(t, c, 4, 3, schedule)
 			c.Close()
 
@@ -202,7 +202,7 @@ func TestLoadBatchedForwardBound(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
 	m := NewMetrics(nil)
-	c := NewCoalescer(b, Options{MaxBatch: B, FlushInterval: time.Millisecond, QueueDepth: N}, m)
+	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: N}, m)
 	defer c.Close()
 
 	// Plug: one request occupies the dispatcher inside the gated backend.

@@ -1,7 +1,8 @@
 // Package serve turns a fitted DRNN predictor into a prediction service:
-// concurrent requests are coalesced into micro-batches (bounded by a max
-// batch size and a flush interval) so the model runs one batched GEMM
-// forward pass per flush instead of one GEMV per request, admission is
+// requests that arrive while the model is busy are coalesced into the
+// next micro-batch (bounded by a max batch size) so the model runs one
+// batched GEMM forward pass per flush instead of one GEMV per request,
+// while a request that finds it idle is evaluated at once; admission is
 // controlled by a bounded queue with explicit load shedding, and p50/p99
 // latency SLO metrics are exported through the internal/obs registry as
 // the predstream_serve_* families.
@@ -12,10 +13,7 @@
 // wire.go). cmd/predictd wires both to a drnn.Inference backend.
 package serve
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Backend evaluates micro-batches of raw feature windows. It must be safe
 // for concurrent use. drnn.Inference satisfies it.
@@ -40,12 +38,9 @@ var ErrClosed = errors.New("serve: server closed")
 // Options tunes the coalescer. Zero values take the defaults noted per
 // field.
 type Options struct {
-	// MaxBatch is the largest micro-batch handed to the backend; a full
-	// batch flushes immediately. Default 16.
+	// MaxBatch is the largest micro-batch handed to the backend; requests
+	// beyond it wait in the queue for the next flush. Default 16.
 	MaxBatch int
-	// FlushInterval bounds how long the first request of a batch waits
-	// for company before a partial flush. Default 2ms.
-	FlushInterval time.Duration
 	// QueueDepth bounds admitted-but-unbatched requests; beyond it
 	// requests are shed with ErrOverloaded. Default 256.
 	QueueDepth int
@@ -54,9 +49,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256

@@ -9,7 +9,6 @@ import (
 	"net"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -99,7 +98,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 // frames on one connection and a shed under a gated backend.
 func TestTCPServerEndToEnd(t *testing.T) {
 	b := newStubBackend(3, 2)
-	c := NewCoalescer(b, Options{MaxBatch: 4, FlushInterval: 500 * time.Microsecond, QueueDepth: 64}, nil)
+	c := NewCoalescer(b, Options{MaxBatch: 4, QueueDepth: 64}, nil)
 	defer c.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

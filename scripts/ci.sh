@@ -2,9 +2,9 @@
 # CI gate: vet, gofmt, the dspslint invariant linter, doccheck, build, full test
 # suite, the race detector over the packages with real concurrency
 # (training engine, stream engine, SPSC ring plane, chaos harness,
-# prediction server), a one-iteration benchmark smoke, a short chaos
-# soak against the live engine, and a fuzz smoke over each native fuzz
-# target. Run via `make ci` or directly.
+# prediction server), a one-iteration benchmark smoke, a build-and-run check
+# of the bench/ module, a short chaos soak against the live engine, and a
+# fuzz smoke over each native fuzz target. Run via `make ci` or directly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,6 +50,9 @@ go test -race ./internal/nn/... ./internal/dsps/... ./internal/ring/... ./intern
 
 echo "== bench smoke (1 iteration per benchmark) =="
 make bench-smoke
+
+echo "== bench check (bench/ module vet + self-tests, 3 s app_paced and serve_predict) =="
+make bench-check
 
 echo "== chaos soak (short) =="
 make soak-short

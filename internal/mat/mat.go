@@ -294,14 +294,7 @@ func (m *Dense) MulVecTo(dst, v []float64) []float64 {
 	if len(v) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: MulVecTo got dst %d, v %d for %dx%d", len(dst), len(v), m.rows, m.cols))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		dst[i] = s
-	}
+	m.gemv(dst, v, false)
 	return dst
 }
 
@@ -311,15 +304,55 @@ func (m *Dense) MulVecAdd(dst, v []float64) []float64 {
 	if len(v) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: MulVecAdd got dst %d, v %d for %dx%d", len(dst), len(v), m.rows, m.cols))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		dst[i] += s
-	}
+	m.gemv(dst, v, true)
 	return dst
+}
+
+// gemv computes dst = m × v, or dst += m × v when accumulate is set. Four
+// rows share each load of v[j] and keep four independent accumulators, so
+// the adds of one row no longer wait on the adds of the row before. Each
+// row's sum still runs over j in order, which keeps every result bit for
+// bit what a row-at-a-time dot product gives.
+//
+//dsps:hotpath
+func (m *Dense) gemv(dst, v []float64, accumulate bool) {
+	n := len(v)
+	dst = dst[:m.rows]
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		r0 := m.data[i*n:][:n]
+		r1 := m.data[(i+1)*n:][:n]
+		r2 := m.data[(i+2)*n:][:n]
+		r3 := m.data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		d := dst[i : i+4]
+		if accumulate {
+			d[0] += s0
+			d[1] += s1
+			d[2] += s2
+			d[3] += s3
+		} else {
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+		}
+	}
+	for ; i < m.rows; i++ {
+		row := m.data[i*n:][:n]
+		var s float64
+		for j, x := range v {
+			s += row[j] * x
+		}
+		if accumulate {
+			dst[i] += s
+		} else {
+			dst[i] = s
+		}
+	}
 }
 
 // Norm returns the Frobenius norm of m.

@@ -29,6 +29,8 @@ type lstmStep struct {
 	c     []float64
 	tanhC []float64
 	h     []float64
+
+	dz [numGates][]float64 // pre-activation gradients, written by BackwardSeq
 }
 
 // lstmWorkspace is the layer's reusable arena: the step cache grows once
@@ -45,7 +47,6 @@ type lstmWorkspace struct {
 
 	// Backward scratch, one vector of Hidden each.
 	dh, do_, dc, dcPrev, dhPrev, dhNext, dcNext []float64
-	dz                                          [numGates][]float64
 }
 
 func (w *lstmWorkspace) init(hidden int) {
@@ -57,9 +58,6 @@ func (w *lstmWorkspace) init(hidden int) {
 	w.dhPrev = make([]float64, hidden)
 	w.dhNext = make([]float64, hidden)
 	w.dcNext = make([]float64, hidden)
-	for g := 0; g < numGates; g++ {
-		w.dz[g] = make([]float64, hidden)
-	}
 }
 
 // ensure grows the step cache to hold n timesteps for dims (in, hidden).
@@ -75,6 +73,7 @@ func (w *lstmWorkspace) ensure(in, hidden, n int) {
 		}
 		for g := 0; g < numGates; g++ {
 			st.gates[g] = make([]float64, hidden)
+			st.dz[g] = make([]float64, hidden)
 		}
 		w.steps = append(w.steps, st)
 		w.dX = append(w.dX, make([]float64, in))
@@ -84,6 +83,15 @@ func (w *lstmWorkspace) ensure(in, hidden, n int) {
 	}
 	w.out = w.out[:n]
 	w.n = n
+}
+
+// hPrev returns the hidden state step t started from: the zero state for
+// the first step.
+func (w *lstmWorkspace) hPrev(t int) []float64 {
+	if t == 0 {
+		return w.zero
+	}
+	return w.steps[t-1].h
 }
 
 // LSTM is a single recurrent layer with standard LSTM cell dynamics and
@@ -185,6 +193,10 @@ func (l *LSTM) ForwardSeq(seq [][]float64) [][]float64 {
 // the returned slices alias the workspace and stay valid until the next
 // BackwardSeq call.
 //
+// The time loop computes each step's gate gradients dz_t and pushes them
+// back through the transposed weights; the weight-gradient outer products,
+// which depend on nothing later, run once after it (accumulateGrads).
+//
 //dsps:hotpath
 func (l *LSTM) BackwardSeq(dH [][]float64) [][]float64 {
 	w := &l.ws
@@ -198,10 +210,8 @@ func (l *LSTM) BackwardSeq(dH [][]float64) [][]float64 {
 	for t := w.n - 1; t >= 0; t-- {
 		st := &w.steps[t]
 		cPrev := w.zero
-		hPrev := w.zero
 		if t > 0 {
 			cPrev = w.steps[t-1].c
-			hPrev = w.steps[t-1].h
 		}
 		dh := w.dh
 		for i := range dh {
@@ -217,7 +227,7 @@ func (l *LSTM) BackwardSeq(dH [][]float64) [][]float64 {
 			dc[i] = dh[i]*o[i]*(1-st.tanhC[i]*st.tanhC[i]) + dcNext[i]
 		}
 		// Through c = f∘cPrev + i∘g.
-		dz := &w.dz
+		dz := &st.dz
 		for i := range dc {
 			dcPrev[i] = dc[i] * f[i]
 			dz[gateF][i] = dc[i] * cPrev[i] * f[i] * (1 - f[i])
@@ -226,42 +236,111 @@ func (l *LSTM) BackwardSeq(dH [][]float64) [][]float64 {
 			dz[gateO][i] = do[i] * o[i] * (1 - o[i])
 		}
 
+		// dx = Σ_g Wxᵀ dz_g, dhPrev = Σ_g Whᵀ dz_g.
 		dx := w.dX[t]
 		zeroVec(dx)
 		zeroVec(dhPrev)
 		for g := 0; g < numGates; g++ {
-			dzg := dz[g]
-			wxG, whG, bG := l.wx[g], l.wh[g], l.b[g]
-			bd := bG.Grad.Data()
-			for i, dv := range dzg {
-				if dv == 0 {
-					continue
-				}
-				// dWx += dz xᵀ, dWh += dz hPrevᵀ, db += dz.
-				wxRow := wxG.Grad.Data()[i*l.In : (i+1)*l.In]
-				for j, xv := range st.x {
-					wxRow[j] += dv * xv
-				}
-				whRow := whG.Grad.Data()[i*l.Hidden : (i+1)*l.Hidden]
-				for j, hv := range hPrev {
-					whRow[j] += dv * hv
-				}
-				bd[i] += dv
-				// dx += Wxᵀ dz, dhPrev += Whᵀ dz.
-				wRow := wxG.W.Data()[i*l.In : (i+1)*l.In]
-				for j, wv := range wRow {
-					dx[j] += wv * dv
-				}
-				hRow := whG.W.Data()[i*l.Hidden : (i+1)*l.Hidden]
-				for j, wv := range hRow {
-					dhPrev[j] += wv * dv
-				}
-			}
+			addMulTransVec(dx, l.wx[g].W.Data(), dz[g])
+			addMulTransVec(dhPrev, l.wh[g].W.Data(), dz[g])
 		}
 		dhNext, dhPrev = dhPrev, dhNext
 		dcNext, dcPrev = dcPrev, dcNext
 	}
+	l.accumulateGrads()
 	return w.dX[:w.n]
+}
+
+// accumulateGrads adds the cached sequence's weight gradients: dWx += dz xᵀ,
+// dWh += dz hPrevᵀ and db += dz, summed over t = n-1 … 0. Each gradient row
+// takes four timesteps per pass and holds its running value in a register,
+// so it is loaded and stored once per four steps instead of once per step.
+// Every element still receives one rounded add per timestep in descending
+// t, the order the per-step loop used, so the sums are bit-identical.
+//
+//dsps:hotpath
+func (l *LSTM) accumulateGrads() {
+	w := &l.ws
+	for g := 0; g < numGates; g++ {
+		gx, gh, gb := l.wx[g].Grad.Data(), l.wh[g].Grad.Data(), l.b[g].Grad.Data()
+		for i := 0; i < l.Hidden; i++ {
+			rx := gx[i*l.In:][:l.In]
+			rh := gh[i*l.Hidden:][:l.Hidden]
+			b := gb[i]
+			t := w.n - 1
+			for ; t >= 3; t -= 4 {
+				s0, s1, s2, s3 := &w.steps[t], &w.steps[t-1], &w.steps[t-2], &w.steps[t-3]
+				d0, d1, d2, d3 := s0.dz[g][i], s1.dz[g][i], s2.dz[g][i], s3.dz[g][i]
+				addOuter4(rx, d0, d1, d2, d3, s0.x, s1.x, s2.x, s3.x)
+				addOuter4(rh, d0, d1, d2, d3, w.hPrev(t), w.hPrev(t-1), w.hPrev(t-2), w.hPrev(t-3))
+				b += d0
+				b += d1
+				b += d2
+				b += d3
+			}
+			for ; t >= 0; t-- {
+				st := &w.steps[t]
+				d := st.dz[g][i]
+				addOuter1(rx, d, st.x)
+				addOuter1(rh, d, w.hPrev(t))
+				b += d
+			}
+			gb[i] = b
+		}
+	}
+}
+
+// addMulTransVec computes dst += Wᵀ d for the row-major len(d)×len(dst)
+// matrix w, four rows per pass. Each dst[j] takes its adds in row order,
+// as a row-at-a-time loop gives them.
+//
+//dsps:hotpath
+func addMulTransVec(dst, w, d []float64) {
+	n := len(dst)
+	i := 0
+	for ; i+4 <= len(d); i += 4 {
+		d0, d1, d2, d3 := d[i], d[i+1], d[i+2], d[i+3]
+		w0 := w[i*n:][:n]
+		w1 := w[(i+1)*n:][:n]
+		w2 := w[(i+2)*n:][:n]
+		w3 := w[(i+3)*n:][:n]
+		for j, v := range dst {
+			v += w0[j] * d0
+			v += w1[j] * d1
+			v += w2[j] * d2
+			v += w3[j] * d3
+			dst[j] = v
+		}
+	}
+	for ; i < len(d); i++ {
+		addOuter1(dst, d[i], w[i*n:][:n])
+	}
+}
+
+// addOuter4 computes row += d0·a0 + d1·a1 + d2·a2 + d3·a3, adding the four
+// terms of each element in that order.
+//
+//dsps:hotpath
+func addOuter4(row []float64, d0, d1, d2, d3 float64, a0, a1, a2, a3 []float64) {
+	n := len(row)
+	a0, a1, a2, a3 = a0[:n], a1[:n], a2[:n], a3[:n]
+	for j, v := range row {
+		v += d0 * a0[j]
+		v += d1 * a1[j]
+		v += d2 * a2[j]
+		v += d3 * a3[j]
+		row[j] = v
+	}
+}
+
+// addOuter1 computes row += d·a.
+//
+//dsps:hotpath
+func addOuter1(row []float64, d float64, a []float64) {
+	a = a[:len(row)]
+	for j, v := range a {
+		row[j] += d * v
+	}
 }
 
 // InSize implements Recurrent.

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"predstream/internal/obs"
@@ -24,12 +26,13 @@ type result struct {
 }
 
 // Coalescer admits prediction requests into a bounded queue and batches
-// them for the backend naturally: a request that finds the backend idle is
-// evaluated at once, and a batch is whatever queued up (at most
-// Options.MaxBatch) while the previous one was being evaluated, so batch
-// size follows load and no timer sits on the latency path. A full queue
-// sheds new requests with ErrOverloaded instead of building unbounded
-// latency. All methods are safe for concurrent use.
+// them for the backend naturally. It runs one dispatcher per core
+// (runtime.GOMAXPROCS), so up to that many batches are evaluated at once. A
+// request that finds a dispatcher idle is evaluated at once, and a batch is
+// whatever queued up (at most Options.MaxBatch) while the dispatchers were
+// busy, so batch size follows load and no timer sits on the latency path.
+// A full queue sheds new requests with ErrOverloaded instead of building
+// unbounded latency. All methods are safe for concurrent use.
 type Coalescer struct {
 	backend Backend
 	opts    Options
@@ -37,15 +40,17 @@ type Coalescer struct {
 
 	queue chan *request
 	stop  chan struct{}
-	done  chan struct{}
+	done  chan struct{} // closed when the last dispatcher has exited
+
+	inFlush atomic.Int32 // dispatchers inside a backend call
 
 	mu     sync.RWMutex // guards closed against enqueue-after-drain
 	closed bool
 }
 
-// NewCoalescer starts the dispatcher goroutine over backend. A nil metrics
-// installs unregistered instruments (counted but not exported). Call Close
-// to stop.
+// NewCoalescer starts one dispatcher goroutine per core over backend. A
+// nil metrics installs unregistered instruments (counted but not
+// exported). Call Close to stop.
 func NewCoalescer(backend Backend, opts Options, m *Metrics) *Coalescer {
 	opts = opts.withDefaults()
 	if m == nil {
@@ -59,7 +64,19 @@ func NewCoalescer(backend Backend, opts Options, m *Metrics) *Coalescer {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go c.dispatch()
+	n := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			c.dispatch()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(c.done)
+	}()
 	return c
 }
 
@@ -115,7 +132,7 @@ func (c *Coalescer) Predict(ctx context.Context, window [][]float64) (float64, e
 	}
 }
 
-// Close stops admitting, flushes every queued request, waits for the
+// Close stops admitting, flushes every queued request, waits for every
 // dispatcher to exit, and is idempotent.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
@@ -130,18 +147,27 @@ func (c *Coalescer) Close() {
 	<-c.done
 }
 
-// dispatch is the single consumer of the queue. Whenever it waits for an
-// opener the backend is idle, so the opener goes out at once together with
-// whatever queued up behind the previous flush; no request waits for
-// company.
+// dispatch is one of the queue's consumers. Whenever it waits for an
+// opener it is idle, so the opener goes out at once together with whatever
+// queued up behind the busy dispatchers; no request waits for company.
+//
+// It yields once before filling, but only while another dispatcher is
+// inside a backend call. Under load, a caller that re-submits wakes an
+// idle dispatcher through the scheduler's runnext slot, so the dispatcher
+// runs before the other callers that were just answered can re-submit, and
+// would flush that one request alone. The yield lets them queue first.
+// With no other batch in flight nobody is about to queue, so the yield is
+// skipped and a lone request is evaluated without delay.
 func (c *Coalescer) dispatch() {
-	defer close(c.done)
 	batch := make([]*request, 0, c.opts.MaxBatch)
 	windows := make([][][]float64, 0, c.opts.MaxBatch)
 	out := make([]float64, c.opts.MaxBatch)
 	for {
 		select {
 		case req := <-c.queue:
+			if c.inFlush.Load() > 0 {
+				runtime.Gosched()
+			}
 			c.flush(c.fill(append(batch[:0], req)), windows, out)
 		case <-c.stop:
 			// Close has barred new admits: flush what is left and exit.
@@ -176,7 +202,9 @@ func (c *Coalescer) flush(batch []*request, windows [][][]float64, out []float64
 	for _, req := range batch {
 		windows = append(windows, req.window)
 	}
+	c.inFlush.Add(1)
 	err := c.backend.PredictBatch(windows, out[:len(batch)])
+	c.inFlush.Add(-1)
 	c.m.Batches.Inc()
 	c.m.BatchSize.Observe(float64(len(batch)))
 	if err != nil {

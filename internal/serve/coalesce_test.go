@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +14,7 @@ import (
 
 // stubBackend echoes window[0][0] as the prediction, so tests can verify
 // each caller gets its own answer back. It records every batch size and
-// can be gated to hold the dispatcher inside a forward pass.
+// can be gated to hold dispatchers inside a forward pass.
 type stubBackend struct {
 	window   int
 	features int
@@ -68,7 +70,7 @@ func testWindow(window, features int, id float64) [][]float64 {
 }
 
 // TestCoalescerLoneRequestNeverWaits pins the idle-backend rule: a request
-// that finds the dispatcher idle is evaluated at once, alone, however far
+// that finds a dispatcher idle is evaluated at once, alone, however far
 // below MaxBatch it is. Any wait for company shows a hundredfold here: a
 // 2 ms fill timer makes 100 sequential lone requests take 200 ms.
 func TestCoalescerLoneRequestNeverWaits(t *testing.T) {
@@ -100,10 +102,47 @@ func TestCoalescerLoneRequestNeverWaits(t *testing.T) {
 	}
 }
 
+// plugDispatchers occupies every dispatcher of c with a lone request held
+// inside the gated backend b, one opener at a time so that each finds an
+// idle dispatcher and none share a batch. The openers carry ids from
+// firstID on and report their errors on the returned channel.
+func plugDispatchers(t *testing.T, c *Coalescer, b *stubBackend, firstID float64) <-chan error {
+	t.Helper()
+	n := runtime.GOMAXPROCS(0)
+	errs := make(chan error, n)
+	for k := 0; k < n; k++ {
+		id := firstID + float64(k)
+		go func() {
+			got, err := c.Predict(context.Background(), testWindow(b.window, b.features, id))
+			if err == nil && got != id {
+				err = fmt.Errorf("opener %v got %v", id, got)
+			}
+			errs <- err
+		}()
+		waitFor(t, func() bool { return b.calls.Load() == int64(k+1) })
+	}
+	return errs
+}
+
+// releaseOneAtATime lets the plugged dispatchers drain c's queue with only
+// one of them outside the gated backend at any moment: each token frees one
+// backend call, and the next goes out only once the freed dispatcher has
+// taken its next batch into the backend or found the queue empty. Then it
+// opens the gate for good.
+func releaseOneAtATime(t *testing.T, c *Coalescer, b *stubBackend) {
+	t.Helper()
+	for len(c.queue) > 0 {
+		prev := b.calls.Load()
+		b.gate <- struct{}{}
+		waitFor(t, func() bool { return b.calls.Load() > prev || len(c.queue) == 0 })
+	}
+	close(b.gate)
+}
+
 // TestCoalescerFullBatchFlushesImmediately pins where batches come from:
-// what queues up behind a busy backend goes out together as soon as the
-// backend is free. A gated opener holds the dispatcher in its own batch of
-// 1; the B requests enqueued meanwhile leave as one batch of B.
+// what queues up behind busy dispatchers goes out together as soon as one
+// is free. Gated openers hold every dispatcher in its own batch of 1; the
+// B requests enqueued meanwhile leave as one batch of B.
 func TestCoalescerFullBatchFlushesImmediately(t *testing.T) {
 	const B = 8
 	b := newStubBackend(2, 1)
@@ -112,25 +151,23 @@ func TestCoalescerFullBatchFlushesImmediately(t *testing.T) {
 	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: 2 * B}, m)
 	defer c.Close()
 
+	openers := plugDispatchers(t, c, b, B)
 	var wg sync.WaitGroup
-	errs := make(chan error, B+1)
-	predict := func(i int) {
-		defer wg.Done()
-		got, err := c.Predict(context.Background(), testWindow(2, 1, float64(i)))
-		if err == nil && got != float64(i) {
-			err = fmt.Errorf("request %d got %v", i, got)
-		}
-		errs <- err
-	}
-	wg.Add(1)
-	go predict(B)
-	waitFor(t, func() bool { return b.calls.Load() == 1 })
+	errs := make(chan error, B)
 	for i := 0; i < B; i++ {
 		wg.Add(1)
-		go predict(i)
+		go func(i int) {
+			defer wg.Done()
+			got, err := c.Predict(context.Background(), testWindow(2, 1, float64(i)))
+			if err == nil && got != float64(i) {
+				err = fmt.Errorf("request %d got %v", i, got)
+			}
+			errs <- err
+		}(i)
 	}
-	waitFor(t, func() bool { return m.Admitted.Value() == B+1 })
-	close(b.gate)
+	n := runtime.GOMAXPROCS(0)
+	waitFor(t, func() bool { return m.Admitted.Value() == uint64(B+n) })
+	releaseOneAtATime(t, c, b)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -138,20 +175,28 @@ func TestCoalescerFullBatchFlushesImmediately(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sizes := b.batchSizes(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != B {
-		t.Fatalf("batch sizes %v, want [1 %d]", sizes, B)
+	for k := 0; k < n; k++ {
+		if err := <-openers; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := b.batchSizes()
+	sort.Ints(sizes)
+	if len(sizes) != n+1 || sizes[n-1] != 1 || sizes[n] != B {
+		t.Fatalf("batch sizes %v, want %d batches of 1 and one of %d", sizes, n, B)
 	}
 }
 
 // TestCoalescerClosedLoopKeepsBatchesFull pins that batching needs no
-// timer under load: with 2×MaxBatch closed-loop clients and a backend that
-// takes 1 ms per call, a full batch is always waiting when a flush returns.
+// timer under load: with 2×MaxBatch closed-loop clients per dispatcher and
+// a backend that takes 1 ms per call, a full batch is always waiting when a
+// flush returns.
 func TestCoalescerClosedLoopKeepsBatchesFull(t *testing.T) {
 	const (
-		B       = 8
-		clients = 2 * B
-		perC    = 50
+		B    = 8
+		perC = 50
 	)
+	clients := 2 * B * runtime.GOMAXPROCS(0)
 	b := &slowBackend{stubBackend: newStubBackend(2, 1), delay: time.Millisecond}
 	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: clients}, nil)
 	var wg sync.WaitGroup
@@ -237,24 +282,21 @@ func TestCoalescerConcurrentCallersGetOwnRows(t *testing.T) {
 }
 
 // TestCoalescerShedsWhenQueueFull pins admission control: with the
-// backend gated shut and the queue sized Q, at most Q+1 requests are in
-// flight (Q queued + the batch opener) and the rest shed immediately.
+// backend gated shut and the queue sized Q, at most Q+P requests are in
+// flight (Q queued + one batch opener per dispatcher) and the rest shed
+// immediately.
 func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
 	const Q = 4
+	P := uint64(runtime.GOMAXPROCS(0))
 	m := NewMetrics(nil)
 	c := NewCoalescer(b, Options{MaxBatch: 1, QueueDepth: Q}, m)
 	defer c.Close()
 
-	// Occupy the dispatcher: one request opens a batch of 1 (MaxBatch=1)
+	// Occupy every dispatcher: each opener takes a batch of 1 (MaxBatch=1)
 	// and blocks inside the gated backend.
-	opener := make(chan error, 1)
-	go func() {
-		_, err := c.Predict(context.Background(), testWindow(2, 1, 0))
-		opener <- err
-	}()
-	waitFor(t, func() bool { return b.calls.Load() == 1 })
+	openers := plugDispatchers(t, c, b, 0)
 
 	// Fill the queue exactly.
 	var wg sync.WaitGroup
@@ -267,7 +309,7 @@ func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 			results <- err
 		}(i)
 	}
-	waitFor(t, func() bool { return m.Admitted.Value() == Q+1 })
+	waitFor(t, func() bool { return m.Admitted.Value() == Q+P })
 
 	// Every further request must shed synchronously.
 	for i := 0; i < 3; i++ {
@@ -280,8 +322,10 @@ func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 	}
 
 	close(b.gate)
-	if err := <-opener; err != nil {
-		t.Fatal(err)
+	for k := uint64(0); k < P; k++ {
+		if err := <-openers; err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	close(results)
@@ -290,8 +334,53 @@ func TestCoalescerShedsWhenQueueFull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Admitted.Value() != Q+1 {
-		t.Fatalf("admitted %d, want %d", m.Admitted.Value(), Q+1)
+	if m.Admitted.Value() != Q+P {
+		t.Fatalf("admitted %d, want %d", m.Admitted.Value(), Q+P)
+	}
+}
+
+// rendezvousBackend completes a call only once two calls are inside it at
+// the same time, and fails a call that waits longer than a few seconds for
+// its partner.
+type rendezvousBackend struct {
+	*stubBackend
+	inside atomic.Int32
+	both   chan struct{}
+}
+
+func (r *rendezvousBackend) PredictBatch(windows [][][]float64, out []float64) error {
+	if r.inside.Add(1) == 2 {
+		close(r.both)
+	}
+	select {
+	case <-r.both:
+	case <-time.After(5 * time.Second):
+		return errors.New("no second batch joined within 5s")
+	}
+	return r.stubBackend.PredictBatch(windows, out)
+}
+
+// TestCoalescerBatchesRunConcurrently pins one dispatcher per core: a
+// second request, sent while the first one's batch is inside the backend,
+// must be evaluated alongside it rather than wait for it.
+func TestCoalescerBatchesRunConcurrently(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	b := &rendezvousBackend{stubBackend: newStubBackend(2, 1), both: make(chan struct{})}
+	c := NewCoalescer(b, Options{MaxBatch: 8, QueueDepth: 8}, nil)
+	defer c.Close()
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Predict(context.Background(), testWindow(2, 1, 1))
+		first <- err
+	}()
+	waitFor(t, func() bool { return b.inside.Load() == 1 })
+	if got, err := c.Predict(context.Background(), testWindow(2, 1, 2)); err != nil || got != 2 {
+		t.Fatalf("second request = %v, %v; want 2, nil", got, err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -359,7 +448,8 @@ func TestCoalescerShapeValidation(t *testing.T) {
 func TestCoalescerCloseFlushesQueued(t *testing.T) {
 	b := newStubBackend(2, 1)
 	b.gate = make(chan struct{})
-	c := NewCoalescer(b, Options{MaxBatch: 2, QueueDepth: 16}, nil)
+	m := NewMetrics(nil)
+	c := NewCoalescer(b, Options{MaxBatch: 2, QueueDepth: 16}, m)
 
 	const N = 5
 	var wg sync.WaitGroup
@@ -375,7 +465,7 @@ func TestCoalescerCloseFlushesQueued(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	waitFor(t, func() bool { return b.calls.Load() >= 1 })
+	waitFor(t, func() bool { return b.calls.Load() >= 1 && m.Admitted.Value() == N })
 	close(b.gate) // every later flush proceeds immediately
 	c.Close()
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -69,14 +70,17 @@ func TestHTTPOverloadMapsTo429(t *testing.T) {
 	h := Handler(c)
 
 	payload, _ := json.Marshal(PredictRequest{Window: [][]float64{{1}, {2}}})
-	// Occupy dispatcher + fill the queue.
-	for i := 0; i < 2; i++ {
-		go func() {
-			req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(payload))
-			h.ServeHTTP(httptest.NewRecorder(), req)
-		}()
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(payload))
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
-	waitFor(t, func() bool { return b.calls.Load() >= 1 && len(c.queue) == 1 })
+	// Occupy every dispatcher, one at a time, then fill the queue.
+	for k := 1; k <= runtime.GOMAXPROCS(0); k++ {
+		go post()
+		waitFor(t, func() bool { return b.calls.Load() == int64(k) })
+	}
+	go post()
+	waitFor(t, func() bool { return len(c.queue) == 1 })
 
 	rec := postPredict(t, h, string(payload))
 	if rec.Code != http.StatusTooManyRequests {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -191,9 +192,9 @@ func TestLoadOpenLoopAccounting(t *testing.T) {
 	}
 }
 
-// TestLoadBatchedForwardBound is the acceptance bound of the issue: N
-// requests coalesced while the backend is busy must be served in at most
-// ceil(N/MaxBatch) forward passes.
+// TestLoadBatchedForwardBound is the batching bound: N requests coalesced
+// while every dispatcher is busy must be served in at most ceil(N/MaxBatch)
+// forward passes when the dispatchers drain them one at a time.
 func TestLoadBatchedForwardBound(t *testing.T) {
 	const (
 		B = 8
@@ -205,13 +206,9 @@ func TestLoadBatchedForwardBound(t *testing.T) {
 	c := NewCoalescer(b, Options{MaxBatch: B, QueueDepth: N}, m)
 	defer c.Close()
 
-	// Plug: one request occupies the dispatcher inside the gated backend.
-	plug := make(chan error, 1)
-	go func() {
-		_, err := c.Predict(context.Background(), testWindow(2, 1, -1))
-		plug <- err
-	}()
-	waitFor(t, func() bool { return b.calls.Load() == 1 })
+	// Plug: one request per dispatcher waits inside the gated backend.
+	P := runtime.GOMAXPROCS(0)
+	plugs := plugDispatchers(t, c, b, -float64(P))
 
 	// Coalesce N requests behind it.
 	var wg sync.WaitGroup
@@ -227,10 +224,12 @@ func TestLoadBatchedForwardBound(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	waitFor(t, func() bool { return m.Admitted.Value() == N+1 })
-	close(b.gate)
-	if err := <-plug; err != nil {
-		t.Fatal(err)
+	waitFor(t, func() bool { return m.Admitted.Value() == uint64(N+P) })
+	releaseOneAtATime(t, c, b)
+	for k := 0; k < P; k++ {
+		if err := <-plugs; err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -239,7 +238,7 @@ func TestLoadBatchedForwardBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	forwardPasses := int(b.calls.Load()) - 1 // minus the plug's own pass
+	forwardPasses := int(b.calls.Load()) - P // minus the plugs' own passes
 	bound := (N + B - 1) / B
 	if forwardPasses > bound {
 		t.Fatalf("%d coalesced requests took %d forward passes, bound ceil(N/B) = %d",

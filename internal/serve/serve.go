@@ -2,7 +2,8 @@
 // requests that arrive while the model is busy are coalesced into the
 // next micro-batch (bounded by a max batch size) so the model runs one
 // batched GEMM forward pass per flush instead of one GEMV per request,
-// while a request that finds it idle is evaluated at once; admission is
+// while a request that finds it idle is evaluated at once. One dispatcher
+// per core (runtime.GOMAXPROCS) evaluates batches in parallel; admission is
 // controlled by a bounded queue with explicit load shedding, and p50/p99
 // latency SLO metrics are exported through the internal/obs registry as
 // the predstream_serve_* families.

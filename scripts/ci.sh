@@ -48,6 +48,9 @@ go test ./...
 echo "== go test -race (nn, dsps, ring, chaos, serve, cluster, analysis) =="
 go test -race ./internal/nn/... ./internal/dsps/... ./internal/ring/... ./internal/chaos/... ./internal/serve/... ./internal/cluster/... ./internal/analysis/...
 
+echo "== go test -race ./internal/serve at GOMAXPROCS=4 (one dispatcher per core, more dispatchers than cores) =="
+GOMAXPROCS=4 go test -race ./internal/serve
+
 echo "== bench smoke (1 iteration per benchmark) =="
 make bench-smoke
 

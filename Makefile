@@ -43,12 +43,12 @@ ci:
 # Short deterministic chaos soak (~15s): a generated fault schedule replays
 # against the live engine — without the control loop, with it, and with the
 # elastic planner live while scale events race a flash crowd — under
-# invariant checking. Any violation prints the reproducing seed.
+# invariant checking. Any violation prints the reproducing seed. The ring
+# plane's chaos coverage is TestChaosSoakEngineRings in internal/dsps.
 soak-short:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 4s -rate 300
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 2 -duration 4s -rate 300 -dynamic -control
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 7 -duration 4s -rate 800 -dynamic -control -elastic -shape burst
-	$(GO) run ./cmd/dspsim -chaos -chaos-seed 5 -duration 4s -rate 800 -dynamic -control -elastic -shape burst -ring-size 64 -wait-strategy hybrid
 
 # Full soak (~2min): a longer dspsim chaos replay plus the stretched
 # engine and controlled-bypass soak tests. CHAOS_SOAK_SECONDS widens the

@@ -92,19 +92,15 @@ func TestRunCPUProfileBadPath(t *testing.T) {
 	}
 }
 
-// TestRunDataPlaneKnobs checks the batching/acker flags reach the engine
-// (a run with explicit knobs completes and makes progress).
+// TestRunDataPlaneKnobs pins that the data-plane tuning values are engine
+// constants, not flags: each former knob is rejected as an unknown flag.
 func TestRunDataPlaneKnobs(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	err := run([]string{
-		"-duration", "500ms", "-stats", "200ms", "-rate", "300", "-seed", "7",
-		"-acker-shards", "2", "-batch", "8", "-flush-interval", "2ms",
-	}, &out, &errBuf)
-	if err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "final: acked=") {
-		t.Fatalf("no final tally in output:\n%s", out.String())
+	for _, knob := range []string{"-acker-shards", "-batch", "-flush-interval", "-ring-size", "-wait-strategy"} {
+		var out, errBuf bytes.Buffer
+		if err := run([]string{knob, "1"}, &out, &errBuf); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", knob, err)
+		}
 	}
 }
 

@@ -47,11 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	measure := fs.Duration("measure", 3*time.Second, "measurement interval (reliability)")
 	warmup := fs.Duration("warmup", 2*time.Second, "warmup before measurement (reliability)")
 	outDir := fs.String("out", "", "also write each experiment's series as CSV into this directory")
-	ackerShards := fs.Int("acker-shards", 0, "engine acker shard count, rounded up to a power of two (0 = engine default)")
-	engineBatch := fs.Int("engine-batch", 0, "engine micro-batch size in tuples (0 = engine default)")
-	flushInterval := fs.Duration("flush-interval", 0, "engine partial-batch flush deadline (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "engine SPSC ring capacity in batch slots; >0 enables the ring data plane (0 = channel plane)")
-	waitStrategy := fs.String("wait-strategy", "", "engine ring-plane wait strategy: hybrid, spin or park (default hybrid)")
 	obsAddr := fs.String("obs", "", "serve /metrics (Go runtime), /healthz and /debug/pprof on this address while the suite runs (e.g. :9090)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -65,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(stdout, "observability listening on %s (/metrics /healthz /debug/pprof)\n", srv.Addr())
-	}
-	knobs := experiments.EngineKnobs{
-		AckerShards: *ackerShards, BatchSize: *engineBatch, FlushInterval: *flushInterval,
-		RingSize: *ringSize, WaitStrategy: *waitStrategy,
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -114,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		case "e5":
 			var r *experiments.GroupingResult
-			if r, err = experiments.RunGrouping(experiments.GroupingConfig{Engine: knobs}); err == nil {
+			if r, err = experiments.RunGrouping(experiments.GroupingConfig{}); err == nil {
 				result = r
 				fmt.Fprint(stdout, r.Render())
 			}
@@ -123,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// the table carries both columns.
 			var r *experiments.ReliabilityResult
 			if r, err = experiments.RunReliability(experiments.ReliabilityConfig{
-				Warmup: *warmup, Measure: *measure, Seed: *seed, Engine: knobs,
+				Warmup: *warmup, Measure: *measure, Seed: *seed,
 			}); err == nil {
 				result = r
 				fmt.Fprint(stdout, r.Render())
@@ -136,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Misbehaving: []int{0, 1},
 				Stall:       true,
 				Workers:     10,
-				Warmup:      *warmup, Measure: *measure, Seed: *seed, Engine: knobs,
+				Warmup:      *warmup, Measure: *measure, Seed: *seed,
 			}); err == nil {
 				result = r
 				fmt.Fprint(stdout, r.Render())
@@ -172,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case "e11":
 			var r *experiments.PolicyAblationResult
 			if r, err = experiments.RunPolicyAblation(experiments.ReliabilityConfig{
-				Warmup: *warmup, Measure: *measure, Seed: *seed, Engine: knobs,
+				Warmup: *warmup, Measure: *measure, Seed: *seed,
 			}); err == nil {
 				result = r
 				fmt.Fprint(stdout, r.Render())
@@ -186,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case "e13":
 			var r *experiments.ElasticResult
 			if r, err = experiments.RunElastic(experiments.ElasticConfig{
-				Warmup: *warmup, Seed: *seed, Engine: knobs,
+				Warmup: *warmup, Seed: *seed,
 			}); err == nil {
 				result = r
 				fmt.Fprint(stdout, r.Render())

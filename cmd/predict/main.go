@@ -63,18 +63,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	loadPath := fs.String("load", "", "load a DRNN checkpoint instead of training")
 	traceOut := fs.String("trace-out", "", "archive the trace to this CSV path")
 	traceIn := fs.String("trace-in", "", "read the trace from this CSV path instead of generating/collecting")
-	ackerShards := fs.Int("acker-shards", 0, "live engine acker shard count (0 = engine default)")
-	engineBatch := fs.Int("engine-batch", 0, "live engine micro-batch size in tuples (0 = engine default)")
-	flushInterval := fs.Duration("flush-interval", 0, "live engine partial-batch flush deadline (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "live engine SPSC ring capacity in batch slots; >0 enables the ring data plane (0 = channel plane)")
-	waitStrategy := fs.String("wait-strategy", "", "live engine ring-plane wait strategy: hybrid, spin or park (default hybrid)")
 	obsAddr := fs.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address (with -live also the engine metrics; e.g. :9090)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	engineCfg := dsps.ClusterConfig{
-		Nodes: 2, AckerShards: *ackerShards, BatchSize: *engineBatch, FlushInterval: *flushInterval,
-		RingSize: *ringSize, WaitStrategy: *waitStrategy,
 	}
 	var obsReg *obs.Registry
 	if *obsAddr != "" {
@@ -107,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traces, err = trace.ReadCSV(f)
 		f.Close()
 	case *live:
-		traces, err = collectLive(stdout, *app, *steps, *livePeriod, *seed, engineCfg, obsReg)
+		traces, err = collectLive(stdout, *app, *steps, *livePeriod, *seed, obsReg)
 	default:
 		traces, err = synthetic(*app, *steps, *seed)
 	}
@@ -286,7 +277,7 @@ func synthetic(app string, steps int, seed int64) (map[string][]telemetry.Window
 // collectLive runs the app on a live cluster and samples per-worker
 // windows; when reg is non-nil the cluster's metrics join the /metrics
 // page for the duration of the collection.
-func collectLive(stdout io.Writer, app string, windows int, period time.Duration, seed int64, ccfg dsps.ClusterConfig, reg *obs.Registry) (map[string][]telemetry.WindowStats, error) {
+func collectLive(stdout io.Writer, app string, windows int, period time.Duration, seed int64, reg *obs.Registry) (map[string][]telemetry.WindowStats, error) {
 	var topo *dsps.Topology
 	var err error
 	var stage string
@@ -309,8 +300,7 @@ func collectLive(stdout io.Writer, app string, windows int, period time.Duration
 	if err != nil {
 		return nil, err
 	}
-	ccfg.Seed = seed
-	cluster := dsps.NewCluster(ccfg)
+	cluster := dsps.NewCluster(dsps.ClusterConfig{Nodes: 2, Seed: seed})
 	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: 4}); err != nil {
 		return nil, err
 	}

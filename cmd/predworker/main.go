@@ -58,8 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	rate := fs.Float64("rate", 0, "spout rate in tuples/s (0 = unpaced)")
 	queueSize := fs.Int("queue", 64, "per-executor input queue bound")
-	batchSize := fs.Int("batch", 0, "data-plane micro-batch size in tuples (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "SPSC ring capacity in batch slots; >0 enables the ring data plane")
 	ackTimeout := fs.Duration("ack-timeout", 10*time.Second, "tuple-tree ack timeout")
 	dialTimeout := fs.Duration("dial-timeout", 2*time.Second, "one connection attempt bound")
 	if err := fs.Parse(args); err != nil {
@@ -103,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	eng := dsps.NewCluster(dsps.ClusterConfig{
 		Nodes: *nodes, Seed: *seed,
 		QueueSize: *queueSize, MaxSpoutPending: 256,
-		AckTimeout: *ackTimeout, BatchSize: *batchSize, RingSize: *ringSize,
+		AckTimeout: *ackTimeout,
 	})
 	if err := eng.Submit(topo, dsps.SubmitConfig{Workers: *workers}); err != nil {
 		return err

@@ -11,6 +11,10 @@ import (
 	"predstream/internal/dsps"
 )
 
+// commandTimeout bounds one command round trip; commands carrying their
+// own drain timeout get that on top.
+const commandTimeout = 5 * time.Second
+
 // CoordinatorConfig parameterizes the fleet control plane. Zero fields
 // take the noted defaults.
 type CoordinatorConfig struct {
@@ -23,9 +27,6 @@ type CoordinatorConfig struct {
 	// MetricsEvery is the snapshot-shipping cadence contracted to
 	// workers; default 1s.
 	MetricsEvery time.Duration
-	// CommandTimeout bounds one command round trip (commands carrying
-	// their own drain timeout get that plus slack on top); default 5s.
-	CommandTimeout time.Duration
 	// MinVersion and MaxVersion override the advertised protocol range
 	// (tests use this to force negotiation failures); defaults are the
 	// package constants.
@@ -44,9 +45,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.MetricsEvery <= 0 {
 		c.MetricsEvery = time.Second
-	}
-	if c.CommandTimeout <= 0 {
-		c.CommandTimeout = 5 * time.Second
 	}
 	if c.MinVersion == 0 {
 		c.MinVersion = MinVersion
@@ -225,7 +223,7 @@ func (c *Coordinator) acceptLoop() {
 // connection to a session (continuing as its reader) or rejects it.
 func (c *Coordinator) handshake(conn net.Conn) {
 	defer c.wg.Done()
-	conn.SetReadDeadline(time.Now().Add(c.cfg.CommandTimeout))
+	conn.SetReadDeadline(time.Now().Add(commandTimeout))
 	msgType, payload, err := ReadFrame(conn)
 	if err != nil || msgType != MsgHello {
 		conn.Close()
@@ -307,7 +305,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 
 // writeRaw writes a frame outside any session (handshake rejects).
 func (c *Coordinator) writeRaw(conn net.Conn, msgType uint8, payload []byte) {
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.CommandTimeout))
+	conn.SetWriteDeadline(time.Now().Add(commandTimeout))
 	WriteFrame(conn, msgType, payload)
 }
 
@@ -372,7 +370,7 @@ func (s *session) serve() {
 func (s *session) write(msgType uint8, payload []byte) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.conn.SetWriteDeadline(time.Now().Add(s.coord.cfg.CommandTimeout))
+	s.conn.SetWriteDeadline(time.Now().Add(commandTimeout))
 	return WriteFrame(s.conn, msgType, payload)
 }
 
@@ -645,7 +643,7 @@ func (c *Coordinator) Ping(name string) error {
 	if err != nil {
 		return err
 	}
-	res, err := s.call(Command{Op: OpPing}, c.cfg.CommandTimeout)
+	res, err := s.call(Command{Op: OpPing}, commandTimeout)
 	if err != nil {
 		return err
 	}
@@ -666,7 +664,7 @@ func (c *Coordinator) CheckInvariants(name string, drainTimeout time.Duration, r
 		return false, nil, err
 	}
 	res, err := s.call(Command{Op: OpCheckInvariants, Timeout: drainTimeout, Resume: resume},
-		c.cfg.CommandTimeout+drainTimeout)
+		commandTimeout+drainTimeout)
 	if err != nil {
 		return false, nil, err
 	}
@@ -681,7 +679,7 @@ func (c *Coordinator) CheckInvariants(name string, drainTimeout time.Duration, r
 func (c *Coordinator) DrainAll(timeout time.Duration) bool {
 	all := true
 	for _, s := range c.liveSessions() {
-		res, err := s.call(Command{Op: OpDrain, Timeout: timeout}, c.cfg.CommandTimeout+timeout)
+		res, err := s.call(Command{Op: OpDrain, Timeout: timeout}, commandTimeout+timeout)
 		if err != nil || res.Status != StatusOK || !res.Drained {
 			all = false
 		}
@@ -692,20 +690,20 @@ func (c *Coordinator) DrainAll(timeout time.Duration) bool {
 // PauseAll / ResumeAll toggle spout emission on every live worker.
 func (c *Coordinator) PauseAll() {
 	for _, s := range c.liveSessions() {
-		s.call(Command{Op: OpPauseSpouts}, c.cfg.CommandTimeout)
+		s.call(Command{Op: OpPauseSpouts}, commandTimeout)
 	}
 }
 
 // ResumeAll re-enables spout emission on every live worker.
 func (c *Coordinator) ResumeAll() {
 	for _, s := range c.liveSessions() {
-		s.call(Command{Op: OpResumeSpouts}, c.cfg.CommandTimeout)
+		s.call(Command{Op: OpResumeSpouts}, commandTimeout)
 	}
 }
 
 // ShutdownWorkers asks every live worker process to exit gracefully.
 func (c *Coordinator) ShutdownWorkers() {
 	for _, s := range c.liveSessions() {
-		s.call(Command{Op: OpShutdown}, c.cfg.CommandTimeout)
+		s.call(Command{Op: OpShutdown}, commandTimeout)
 	}
 }

@@ -39,7 +39,7 @@ func (e *RemoteEngine) call(cmd Command, extra time.Duration) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := s.call(cmd, e.coord.cfg.CommandTimeout+extra)
+	res, err := s.call(cmd, commandTimeout+extra)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,7 +150,7 @@ func (g *RemoteGrouping) SetRatios(ratios []float64) error {
 		return err
 	}
 	res, err := s.call(Command{Op: OpSetRatios, Component: g.component, Ratios: ratios},
-		g.coord.cfg.CommandTimeout)
+		commandTimeout)
 	if err != nil {
 		return err
 	}

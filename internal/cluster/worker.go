@@ -17,6 +17,12 @@ import (
 // the worker process to exit (OpShutdown).
 var ErrShutdown = errors.New("cluster: worker shut down by coordinator")
 
+// The reconnect backoff starts at backoffMin and doubles up to backoffMax.
+const (
+	backoffMin = 50 * time.Millisecond
+	backoffMax = 2 * time.Second
+)
+
 // WorkerConfig wires one engine instance to a coordinator.
 type WorkerConfig struct {
 	// Name is the worker's stable identity; rejoining after a crash with
@@ -37,9 +43,6 @@ type WorkerConfig struct {
 	Spouts []string
 	// DialTimeout bounds one connection attempt; default 2s.
 	DialTimeout time.Duration
-	// BackoffMin and BackoffMax shape the reconnect backoff (doubling,
-	// capped); defaults 50ms and 2s.
-	BackoffMin, BackoffMax time.Duration
 	// MinVersion and MaxVersion override the advertised protocol range
 	// (tests use this to force negotiation failures); defaults are the
 	// package constants.
@@ -76,12 +79,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
 	}
 	if cfg.MinVersion == 0 {
 		cfg.MinVersion = MinVersion
@@ -130,7 +127,7 @@ func (w *Worker) emit(level int, msg string, kv ...string) {
 // Transient failures — connection refused, duplicate-name while a stale
 // session drains, coordinator restart — are retried with backoff.
 func (w *Worker) Run(ctx context.Context) error {
-	backoff := w.cfg.BackoffMin
+	backoff := backoffMin
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -154,10 +151,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		case <-timer.C:
 		}
-		backoff *= 2
-		if backoff > w.cfg.BackoffMax {
-			backoff = w.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 

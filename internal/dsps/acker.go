@@ -71,20 +71,15 @@ type ackEntry struct {
 	failed bool
 }
 
-// newAcker builds an acker with the given number of lock shards (rounded
-// up to a power of two, minimum 1). A nil nowNs falls back to the real
-// clock.
-func newAcker(timeout time.Duration, shards int, nowNs func() int64) *acker {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+// newAcker builds an acker with ackerShards lock shards. A nil nowNs falls
+// back to the real clock.
+func newAcker(timeout time.Duration, nowNs func() int64) *acker {
 	if nowNs == nil {
 		nowNs = func() int64 { return time.Now().UnixNano() }
 	}
 	a := &acker{
-		shards:   make([]ackerShard, n),
-		mask:     uint64(n - 1),
+		shards:   make([]ackerShard, ackerShards),
+		mask:     ackerShards - 1,
 		timeout:  timeout,
 		nowNs:    nowNs,
 		sweepNow: time.Now,

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// testAcker builds an acker on the real clock with a handful of shards so
-// tests exercise the striped table.
+// testAcker builds an acker on the real clock.
 func testAcker(timeout time.Duration) *acker {
-	return newAcker(timeout, 4, nil)
+	return newAcker(timeout, nil)
 }
 
 func TestAckerLinearChainCompletes(t *testing.T) {
@@ -131,19 +130,8 @@ func TestAckerLatencyMeasured(t *testing.T) {
 	}
 }
 
-func TestAckerShardsRoundUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
-	} {
-		a := newAcker(time.Minute, tc.in, nil)
-		if len(a.shards) != tc.want {
-			t.Errorf("shards(%d) = %d, want %d", tc.in, len(a.shards), tc.want)
-		}
-	}
-}
-
 func TestAckerRootsSpreadAcrossShards(t *testing.T) {
-	a := newAcker(time.Minute, 4, nil)
+	a := testAcker(time.Minute)
 	for root := uint64(1); root <= 64; root++ {
 		a.register(root, root*7, root, 0, 0)
 	}

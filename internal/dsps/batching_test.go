@@ -30,12 +30,9 @@ func TestBatchingBackpressureBoundsSpout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const queueSize, batchSize = 16, 8
-	c := testCluster(func(cfg *ClusterConfig) {
-		cfg.QueueSize = queueSize
-		cfg.BatchSize = batchSize
-		cfg.FlushInterval = time.Millisecond
-	})
+	// A queue smaller than batchSize also caps the batch: 8-tuple batches.
+	const queueSize = 8
+	c := testCluster(func(cfg *ClusterConfig) { cfg.QueueSize = queueSize })
 	if err := c.Submit(topo, SubmitConfig{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +46,9 @@ func TestBatchingBackpressureBoundsSpout(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	after := emitted.Load()
 	// While stalled, the spout may at most top up the queue (queueSize
-	// tuples) plus one in-flight batch buffer; sustained emission means
-	// backpressure leaked.
-	if after-before > queueSize+batchSize {
+	// tuples) plus one in-flight batch buffer (queueSize tuples too);
+	// sustained emission means backpressure leaked.
+	if after-before > 2*queueSize {
 		t.Fatalf("spout kept emitting against a full queue: %d -> %d", before, after)
 	}
 	// Clearing the stall releases the backpressure and the stream resumes.
@@ -62,5 +59,56 @@ func TestBatchingBackpressureBoundsSpout(t *testing.T) {
 	}
 	if got := emitted.Load(); got < after+10*queueSize {
 		t.Fatalf("spout did not resume after stall cleared: emitted %d", got)
+	}
+}
+
+// TestSpoutDeadlineFlush pins the spout's deadline flush: a spout that
+// always has work but produces it slowly (a 2 ms emission cost per tuple)
+// must not hold its first tuple until a batch fills (batchSize × 2 ms ≥
+// 64 ms). The flushInterval deadline ships the partial batch after the
+// next emission instead.
+func TestSpoutDeadlineFlush(t *testing.T) {
+	firstEmit := make(chan time.Time, 1)
+	firstExec := make(chan time.Time, 1)
+	var col SpoutCollector
+	spout := &SpoutFunc{
+		OpenFn: func(_ TopologyContext, c SpoutCollector) { col = c },
+		NextFn: func() bool {
+			select {
+			case firstEmit <- time.Now():
+			default:
+			}
+			col.Emit(Values{1}, nil)
+			return true
+		},
+	}
+	b := NewTopologyBuilder("deadline")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n").WithExecCost(2 * time.Millisecond)
+	b.SetBolt("sink", func() Bolt {
+		return &BoltFunc{ExecuteFn: func(*Tuple, OutputCollector) {
+			select {
+			case firstExec <- time.Now():
+			default:
+			}
+		}}
+	}, 1).ShuffleGrouping("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCluster(func(cfg *ClusterConfig) { cfg.Delayer = RealDelayer{} })
+	if err := c.Submit(topo, SubmitConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	var emitted, executed time.Time
+	select {
+	case executed = <-firstExec:
+		emitted = <-firstEmit
+	case <-time.After(5 * time.Second):
+		t.Fatal("no tuple reached the sink")
+	}
+	if wait := executed.Sub(emitted); wait > 20*time.Millisecond {
+		t.Fatalf("first tuple executed %v after its emit, want < 20ms: the partial batch waited to fill", wait)
 	}
 }

@@ -131,10 +131,7 @@ func benchCluster(b *testing.B, opts ...func(*dsps.ClusterConfig)) *dsps.Cluster
 // benchRings flips a benchmark cluster onto the SPSC ring data plane —
 // the configuration the headline rows measure (see DESIGN.md "Data plane
 // v2"); the *Chan* control rows keep the channel plane for comparison.
-func benchRings(cfg *dsps.ClusterConfig) {
-	cfg.RingSize = 1024
-	cfg.WaitStrategy = "hybrid"
-}
+func benchRings(cfg *dsps.ClusterConfig) { cfg.Rings = true }
 
 // waitFor sleep-polls until the counter reaches want. Polling must not
 // busy-spin: the benchmark goroutine shares the scheduler with the

@@ -61,10 +61,9 @@ func TestChaosSoakEngine(t *testing.T) {
 	})
 }
 
-// TestChaosSoakEngineBatched re-runs the soak with explicit data-plane
-// knobs (small batches, sub-millisecond flush, a non-default shard count)
-// so the invariant checker audits the batching path itself, not just the
-// engine defaults.
+// TestChaosSoakEngineBatched re-runs the channel-plane soak on a second
+// engine seed, so the invariant checker audits the batching path under a
+// different routing and fault interleaving.
 func TestChaosSoakEngineBatched(t *testing.T) {
 	runChaosSoak(t, dsps.ClusterConfig{
 		Nodes:           2,
@@ -73,9 +72,6 @@ func TestChaosSoakEngineBatched(t *testing.T) {
 		AckTimeout:      300 * time.Millisecond,
 		Delayer:         dsps.NopDelayer{},
 		Seed:            11,
-		AckerShards:     2,
-		BatchSize:       16,
-		FlushInterval:   200 * time.Microsecond,
 	})
 }
 
@@ -91,11 +87,7 @@ func TestChaosSoakEngineRings(t *testing.T) {
 		AckTimeout:      300 * time.Millisecond,
 		Delayer:         dsps.NopDelayer{},
 		Seed:            13,
-		AckerShards:     2,
-		BatchSize:       16,
-		FlushInterval:   200 * time.Microsecond,
-		RingSize:        16,
-		WaitStrategy:    "hybrid",
+		Rings:           true,
 	})
 }
 

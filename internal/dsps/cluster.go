@@ -14,7 +14,8 @@ type ClusterConfig struct {
 	// Nodes is the number of simulated machines; default 3.
 	Nodes int
 	// CoresPerNode sets each machine's capacity for the interference
-	// model; default 4.
+	// model, which inflates service cost by a factor of
+	// 1 + max(0, busy-cores)/cores; default 4.
 	CoresPerNode int
 	// QueueSize bounds each executor's input queue; default 1024.
 	QueueSize int
@@ -27,33 +28,12 @@ type ClusterConfig struct {
 	Seed int64
 	// Delayer models service time; default RealDelayer.
 	Delayer Delayer
-	// InterferenceAlpha scales how strongly node oversubscription inflates
-	// service cost: factor = 1 + alpha·max(0, busy-cores)/cores.
-	// Default 1.
-	InterferenceAlpha float64
-	// AckerShards is the number of lock stripes in the acker's pending
-	// table, rounded up to a power of two; default 8.
-	AckerShards int
-	// BatchSize caps how many envelopes ride one data-plane batch; the
-	// effective size is clamped to QueueSize. Default 32.
-	BatchSize int
-	// FlushInterval bounds how long a partially filled spout output batch
-	// may wait before being flushed downstream; default 1ms. Keep it well
-	// under Drain's 20ms settle window so quiescence detection stays
-	// sound.
-	FlushInterval time.Duration
-	// RingSize enables the lock-free data plane (data plane v2): when
-	// > 0, every producer→bolt hand-off uses a bounded SPSC ring of this
-	// many batch slots instead of a shared input channel, and acker
-	// shards switch to single-writer owner goroutines. The effective
-	// capacity is clamped to at least QueueSize so a reserved push can
-	// never fail. 0 (the default) keeps the channel plane.
-	RingSize int
-	// WaitStrategy picks how ring-plane consumers wait on empty rings:
-	// "hybrid" (default: brief yield-spin, then park), "spin" (always
-	// yield-spin; lowest latency, burns an idle core), or "park" (sleep
-	// immediately; lowest idle cost). Ignored on the channel plane.
-	WaitStrategy string
+	// Rings switches the engine to the lock-free data plane (data plane
+	// v2): every producer→bolt hand-off uses a bounded SPSC ring of
+	// QueueSize batch slots instead of a shared input channel, and acker
+	// shards switch to single-writer owner goroutines. False (the default)
+	// keeps the channel plane.
+	Rings bool
 	// TraceSampleRate enables sampled per-tuple path tracing: the fraction
 	// of anchored roots (by deterministic splitmix64 hash of the rootID)
 	// whose spout→bolt span chains are recorded. 0 (the default) disables
@@ -66,6 +46,20 @@ type ClusterConfig struct {
 	// rebalances, fault injections); nil disables event emission.
 	Events EventSink
 }
+
+// Data-plane constants (DESIGN.md › Data plane).
+const (
+	// ackerShards is the number of lock stripes in the acker's pending
+	// table (a power of two).
+	ackerShards = 8
+	// batchSize caps how many envelopes ride one data-plane batch; the
+	// effective size is clamped to QueueSize.
+	batchSize = 32
+	// flushInterval bounds how long a partially filled spout output batch
+	// may wait before it is flushed downstream. It stays well under Drain's
+	// 20ms settle window so quiescence detection stays sound.
+	flushInterval = time.Millisecond
+)
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Nodes <= 0 {
@@ -88,18 +82,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Delayer == nil {
 		c.Delayer = RealDelayer{}
-	}
-	if c.InterferenceAlpha == 0 {
-		c.InterferenceAlpha = 1
-	}
-	if c.AckerShards <= 0 {
-		c.AckerShards = 8
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = time.Millisecond
 	}
 	return c
 }

@@ -16,7 +16,7 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	fan := int(fanRaw%3) + 1   // children per node: 1..3
 	depth := int(depthRaw % 4) // tree depth: 0..3
 	rng := rand.New(rand.NewSource(seed))
-	a := newAcker(time.Minute, 4, nil)
+	a := newAcker(time.Minute, nil)
 
 	// Build the tree: each node is an edge id; children produced when
 	// the parent is consumed.

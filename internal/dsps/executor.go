@@ -57,7 +57,7 @@ type task struct {
 	done  chan struct{}    // closed when the executor goroutine exits
 	rng   *rand.Rand       // fault-probability draws; executor-goroutine-local
 
-	// Ring-plane input (RingSize > 0; bolts only). inRings is the
+	// Ring-plane input (cfg.Rings; bolts only). inRings is the
 	// copy-on-write list of per-producer SPSC rings this executor drains;
 	// ringMu orders list splices (producers attach, the consumer prunes).
 	// ringWait parks the executor when every ring is empty; producers Wake
@@ -153,17 +153,10 @@ type runningTopology struct {
 	clock    coarseClock
 	fl       *freeLists
 	trace    *Trace // sampled-tuple trace ring; nil = tracing disabled
-	effBatch int    // tuples per batch, min(BatchSize, QueueSize)
-	flushNs  int64  // FlushInterval in nanoseconds
+	effBatch int    // tuples per batch, min(batchSize, QueueSize)
 
-	// Ring-plane configuration (data plane v2). ringMode is RingSize > 0;
-	// ringCap is the per-producer ring capacity in batch slots, clamped to
-	// at least QueueSize so a reserved push can never find the ring full
-	// (outstanding batches ≤ reserved tuples ≤ QueueSize). ackOwners is
-	// non-nil exactly in ring mode.
-	ringMode  bool
-	ringCap   int
-	waitStrat ring.WaitStrategy
+	// ackOwners runs the ring plane's single-writer acker shards (data
+	// plane v2); it is non-nil exactly when cfg.Rings is set.
 	ackOwners *ackOwners
 
 	ctx          context.Context
@@ -188,26 +181,7 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 	rt.taskByID.Store(&map[int]*task{})
 	wake := make(chan struct{})
 	rt.spliceWake.Store(&wake)
-	rt.effBatch = c.cfg.BatchSize
-	if rt.effBatch > c.cfg.QueueSize {
-		rt.effBatch = c.cfg.QueueSize
-	}
-	if rt.effBatch < 1 {
-		rt.effBatch = 1
-	}
-	rt.flushNs = int64(c.cfg.FlushInterval)
-	rt.ringMode = c.cfg.RingSize > 0
-	if rt.ringMode {
-		rt.ringCap = c.cfg.RingSize
-		if rt.ringCap < c.cfg.QueueSize {
-			rt.ringCap = c.cfg.QueueSize
-		}
-	}
-	ws, err := ring.ParseWaitStrategy(c.cfg.WaitStrategy)
-	if err != nil {
-		return nil, fmt.Errorf("dsps: %w", err)
-	}
-	rt.waitStrat = ws
+	rt.effBatch = min(batchSize, c.cfg.QueueSize)
 	rt.clock.ns.Store(time.Now().UnixNano())
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	// Worker and task ids are cluster-global so concurrently running
@@ -326,8 +300,8 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 		tk.outFields = rt.fieldsOf(tk.component)
 		rt.rebuildOuts(tk, 0)
 	}
-	rt.acker = newAcker(c.cfg.AckTimeout, c.cfg.AckerShards, rt.clock.nowNs)
-	if rt.ringMode {
+	rt.acker = newAcker(c.cfg.AckTimeout, rt.clock.nowNs)
+	if c.cfg.Rings {
 		rt.ackOwners = newAckOwners(len(rt.acker.shards))
 	}
 	return rt, nil
@@ -341,7 +315,7 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 // tuple each) always finds a free slot, so the hand-off after a
 // successful reservation never blocks.
 func (rt *runningTopology) initBoltInput(tk *task) {
-	if !rt.ringMode {
+	if !rt.cfg.Rings {
 		tk.inCh = make(chan envBatch, rt.cfg.QueueSize)
 		return
 	}
@@ -759,7 +733,7 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 			continue
 		}
 		if target.reserve(n, bound) {
-			if rt.ringMode {
+			if rt.cfg.Rings {
 				r := src.outRings[target]
 				if r == nil {
 					r = rt.attachInRingLocked(target)
@@ -1041,7 +1015,7 @@ func (rt *runningTopology) runSpout(tk *task) {
 				busy := n.busy.Add(1)
 				over := float64(busy) - float64(n.cores)
 				if over > 0 {
-					cost = time.Duration(float64(cost) * (1 + rt.cfg.InterferenceAlpha*over/float64(n.cores)))
+					cost = time.Duration(float64(cost) * (1 + over/float64(n.cores)))
 				}
 				if f, ok := rt.cluster.faults.get(tk.worker.id); ok && f.Slowdown > 1 {
 					cost = time.Duration(float64(cost) * f.Slowdown)
@@ -1051,8 +1025,8 @@ func (rt *runningTopology) runSpout(tk *task) {
 				tk.counters.execNanos.Add(int64(cost))
 			}
 			// Deadline flush: a partial batch never waits longer than
-			// FlushInterval past its oldest envelope.
-			if tk.firstBufNs != 0 && rt.clock.nowNs()-tk.firstBufNs >= rt.flushNs {
+			// flushInterval past its oldest envelope.
+			if tk.firstBufNs != 0 && rt.clock.nowNs()-tk.firstBufNs >= int64(flushInterval) {
 				rt.flushOut(tk)
 			}
 		} else if !rt.parkSpout(tk, spoutRepollInterval) {
@@ -1245,7 +1219,7 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	if cost > 0 {
 		over := float64(busy) - float64(n.cores)
 		if over > 0 {
-			cost = time.Duration(float64(cost) * (1 + rt.cfg.InterferenceAlpha*over/float64(n.cores)))
+			cost = time.Duration(float64(cost) * (1 + over/float64(n.cores)))
 		}
 		if faulty && fault.Slowdown > 1 {
 			cost = time.Duration(float64(cost) * fault.Slowdown)
@@ -1306,7 +1280,7 @@ func (rt *runningTopology) runBolt(tk *task) {
 		rt.wg.Add(1)
 		go rt.runTicker(tk)
 	}
-	if rt.ringMode {
+	if rt.cfg.Rings {
 		rt.runBoltRing(tk, collector)
 		return
 	}
@@ -1388,7 +1362,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 			}
 			b := rt.fl.getEnvs(1)
 			b.add(&Tuple{SourceComponent: TickComponent}, rt.clock.nowNs())
-			if rt.ringMode {
+			if rt.cfg.Rings {
 				if tickRing == nil {
 					tickRing = rt.attachInRingLocked(tk)
 				}

@@ -63,8 +63,8 @@ type TaskStats struct {
 	// RingDepth is the instantaneous number of batches buffered across the
 	// task's input rings (ring plane only; 0 on the channel plane).
 	RingDepth int
-	// RingParks counts how many times the ring-plane executor exhausted its
-	// spin budget and parked on its waiter.
+	// RingParks counts how many times the ring-plane executor found every
+	// input ring empty and parked on its waiter.
 	RingParks int64
 	// ExecHist and CompleteHist are the latency distributions in the
 	// engine's log-bucket layout (see HistogramQuantile / MergeHistograms).

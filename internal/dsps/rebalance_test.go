@@ -152,13 +152,13 @@ func TestBlockedSendReroutesOnDynamicEdge(t *testing.T) {
 	dg := b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 2).DynamicGrouping("src")
 	topo, _ := b.Build()
 	c := testCluster(func(cfg *ClusterConfig) {
-		cfg.QueueSize = 8
+		// This test pins per-tuple wedge/re-route rates, so a one-tuple
+		// queue caps batches at one tuple: with larger batches a blocked
+		// send legitimately leaks one whole batch per reroute interval,
+		// which would swamp the wedge assertion below.
+		cfg.QueueSize = 1
 		cfg.MaxSpoutPending = 64
 		cfg.AckTimeout = time.Minute
-		// This test pins per-tuple wedge/re-route rates; with larger
-		// batches a blocked send legitimately leaks one whole batch per
-		// reroute interval, which would swamp the wedge assertion below.
-		cfg.BatchSize = 1
 	})
 	if err := c.Submit(topo, SubmitConfig{Workers: 3}); err != nil {
 		t.Fatal(err)

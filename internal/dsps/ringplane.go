@@ -1,12 +1,8 @@
 package dsps
 
-import (
-	"runtime"
+import "predstream/internal/ring"
 
-	"predstream/internal/ring"
-)
-
-// Ring data plane (data plane v2): when ClusterConfig.RingSize > 0 every
+// Ring data plane (data plane v2): when ClusterConfig.Rings is set every
 // producer→bolt hand-off is a dedicated bounded SPSC ring instead of the
 // bolt's shared input channel. Producers attach a private ring to the
 // target on first send and keep pushing into it for the target's
@@ -24,12 +20,6 @@ import (
 // owners have provably exited (ScaleDown's awaitProducers/awaitDone
 // barriers).
 
-// ringSpinBudget is how many yields the hybrid wait strategy burns
-// before parking. Each failed probe calls runtime.Gosched — a raw spin
-// would starve the producers on a single-P runtime and stall everyone
-// for whole preemption intervals.
-const ringSpinBudget = 64
-
 // attachInRingLocked creates a producer ring and splices it into
 // target's consumer list. The caller holds the topology splice read lock
 // and has observed target alive, so the list cannot be concurrently
@@ -38,7 +28,7 @@ const ringSpinBudget = 64
 //
 //dsps:coldpath
 func (rt *runningTopology) attachInRingLocked(target *task) *ring.SPSC[envBatch] {
-	r, _ := ring.New[envBatch](rt.ringCap)
+	r, _ := ring.New[envBatch](rt.cfg.QueueSize)
 	target.ringMu.Lock()
 	old := *target.inRings.Load()
 	list := make([]*ring.SPSC[envBatch], len(old)+1)
@@ -130,11 +120,10 @@ func (tk *task) ringDepth() int {
 }
 
 // runBoltRing is the ring-plane bolt executor loop: drain every producer
-// ring, flush, and when idle wait according to the configured strategy —
-// spin (always yield-spin), park (sleep on the waiter immediately), or
-// hybrid (a short yield-spin burst, then park).
+// ring, flush, and when every ring is dry park on the waiter at once.
+// Spinning first (yield-probing before the park) was measured and lost:
+// it bought idle latency with a busy core (DESIGN.md › Fast-path ledger).
 func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
-	spins := 0
 	for {
 		rt.maybeRebuild(tk)
 		select {
@@ -159,13 +148,6 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 			// input batch and leaves nothing buffered while idle.
 			rt.flushOut(tk)
 			collector.flushAcks()
-			spins = 0
-			continue
-		}
-		if rt.waitStrat == ring.WaitSpin ||
-			(rt.waitStrat == ring.WaitHybrid && spins < ringSpinBudget) {
-			spins++
-			runtime.Gosched()
 			continue
 		}
 		// Park. Prepare publishes the parked flag before the emptiness
@@ -174,7 +156,6 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 		tk.ringWait.Prepare()
 		if !rt.inRingsEmpty(tk) {
 			tk.ringWait.Cancel()
-			spins = 0
 			continue
 		}
 		tk.counters.ringParks.Add(1)
@@ -194,6 +175,5 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 			tk.ringWait.Cancel()
 		case <-tk.ringWait.C():
 		}
-		spins = 0
 	}
 }

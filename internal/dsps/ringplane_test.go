@@ -36,12 +36,7 @@ func (s *laneSpout) AckU64(uint64)  { s.ackedU64.Add(1) }
 func (s *laneSpout) FailU64(uint64) { s.failedU64.Add(1) }
 
 // ringCfg flips a test cluster onto the SPSC ring data plane.
-func ringCfg(size int, strategy string) func(*ClusterConfig) {
-	return func(cfg *ClusterConfig) {
-		cfg.RingSize = size
-		cfg.WaitStrategy = strategy
-	}
-}
+func ringCfg(cfg *ClusterConfig) { cfg.Rings = true }
 
 // runSeededPlane is runSeeded with arbitrary extra cluster knobs, so the
 // determinism fingerprint can be compared across data planes.
@@ -84,8 +79,8 @@ func runSeededPlane(t *testing.T, seed int64, opts ...func(*ClusterConfig)) map[
 // rings-on runs must be byte-identical to each other.
 func TestRingPlaneDeterminismMatchesChannelPlane(t *testing.T) {
 	channel := runSeededPlane(t, 42)
-	ringsA := runSeededPlane(t, 42, ringCfg(8, "hybrid"))
-	ringsB := runSeededPlane(t, 42, ringCfg(8, "hybrid"))
+	ringsA := runSeededPlane(t, 42, ringCfg)
+	ringsB := runSeededPlane(t, 42, ringCfg)
 	if len(channel) != len(ringsA) {
 		t.Fatalf("task sets differ: channel %d vs rings %d", len(channel), len(ringsA))
 	}
@@ -114,7 +109,7 @@ func TestRingPlaneMultiStageAcking(t *testing.T) {
 	b.SetBolt("relay2", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("relay1")
 	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay2")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg(16, "hybrid"))
+	c := testCluster(ringCfg)
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,49 +135,7 @@ func TestRingPlaneMultiStageAcking(t *testing.T) {
 	}
 }
 
-// TestRingPlaneWaitStrategies runs the anchored chain to completion under
-// every wait strategy; spin and park stress opposite ends of the
-// idle-handling state machine.
-func TestRingPlaneWaitStrategies(t *testing.T) {
-	for _, ws := range []string{"hybrid", "spin", "park"} {
-		t.Run(ws, func(t *testing.T) {
-			const n = 200
-			spout := &countingSpout{limit: n}
-			b := NewTopologyBuilder("chain-" + ws)
-			b.SetSpout("src", func() Spout { return spout }, 1, "n")
-			b.SetBolt("relay", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("src")
-			b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay")
-			topo, _ := b.Build()
-			c := testCluster(ringCfg(8, ws))
-			if err := c.Submit(topo, SubmitConfig{}); err != nil {
-				t.Fatal(err)
-			}
-			defer c.Shutdown()
-			if !c.Drain(10 * time.Second) {
-				t.Fatal("did not drain")
-			}
-			if got := spout.acked.Load(); got != n {
-				t.Fatalf("acked %d, want %d", got, n)
-			}
-		})
-	}
-}
-
-// TestRingPlaneInvalidWaitStrategyRejected pins the config error path.
-func TestRingPlaneInvalidWaitStrategyRejected(t *testing.T) {
-	spout := &countingSpout{limit: 1}
-	b := NewTopologyBuilder("bad-ws")
-	b.SetSpout("src", func() Spout { return spout }, 1, "n")
-	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("src")
-	topo, _ := b.Build()
-	c := testCluster(ringCfg(8, "bogus"))
-	defer c.Shutdown()
-	if err := c.Submit(topo, SubmitConfig{}); err == nil {
-		t.Fatal("submit accepted an invalid wait strategy")
-	}
-}
-
-// TestRingPlaneSmallRingBackpressure clamps the queue (and therefore the
+// TestRingPlaneSmallRingBackpressure sizes the queue (and therefore the
 // rings) very small against a fast spout: the tuple-denominated
 // reservation bound must keep every push infallible and still complete
 // every root.
@@ -197,8 +150,7 @@ func TestRingPlaneSmallRingBackpressure(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 8
 		cfg.MaxSpoutPending = 32
-		cfg.RingSize = 1 // clamped up to QueueSize batch slots
-		cfg.WaitStrategy = "hybrid"
+		cfg.Rings = true
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -230,7 +182,7 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 64
 		cfg.MaxSpoutPending = 256
-		cfg.RingSize = 16
+		cfg.Rings = true
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -292,7 +244,7 @@ func TestRingPlaneTypedLanesEndToEnd(t *testing.T) {
 		}}
 	}, 3).FieldsGrouping("src", "n")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg(8, "hybrid"))
+	c := testCluster(ringCfg)
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}

@@ -382,7 +382,7 @@ func (rt *runningTopology) awaitDone(v *task, deadline time.Time) bool {
 //dsps:ringconsumer
 func (rt *runningTopology) retireTask(v *task) int {
 	lost := 0
-	if rt.ringMode {
+	if rt.cfg.Rings {
 		// The executor goroutine has exited (awaitDone) and dead was set
 		// under the splice write lock, so no producer can push again:
 		// ownership of both ring sides has transferred to this goroutine.

@@ -49,9 +49,9 @@ func (s *closedLoopSpout) Ack(any) {
 func TestIdleSpoutWokenByAck(t *testing.T) {
 	const roots = 300
 	for _, plane := range []struct {
-		name     string
-		ringSize int
-	}{{"channels", 0}, {"rings", 64}} {
+		name  string
+		rings bool
+	}{{"channels", false}, {"rings", true}} {
 		t.Run(plane.name, func(t *testing.T) {
 			spout := &closedLoopSpout{limit: roots, elapsed: make(chan time.Duration, 1)}
 			b := NewTopologyBuilder("ackwake")
@@ -63,7 +63,7 @@ func TestIdleSpoutWokenByAck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := testCluster(func(cfg *ClusterConfig) { cfg.RingSize = plane.ringSize })
+			c := testCluster(func(cfg *ClusterConfig) { cfg.Rings = plane.rings })
 			if err := c.Submit(topo, SubmitConfig{Workers: 2}); err != nil {
 				t.Fatal(err)
 			}

@@ -41,8 +41,6 @@ type ElasticConfig struct {
 	Workers int
 	// Seed drives the workload.
 	Seed int64
-	// Engine tunes the stream engine's data plane (zero = engine defaults).
-	Engine EngineKnobs
 }
 
 func (c ElasticConfig) withDefaults() ElasticConfig {
@@ -235,7 +233,6 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 		QueueSize:       64,
 		MaxSpoutPending: 512,
 	}
-	cfg.Engine.apply(&ccfg)
 	cluster := dsps.NewCluster(ccfg)
 	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: cfg.Workers}); err != nil {
 		return cell, err

@@ -22,9 +22,6 @@ type GroupingConfig struct {
 	// Bins is how many observation bins each phase is split into (the
 	// time axis of the E5 figure); default 4.
 	Bins int
-	// Engine tunes the stream engine's data plane (zero = engine
-	// defaults).
-	Engine EngineKnobs
 }
 
 func (c GroupingConfig) withDefaults() GroupingConfig {
@@ -121,7 +118,6 @@ func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 		return nil, err
 	}
 	ccfg := dsps.ClusterConfig{Nodes: 2, Delayer: dsps.NopDelayer{}, Seed: 1}
-	cfg.Engine.apply(&ccfg)
 	cluster := dsps.NewCluster(ccfg)
 	if err := cluster.Submit(topo, dsps.SubmitConfig{}); err != nil {
 		return nil, err

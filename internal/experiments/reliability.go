@@ -32,9 +32,6 @@ type ReliabilityConfig struct {
 	Workers int
 	// Seed drives the workload.
 	Seed int64
-	// Engine tunes the stream engine's data plane (zero = engine
-	// defaults).
-	Engine EngineKnobs
 }
 
 func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
@@ -243,7 +240,6 @@ func runCell(cfg ReliabilityConfig, dynamic bool, policy *core.PlanPolicy, fault
 		QueueSize:       64,
 		MaxSpoutPending: 256,
 	}
-	cfg.Engine.apply(&ccfg)
 	cluster := dsps.NewCluster(ccfg)
 	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: cfg.Workers}); err != nil {
 		return cell, err

@@ -87,7 +87,7 @@ func NewClusterCollector(c Snapshotter) Collector {
 		bpWaits := counter("predstream_task_backpressure_waits_total", "Batches that blocked at least once on a full downstream queue.")
 		queueLen := gauge("predstream_task_queue_length", "Instantaneous input queue length (reservation-accurate tuples).")
 		ringDepth := gauge("predstream_ring_depth", "Batches buffered across the task's input SPSC rings (ring plane only).")
-		ringParks := counter("predstream_ring_parks_total", "Times the ring-plane executor exhausted its spin budget and parked.")
+		ringParks := counter("predstream_ring_parks_total", "Times the ring-plane executor found every input ring empty and parked.")
 		execHist := Family{Name: "predstream_task_exec_latency_seconds", Help: "Per-tuple execute latency distribution.", Type: TypeHistogram}
 		completeHist := Family{Name: "predstream_spout_complete_latency_seconds", Help: "Complete latency distribution of acked roots (spout tasks).", Type: TypeHistogram}
 

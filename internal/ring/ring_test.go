@@ -241,23 +241,6 @@ func TestWaiterSpuriousTokenDrained(t *testing.T) {
 	w.Cancel()
 }
 
-func TestParseWaitStrategy(t *testing.T) {
-	for in, want := range map[string]WaitStrategy{
-		"": WaitHybrid, "hybrid": WaitHybrid, "spin": WaitSpin, "park": WaitPark,
-	} {
-		got, err := ParseWaitStrategy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseWaitStrategy(%q) = (%v, %v), want %v", in, got, err, want)
-		}
-		if got.String() == "" {
-			t.Fatalf("empty String() for %v", got)
-		}
-	}
-	if _, err := ParseWaitStrategy("bogus"); err == nil {
-		t.Fatal("ParseWaitStrategy accepted bogus")
-	}
-}
-
 func BenchmarkPushPop(b *testing.B) {
 	r, _ := New[uint64](1024)
 	b.ReportAllocs()

@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Waiter is the consumer-side parking primitive for one or more SPSC
 // rings. Rings themselves are non-blocking; a consumer that finds all
@@ -64,45 +61,3 @@ func (w *Waiter) Wake() {
 // C returns the channel a prepared consumer blocks on. A receive means
 // "re-check your rings"; the parked flag is already cleared.
 func (w *Waiter) C() <-chan struct{} { return w.ch }
-
-// WaitStrategy selects how a consumer behaves when its rings run dry.
-type WaitStrategy int
-
-const (
-	// WaitHybrid spins briefly (yielding the processor between probes)
-	// and parks on the Waiter if no work arrives. Default: near-spin
-	// latency under load, near-zero CPU when idle.
-	WaitHybrid WaitStrategy = iota
-	// WaitSpin never parks; lowest latency, burns a core while idle.
-	WaitSpin
-	// WaitPark parks immediately; lowest idle cost, pays a wake on
-	// every empty→non-empty transition.
-	WaitPark
-)
-
-// String returns the knob spelling of the strategy.
-func (s WaitStrategy) String() string {
-	switch s {
-	case WaitSpin:
-		return "spin"
-	case WaitPark:
-		return "park"
-	default:
-		return "hybrid"
-	}
-}
-
-// ParseWaitStrategy maps a knob string ("hybrid", "spin", "park"; ""
-// means hybrid) to a WaitStrategy.
-func ParseWaitStrategy(s string) (WaitStrategy, error) {
-	switch s {
-	case "", "hybrid":
-		return WaitHybrid, nil
-	case "spin":
-		return WaitSpin, nil
-	case "park":
-		return WaitPark, nil
-	default:
-		return WaitHybrid, fmt.Errorf("ring: unknown wait strategy %q (want hybrid, spin, or park)", s)
-	}
-}

@@ -46,7 +46,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (nn, dsps, ring, chaos, serve, cluster, analysis) =="
-go test -race ./internal/nn/... ./internal/dsps/... ./internal/ring/... ./internal/chaos/... ./internal/serve/... ./internal/cluster/... ./internal/analysis/...
+make race
 
 echo "== go test -race ./internal/serve at GOMAXPROCS=4 (one dispatcher per core, more dispatchers than cores) =="
 GOMAXPROCS=4 go test -race ./internal/serve
@@ -64,12 +64,6 @@ echo "== cluster demo (coordinator + 2 worker processes) =="
 make cluster-demo
 
 echo "== fuzz smoke (10s per target) =="
-go test -fuzz='^FuzzChaosSchedule$' -run '^$' -fuzztime 10s ./internal/chaos/
-go test -fuzz='^FuzzGroupingRatios$' -run '^$' -fuzztime 10s ./internal/dsps/
-go test -fuzz='^FuzzHistogramQuantile$' -run '^$' -fuzztime 10s ./internal/dsps/
-go test -fuzz='^FuzzAckerTrees$' -run '^$' -fuzztime 10s ./internal/dsps/
-go test -fuzz='^FuzzRingBatchOps$' -run '^$' -fuzztime 10s ./internal/ring/
-go test -fuzz='^FuzzServeWireFrame$' -run '^$' -fuzztime 10s ./internal/serve/
-go test -fuzz='^FuzzClusterWireFrame$' -run '^$' -fuzztime 10s ./internal/cluster/
+make fuzz-smoke
 
 echo "CI OK"

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race ci lint lint-baseline doccheck bench bench-train bench-engine bench-elastic bench-serve bench-smoke bench-check soak soak-short fuzz-smoke cluster-demo
+.PHONY: build test race ci lint lint-baseline doccheck bench-smoke bench-check soak soak-short fuzz-smoke cluster-demo
 
 build:
 	$(GO) build ./...
@@ -73,45 +73,11 @@ fuzz-smoke:
 cluster-demo:
 	bash scripts/cluster_demo.sh
 
-bench:
-	$(GO) test -bench=. -benchmem .
-
-# Training-engine throughput: serial vs 2/4/8 workers. Numbers are recorded
-# in BENCH_train.json.
-bench-train:
-	$(GO) test -run xxx -bench 'BenchmarkTrain(Serial|Parallel)' -benchmem .
-
-# Stream-engine data-plane throughput: acked/unanchored linear chains,
-# fan-out, dynamic grouping, and steady-state emit, each reporting tuples/s
-# and allocs/op. Numbers are recorded in BENCH_engine.json.
-bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/dsps/
-
-# Elastic-runtime actuation latency: ScaleUp splice cost and the full
-# up+down drain cycle under live load. Numbers are recorded in the
-# `elastic` section of BENCH_engine.json.
-bench-elastic:
-	$(GO) test -run xxx -bench 'BenchmarkScale' -benchtime 2s -count 3 ./internal/dsps/
-
-# Serving-path benchmarks: blocked GEMM vs the per-row loop, batched vs
-# serial vs int8 forward, and end-to-end coalesced serve latency (p50/p99
-# reported as extra benchmark metrics). Numbers are recorded in the
-# `serve` section of BENCH_engine.json.
-bench-serve:
-	$(GO) test -run xxx -bench 'BenchmarkMulMatTo|BenchmarkMulVecToLoop' -benchmem ./internal/mat/
-	$(GO) test -run xxx -bench 'Benchmark(Batch|Serial|Quant)Forward' -benchmem ./internal/nn/
-	$(GO) test -run xxx -bench 'BenchmarkServe' -benchmem ./internal/serve/
-
-# One-iteration pass over the engine benchmarks: catches benchmark bit-rot
-# in CI without paying for statistically stable numbers. (The root-package
-# experiment benchmarks are full experiment replicas — minutes even at 1x —
-# so they stay out of the CI gate.)
+# One iteration of every in-package micro-benchmark under internal/:
+# catches benchmark bit-rot in CI without paying for stable numbers. The
+# repository's measurements come from bench/ (bench/README.md).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkScale' -benchtime 1x -benchmem ./internal/dsps/
-	$(GO) test -run xxx -bench 'BenchmarkPushPop|BenchmarkBatch64' -benchtime 1x -benchmem ./internal/ring/
-	$(GO) test -run xxx -bench 'BenchmarkMulMatTo|BenchmarkMulVecToLoop' -benchtime 1x -benchmem ./internal/mat/
-	$(GO) test -run xxx -bench 'Benchmark(Batch|Serial|Quant)Forward' -benchtime 1x -benchmem ./internal/nn/
-	$(GO) test -run xxx -bench 'BenchmarkServe' -benchtime 1x -benchmem ./internal/serve/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # The repository's benchmark (bench/, see BENCHMARK.json) is a module of its
 # own, so `go build ./... && go test ./...` never compiles it. Vet it, run

@@ -62,12 +62,12 @@ func runCoordinator(cc coordinatorConfig, stdout, stderr io.Writer) error {
 		// metric families, worker-prefixed.
 		reg.Register(obs.NewClusterCollector(coord))
 		reg.Register(obs.NewRuntimeCollector())
-		srv, err := obs.NewServer(cc.obsAddr, obs.ServerConfig{Registry: reg, Events: sink})
+		srv, err := obs.NewServer(cc.obsAddr, obs.ServerConfig{Registry: reg, Events: sink, Snapshots: coord})
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(stdout, "observability listening on %s (/metrics /healthz /events /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability listening on %s (/metrics /healthz /events /snapshot /debug/pprof)\n", srv.Addr())
 	}
 
 	if cc.expect > 0 {

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -32,7 +31,6 @@ import (
 	"predstream/internal/apps/contquery"
 	"predstream/internal/apps/urlcount"
 	"predstream/internal/chaos"
-	"predstream/internal/console"
 	"predstream/internal/core"
 	"predstream/internal/dsps"
 	"predstream/internal/obs"
@@ -70,14 +68,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	elasticMin := fs.Int("elastic-min", 1, "parallelism floor for elastic scale-downs")
 	elasticMax := fs.Int("elastic-max", 8, "parallelism ceiling for elastic scale-ups")
 	seed := fs.Int64("seed", 1, "random seed")
-	httpAddr := fs.String("http", "", "serve the JSON console on this address (e.g. :8080)")
 	chaosMode := fs.Bool("chaos", false, "replay a generated fault schedule under invariant checking instead of the stats loop")
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos schedule seed (the reproducer token)")
 	chaosEvents := fs.Int("chaos-events", 0, "chaos events over the horizon (0 = ~2 per second)")
 	chaosVerbose := fs.Bool("chaos-verbose", false, "log each chaos event as it fires")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file on shutdown")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on shutdown")
-	obsAddr := fs.String("obs", "", "serve the observability endpoints (/metrics /healthz /trace.json /trace/chrome /events /debug/pprof) on this address (e.g. :9090)")
+	obsAddr := fs.String("obs", "", "serve the observability endpoints (/metrics /healthz /trace.json /trace/chrome /events /snapshot /workers /control /debug/pprof) on this address (e.g. :9090)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of anchored roots to trace (0 disables; chaos mode defaults to 0.05)")
 	traceBuf := fs.Int("trace-buf", 0, "trace ring capacity in spans (0 = default 4096)")
 	coordinator := fs.Bool("coordinator", false, "run as the fleet coordinator for predworker processes instead of an in-process engine (see docs/CLUSTER.md)")
@@ -258,17 +255,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if ctrl != nil {
 			reg.Register(obs.NewControllerCollector(ctrl))
 		}
+		srvCfg := obs.ServerConfig{Registry: reg, Trace: cluster.Trace(), Events: obsSink, Snapshots: cluster, Controller: ctrl}
 		if chaosMetrics != nil {
 			reg.Register(obs.NewChaosCollector(chaosMetrics))
 		} else {
 			reg.Register(obs.NewSamplerCollector(sampler))
+			srvCfg.Sampler = sampler
 		}
-		srv, err := obs.NewServer(*obsAddr, obs.ServerConfig{Registry: reg, Trace: cluster.Trace(), Events: obsSink})
+		srv, err := obs.NewServer(*obsAddr, srvCfg)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(stdout, "observability listening on %s (/metrics /healthz /trace.json /trace/chrome /events /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability listening on %s (/metrics /healthz /trace.json /trace/chrome /events /snapshot /workers /control /debug/pprof)\n", srv.Addr())
 	}
 
 	if *chaosMode {
@@ -283,18 +282,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runChaos(cluster, topo, dg, ctrl, cc, stdout)
 	}
 
-	if *httpAddr != "" {
-		srv, err := console.New(cluster, sampler, ctrl)
-		if err != nil {
-			return err
-		}
-		go func() {
-			fmt.Fprintf(stdout, "console listening on %s (/healthz /snapshot /workers /control)\n", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, srv); err != nil {
-				fmt.Fprintf(stderr, "console: %v\n", err)
-			}
-		}()
-	}
 	start := time.Now()
 	faulted := false
 	ticker := time.NewTicker(*statsEvery)

@@ -93,9 +93,11 @@ func TestRunCPUProfileBadPath(t *testing.T) {
 }
 
 // TestRunDataPlaneKnobs pins that the data-plane tuning values are engine
-// constants, not flags: each former knob is rejected as an unknown flag.
+// constants, not flags, and that the JSON status endpoints live on -obs
+// rather than a second -http server: each former flag is rejected as an
+// unknown flag.
 func TestRunDataPlaneKnobs(t *testing.T) {
-	for _, knob := range []string{"-acker-shards", "-batch", "-flush-interval", "-ring-size", "-wait-strategy"} {
+	for _, knob := range []string{"-acker-shards", "-batch", "-flush-interval", "-ring-size", "-wait-strategy", "-http"} {
 		var out, errBuf bytes.Buffer
 		if err := run([]string{knob, "1"}, &out, &errBuf); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {

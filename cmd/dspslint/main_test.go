@@ -13,7 +13,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errBuf); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, errBuf.String())
 	}
-	for _, name := range []string{"allocfree", "atomicmix", "globalrand", "goroleak", "lockedsend", "lockorder", "maporder", "ringmisuse", "splicesend", "walltime"} {
+	for _, name := range []string{"allocfree", "atomicmix", "globalrand", "goroleak", "lockedsend", "lockorder", "maporder", "ringmisuse", "splicesend", "unused", "walltime"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}

@@ -105,6 +105,7 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		RingMisuse,
 		SpliceSend,
+		Unused,
 		WallTime,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })

@@ -21,10 +21,17 @@ func TestAnalyzerGolden(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", a.Name)
+			patterns := []string{"."}
+			if a.Name == "unused" {
+				// bench/ stays unloaded: its reference must come from the
+				// side parse of files outside the patterns.
+				patterns = []string{"./lib", "./user"}
+			}
 			rep, err := Analyze(Config{
-				Dir:      dir,
-				Patterns: []string{"."},
-				Enable:   []string{a.Name},
+				Dir:          dir,
+				Patterns:     patterns,
+				Enable:       []string{a.Name},
+				IncludeTests: true,
 			})
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
@@ -204,8 +211,8 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if len(rep.Analyzers) < 10 {
-		t.Fatalf("want >= 10 analyzers active, got %v", rep.Analyzers)
+	if len(rep.Analyzers) < 11 {
+		t.Fatalf("want >= 11 analyzers active, got %v", rep.Analyzers)
 	}
 	if rep.CallGraph.Nodes < 100 || rep.CallGraph.Edges < 100 {
 		t.Errorf("suspiciously small call graph: %+v (builder regression?)", rep.CallGraph)
@@ -239,25 +246,25 @@ func TestDeterministicMarking(t *testing.T) {
 	if !ext.Deterministic {
 		t.Errorf("external test package of a deterministic package must inherit the marking")
 	}
-	other := &Package{ImportPath: "predstream/internal/console"}
+	other := &Package{ImportPath: "predstream/internal/serve"}
 	markDeterministic("predstream", other)
 	if other.Deterministic {
-		t.Errorf("internal/console is not on the built-in deterministic list")
+		t.Errorf("internal/serve is not on the built-in deterministic list")
 	}
 }
 
 // TestSelectAnalyzers covers the enable/disable flag plumbing.
 func TestSelectAnalyzers(t *testing.T) {
 	all, err := selectAnalyzers(nil, nil)
-	if err != nil || len(all) != 10 {
-		t.Fatalf("want all 10 analyzers, got %d (%v)", len(all), err)
+	if err != nil || len(all) != 11 {
+		t.Fatalf("want all 11 analyzers, got %d (%v)", len(all), err)
 	}
 	only, err := selectAnalyzers([]string{"walltime"}, nil)
 	if err != nil || len(only) != 1 || only[0].Name != "walltime" {
 		t.Fatalf("enable=walltime: got %v (%v)", only, err)
 	}
 	rest, err := selectAnalyzers(nil, []string{"walltime", "maporder"})
-	if err != nil || len(rest) != 8 {
+	if err != nil || len(rest) != 9 {
 		t.Fatalf("disable two: got %d (%v)", len(rest), err)
 	}
 	if _, err := selectAnalyzers([]string{"nope"}, nil); err == nil {
@@ -312,5 +319,26 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 	star := &ignoreEntry{line: 5}
 	if !star.covers("anything", 5) {
 		t.Errorf("star directive must cover all analyzers")
+	}
+}
+
+// TestUnusedWithoutTestFiles pins the side parse: with -tests=false the
+// other package's test file is not type-checked, yet its reference still
+// keeps the shared helper live, so the findings match the full run.
+func TestUnusedWithoutTestFiles(t *testing.T) {
+	rep, err := Analyze(Config{
+		Dir:      filepath.Join("testdata", "unused"),
+		Patterns: []string{"./lib", "./user"},
+		Enable:   []string{"unused"},
+	})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	var got []string
+	for _, d := range rep.Findings {
+		got = append(got, d.Message[:strings.Index(d.Message, " ")])
+	}
+	if want := "lib.OnlyOwnTest lib.Uncalled lib.Countdown"; strings.Join(got, " ") != want {
+		t.Fatalf("findings %v, want %s", got, want)
 	}
 }

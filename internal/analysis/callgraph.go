@@ -38,6 +38,7 @@ import (
 type Module struct {
 	Fset     *token.FileSet
 	Root     string // module root directory
+	WorkDir  string // directory the patterns resolved against
 	Path     string // module path from go.mod
 	Packages []*Package
 	Graph    *CallGraph
@@ -150,7 +151,7 @@ func (g *CallGraph) NodeAt(decl *ast.FuncDecl) *FuncNode { return g.DeclNodes[de
 // buildModule constructs the module view: call graph plus propagated
 // taint.
 func buildModule(l *Loader, pkgs []*Package) *Module {
-	m := &Module{Fset: l.Fset, Root: l.Root, Path: l.Module, Packages: pkgs}
+	m := &Module{Fset: l.Fset, Root: l.Root, WorkDir: l.WorkDir, Path: l.Module, Packages: pkgs}
 	g := &CallGraph{Nodes: map[string]*FuncNode{}, DeclNodes: map[*ast.FuncDecl]*FuncNode{}}
 	m.Graph = g
 

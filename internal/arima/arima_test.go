@@ -195,30 +195,6 @@ func TestMinContext(t *testing.T) {
 	}
 }
 
-func TestSelectOrderPrefersCorrectModelClass(t *testing.T) {
-	xs := genAR1(800, 0, 0.8, 1.0, 7)
-	m, err := SelectOrder(timeseries.FromTargets(xs), 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AIC should not pick a differenced model for a stationary AR(1).
-	if m.D != 0 {
-		t.Fatalf("selected d=%d for stationary series", m.D)
-	}
-	if m.P == 0 {
-		t.Fatalf("selected p=0 for AR series (got q=%d)", m.Q)
-	}
-}
-
-func TestSelectOrderErrors(t *testing.T) {
-	if _, err := SelectOrder(timeseries.FromTargets([]float64{1, 2}), 1, 0, 1); err == nil {
-		t.Fatal("unfittable series should error")
-	}
-	if _, err := SelectOrder(timeseries.FromTargets(nil), -1, 0, 0); err == nil {
-		t.Fatal("negative max order should error")
-	}
-}
-
 func BenchmarkFitAR2MA1(b *testing.B) {
 	xs := genAR1(1000, 0, 0.7, 1, 8)
 	series := timeseries.FromTargets(xs)

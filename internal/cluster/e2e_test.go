@@ -82,7 +82,7 @@ func workerProcessMain(name, coordAddr string) {
 // workerProcs builds a ProcSet of n re-exec'd worker processes named
 // proc-0..proc-(n-1), joined to coordAddr.
 func workerProcs(n int, coordAddr string) *ProcSet {
-	ps := NewProcSet()
+	ps := &ProcSet{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("proc-%d", i)
 		ps.Add(name, func() *exec.Cmd {

@@ -24,14 +24,12 @@ type Proc struct {
 // ProcSet launches and manages real worker OS processes so chaos
 // schedules can kill (SIGKILL), freeze (SIGSTOP), thaw (SIGCONT), and
 // restart them — the process-level analogue of the in-engine fault
-// injectors. It implements chaos.ProcController.
+// injectors. It implements chaos.ProcController. The zero value is
+// ready: Add processes, then Start them.
 type ProcSet struct {
 	mu    sync.Mutex
 	procs []*Proc
 }
-
-// NewProcSet returns an empty set; Add processes, then Start them.
-func NewProcSet() *ProcSet { return &ProcSet{} }
 
 // Add registers a worker process under name; cmd is invoked on every
 // (re)start to build a fresh command line.

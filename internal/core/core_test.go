@@ -51,49 +51,6 @@ func TestAbsoluteDetector(t *testing.T) {
 	}
 }
 
-func TestHysteresisDetectorDebounces(t *testing.T) {
-	inner := &AbsoluteDetector{Threshold: 5}
-	d, err := NewHysteresisDetector(inner, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := map[string]float64{"w": 10}
-	good := map[string]float64{"w": 1}
-	// One positive verdict is not enough.
-	if d.Detect(bad)["w"] {
-		t.Fatal("flagged after 1 verdict, FlagAfter=2")
-	}
-	if !d.Detect(bad)["w"] {
-		t.Fatal("not flagged after 2 consecutive verdicts")
-	}
-	// Two negatives are not enough to clear.
-	if !d.Detect(good)["w"] || !d.Detect(good)["w"] {
-		t.Fatal("cleared before ClearAfter=3")
-	}
-	if d.Detect(good)["w"] {
-		t.Fatal("not cleared after 3 consecutive negatives")
-	}
-	// An interrupted streak resets.
-	d.Detect(bad)
-	d.Detect(good) // breaks the flagging streak
-	if d.Detect(bad)["w"] {
-		t.Fatal("interrupted streak still flagged")
-	}
-}
-
-func TestHysteresisDetectorValidation(t *testing.T) {
-	if _, err := NewHysteresisDetector(nil, 1, 1); err == nil {
-		t.Fatal("nil inner accepted")
-	}
-	d, err := NewHysteresisDetector(&AbsoluteDetector{Threshold: 1}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FlagAfter != 2 || d.ClearAfter != 3 {
-		t.Fatalf("defaults = %d/%d", d.FlagAfter, d.ClearAfter)
-	}
-}
-
 func TestPlanRatiosProbeReservesShare(t *testing.T) {
 	ratios, err := PlanRatios(PolicyBypass, []string{"w0", "w1", "w2"},
 		map[string]float64{"w0": 1, "w1": 1, "w2": 10},

@@ -67,71 +67,3 @@ func (d *AbsoluteDetector) Detect(predicted map[string]float64) map[string]bool 
 	}
 	return out
 }
-
-// HysteresisDetector wraps another detector and requires FlagAfter
-// consecutive positive verdicts before marking a worker misbehaving, and
-// ClearAfter consecutive negative verdicts before clearing it. It
-// suppresses flapping when a worker's prediction hovers near the
-// threshold (the probe-based re-admission path depends on this to avoid
-// oscillating traffic).
-type HysteresisDetector struct {
-	Inner      Detector
-	FlagAfter  int // consecutive positives to flag; default 2
-	ClearAfter int // consecutive negatives to clear; default 3
-
-	state map[string]*hysteresisState
-}
-
-type hysteresisState struct {
-	flagged bool
-	streak  int // consecutive verdicts agreeing with the pending change
-}
-
-// NewHysteresisDetector wraps inner with the given streak requirements
-// (non-positive values take the defaults).
-func NewHysteresisDetector(inner Detector, flagAfter, clearAfter int) (*HysteresisDetector, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("core: nil inner detector")
-	}
-	if flagAfter <= 0 {
-		flagAfter = 2
-	}
-	if clearAfter <= 0 {
-		clearAfter = 3
-	}
-	return &HysteresisDetector{
-		Inner:      inner,
-		FlagAfter:  flagAfter,
-		ClearAfter: clearAfter,
-		state:      make(map[string]*hysteresisState),
-	}, nil
-}
-
-// Detect implements Detector. It is stateful across calls and not safe
-// for concurrent use (the controller calls it from one goroutine).
-func (d *HysteresisDetector) Detect(predicted map[string]float64) map[string]bool {
-	raw := d.Inner.Detect(predicted)
-	out := make(map[string]bool, len(raw))
-	for id, verdict := range raw {
-		st := d.state[id]
-		if st == nil {
-			st = &hysteresisState{}
-			d.state[id] = st
-		}
-		if verdict != st.flagged {
-			st.streak++
-			need := d.FlagAfter
-			if st.flagged {
-				need = d.ClearAfter
-			}
-			if st.streak >= need {
-				st.flagged = verdict
-				st.streak = 0
-			}
-		} else {
-			st.streak = 0
-		}
-		out[id] = st.flagged
-	}
-	return out
-}

@@ -1,7 +1,7 @@
 // Engine data-plane benchmarks: tuples/s and allocs/op through live
-// topologies on the simulated cluster. These are the numbers recorded in
-// BENCH_engine.json (regenerate with `make bench-engine`); `make
-// bench-smoke` compiles and runs each for a single iteration in CI.
+// topologies on the simulated cluster, run with
+// `go test -run '^$' -bench Engine ./internal/dsps/`; `make bench-smoke`
+// runs each for a single iteration in CI.
 //
 // The benchmarks use only the public API so the same file measures any
 // engine revision: a spout emits b.N tuples with a constant payload and a

@@ -1,8 +1,8 @@
 // Scale-event latency benchmarks: how long a live parallelism change takes
 // on a topology under continuous load. ns/op is the latency of the whole
 // actuation (spawn + splice for up; splice-out + drain + settle + retire
-// for down), not a per-tuple cost. Numbers are recorded in
-// BENCH_engine.json (regenerate with `make bench-elastic`).
+// for down), not a per-tuple cost. Run with
+// `go test -run '^$' -bench Scale -benchtime 2s ./internal/dsps/`.
 package dsps_test
 
 import (

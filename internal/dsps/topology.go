@@ -196,16 +196,6 @@ func (d *BoltDeclarer) DynamicGrouping(source string) *DynamicGrouping {
 	return g
 }
 
-// CustomGrouping subscribes the bolt to source with a caller-provided
-// grouping.
-func (d *BoltDeclarer) CustomGrouping(source string, g Grouping) *BoltDeclarer {
-	if g == nil {
-		d.b.fail("dsps: bolt %q custom grouping is nil", d.decl.name)
-		return d
-	}
-	return d.subscribe(source, g)
-}
-
 // Build validates the graph and returns the immutable topology.
 func (b *TopologyBuilder) Build() (*Topology, error) {
 	if b.err != nil {

@@ -81,12 +81,6 @@ func TestBuildErrors(t *testing.T) {
 			b.SetBolt("b", dummyBolt, 1).FieldsGrouping("s")
 			return b
 		}, "no fields"},
-		{"nil custom grouping", func() *TopologyBuilder {
-			b := NewTopologyBuilder("x")
-			b.SetSpout("s", dummySpout, 1)
-			b.SetBolt("b", dummyBolt, 1).CustomGrouping("s", nil)
-			return b
-		}, "custom grouping is nil"},
 		{"cycle", func() *TopologyBuilder {
 			b := NewTopologyBuilder("x")
 			b.SetSpout("s", dummySpout, 1)

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -75,13 +74,10 @@ func TestStringRendering(t *testing.T) {
 
 func TestPanicsOnMismatchedVectorOps(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"Dot":        func() { Dot([]float64{1}, []float64{1, 2}) },
-		"AddVec":     func() { AddVec([]float64{1}, []float64{1, 2}) },
-		"SubVec":     func() { SubVec([]float64{1}, []float64{1, 2}) },
-		"MulVecElem": func() { MulVecElem([]float64{1}, []float64{1, 2}) },
-		"MulVec":     func() { New(2, 2).MulVec([]float64{1}) },
-		"SetRow":     func() { New(2, 2).SetRow(0, []float64{1}) },
-		"RowRange":   func() { New(2, 2).Row(5) },
+		"Dot":      func() { Dot([]float64{1}, []float64{1, 2}) },
+		"MulVec":   func() { New(2, 2).MulVec([]float64{1}) },
+		"SetRow":   func() { New(2, 2).SetRow(0, []float64{1}) },
+		"RowRange": func() { New(2, 2).Row(5) },
 	} {
 		func() {
 			defer func() {
@@ -134,17 +130,5 @@ func TestSolveZeroPivotAfterElimination(t *testing.T) {
 	})
 	if _, err := Solve(a, []float64{1, 2, 3}); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
-	}
-}
-
-func TestNormVecAndArgMaxEdge(t *testing.T) {
-	if NormVec(nil) != 0 {
-		t.Fatal("NormVec(nil) != 0")
-	}
-	if got := ArgMax([]float64{-3, -1, -2}); got != 1 {
-		t.Fatalf("ArgMax negatives = %d", got)
-	}
-	if math.IsNaN(NormVec([]float64{0})) {
-		t.Fatal("NormVec NaN")
 	}
 }

@@ -222,43 +222,11 @@ func TestNormSumMaxAbs(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	got := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	want := FromSlice(2, 3, []float64{3, 4, 5, 6, 8, 10})
-	if !got.EqualApprox(want, 0) {
-		t.Fatalf("Outer = %v", got)
-	}
-}
-
 func TestDotAndVecOps(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
 	if got := Dot(a, b); got != 32 {
 		t.Fatalf("Dot = %v", got)
-	}
-	if got := AddVec(a, b); got[2] != 9 {
-		t.Fatalf("AddVec = %v", got)
-	}
-	if got := SubVec(b, a); got[0] != 3 {
-		t.Fatalf("SubVec = %v", got)
-	}
-	if got := ScaleVec(2, a); got[1] != 4 {
-		t.Fatalf("ScaleVec = %v", got)
-	}
-	if got := MulVecElem(a, b); got[2] != 18 {
-		t.Fatalf("MulVecElem = %v", got)
-	}
-	if got := NormVec([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("NormVec = %v", got)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 3}); got != 1 {
-		t.Fatalf("ArgMax = %d", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Fatalf("ArgMax(nil) = %d", got)
 	}
 }
 

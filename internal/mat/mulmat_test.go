@@ -64,7 +64,7 @@ func TestMulMatToPanicsOnDimMismatch(t *testing.T) {
 
 // BenchmarkMulMatTo measures the batched GEMM against the per-row GEMV
 // loop it replaces, at the DRNN serving shape (gate matrix 32×32, batch
-// B windows). `make bench-serve` records the ratio in BENCH_engine.json.
+// B windows).
 func BenchmarkMulMatTo(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, batch := range []int{1, 8, 32, 64} {

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector helpers operate on plain []float64 so callers can interoperate
 // with the rest of the codebase without wrapping.
@@ -20,89 +17,9 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AddVec returns a + b element-wise.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: AddVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v + b[i]
-	}
-	return out
-}
-
-// SubVec returns a - b element-wise.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: SubVec length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v - b[i]
-	}
-	return out
-}
-
-// ScaleVec returns c*a.
-func ScaleVec(c float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = c * v
-	}
-	return out
-}
-
-// MulVecElem returns the element-wise product of a and b.
-func MulVecElem(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: MulVecElem length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v * b[i]
-	}
-	return out
-}
-
-// NormVec returns the Euclidean norm of a.
-func NormVec(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Outer returns the outer product a bᵀ as a len(a)×len(b) matrix.
-func Outer(a, b []float64) *Dense {
-	out := New(len(a), len(b))
-	for i, av := range a {
-		row := out.data[i*out.cols : (i+1)*out.cols]
-		for j, bv := range b {
-			row[j] = av * bv
-		}
-	}
-	return out
-}
-
 // CloneVec returns a copy of a.
 func CloneVec(a []float64) []float64 {
 	out := make([]float64, len(a))
 	copy(out, a)
 	return out
-}
-
-// ArgMax returns the index of the largest element of a, or -1 for empty a.
-func ArgMax(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range a {
-		if v > a[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -175,7 +175,7 @@ func (e *engine) runExample(w, k int, slots []gradBuf, losses []float64, data Da
 
 // evaluate returns the mean loss over data with the replicas in inference
 // mode, summing per-example losses in index order so the result matches
-// the serial EvaluateLoss bitwise.
+// a serial one-example-at-a-time sum bitwise.
 func (e *engine) evaluate(data *Dataset) float64 {
 	n := data.Len()
 	losses := e.lossBuf(n)
@@ -228,24 +228,6 @@ func (e *engine) lossBuf(n int) []float64 {
 		e.lossSlots = make([]float64, n)
 	}
 	return e.lossSlots[:n]
-}
-
-// EvaluateLossParallel returns the mean loss of net over data without
-// training, fanning examples out over `workers` goroutines (0 picks
-// runtime.GOMAXPROCS). The result is bitwise-identical to EvaluateLoss for
-// any worker count because per-example losses are summed in index order.
-func EvaluateLossParallel(net *Network, data Dataset, loss Loss, workers int) (float64, error) {
-	if err := data.Validate(net.InSize(), net.OutSize()); err != nil {
-		return 0, err
-	}
-	if data.Len() == 0 {
-		return 0, errEmptyDataset
-	}
-	if loss == nil {
-		loss = MSE{}
-	}
-	eng := newEngine(net, loss, effectiveWorkers(workers), 0, false)
-	return eng.evaluate(&data), nil
 }
 
 // splitmixSource is a SplitMix64 rand.Source64. Unlike the stdlib source

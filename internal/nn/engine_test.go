@@ -128,7 +128,7 @@ func TestTrainWorkersValidationDeterminism(t *testing.T) {
 		val := engineDataset(8, 5, arch.In, arch.Out, 13)
 		_, err := Train(net, train, TrainConfig{
 			Epochs:    3,
-			Optimizer: NewSGD(0.05, 0),
+			Optimizer: sgd{0.05},
 			BatchSize: 5,
 			ValData:   &val,
 			Workers:   workers,
@@ -225,7 +225,7 @@ func TestGradCheckAfterWorkspaceReuse(t *testing.T) {
 }
 
 // TestEvaluateLossParallelMatchesSerial pins the bitwise agreement between
-// the serial and fanned-out evaluators.
+// the serial reference and the engine's fanned-out validation evaluator.
 func TestEvaluateLossParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	net := NewNetwork(engineArch(), rng)
@@ -235,12 +235,9 @@ func TestEvaluateLossParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		got, err := EvaluateLossParallel(net, ds, MSE{}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := newEngine(net, MSE{}, effectiveWorkers(workers), 0, false).evaluate(&ds)
 		if got != want {
-			t.Fatalf("EvaluateLossParallel(workers=%d) = %v, serial = %v", workers, got, want)
+			t.Fatalf("engine evaluate(workers=%d) = %v, serial = %v", workers, got, want)
 		}
 	}
 }

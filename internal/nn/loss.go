@@ -40,96 +40,6 @@ func (MSE) Grad(pred, target []float64) []float64 {
 	return out
 }
 
-// MAELoss is mean absolute error with the conventional subgradient 0 at
-// zero residual.
-type MAELoss struct{}
-
-// Name implements Loss.
-func (MAELoss) Name() string { return "mae" }
-
-// Value implements Loss.
-func (MAELoss) Value(pred, target []float64) float64 {
-	checkLossPair(pred, target)
-	var s float64
-	for i, p := range pred {
-		d := p - target[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s / float64(len(pred))
-}
-
-// Grad implements Loss.
-func (MAELoss) Grad(pred, target []float64) []float64 {
-	checkLossPair(pred, target)
-	out := make([]float64, len(pred))
-	n := float64(len(pred))
-	for i, p := range pred {
-		switch {
-		case p > target[i]:
-			out[i] = 1 / n
-		case p < target[i]:
-			out[i] = -1 / n
-		}
-	}
-	return out
-}
-
-// Huber is the Huber loss with threshold Delta, quadratic near zero and
-// linear in the tails; robust to the latency spikes engine traces contain.
-type Huber struct{ Delta float64 }
-
-// Name implements Loss.
-func (Huber) Name() string { return "huber" }
-
-func (h Huber) delta() float64 {
-	if h.Delta <= 0 {
-		return 1
-	}
-	return h.Delta
-}
-
-// Value implements Loss.
-func (h Huber) Value(pred, target []float64) float64 {
-	checkLossPair(pred, target)
-	d := h.delta()
-	var s float64
-	for i, p := range pred {
-		r := p - target[i]
-		if r < 0 {
-			r = -r
-		}
-		if r <= d {
-			s += r * r / 2
-		} else {
-			s += d * (r - d/2)
-		}
-	}
-	return s / float64(len(pred))
-}
-
-// Grad implements Loss.
-func (h Huber) Grad(pred, target []float64) []float64 {
-	checkLossPair(pred, target)
-	d := h.delta()
-	out := make([]float64, len(pred))
-	n := float64(len(pred))
-	for i, p := range pred {
-		r := p - target[i]
-		switch {
-		case r > d:
-			out[i] = d / n
-		case r < -d:
-			out[i] = -d / n
-		default:
-			out[i] = r / n
-		}
-	}
-	return out
-}
-
 func checkLossPair(pred, target []float64) {
 	if len(pred) != len(target) {
 		panic(fmt.Sprintf("nn: loss length mismatch %d vs %d", len(pred), len(target)))

@@ -15,48 +15,6 @@ type Optimizer interface {
 	Name() string
 }
 
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param]*mat.Dense
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*mat.Dense)}
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				r, c := p.W.Dims()
-				v = mat.New(r, c)
-				s.velocity[p] = v
-			}
-			vd, gd, wd := v.Data(), p.Grad.Data(), p.W.Data()
-			for i := range vd {
-				vd[i] = s.Momentum*vd[i] - s.LR*gd[i]
-				wd[i] += vd[i]
-			}
-		} else {
-			gd, wd := p.Grad.Data(), p.W.Data()
-			for i := range gd {
-				wd[i] -= s.LR * gd[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba 2015) with bias correction, the
 // optimizer the paper's DRNN training uses.
 type Adam struct {
@@ -105,41 +63,6 @@ func (a *Adam) Step(params []*Param) {
 			mHat := md[i] / bc1
 			vHat := vd[i] / bc2
 			wd[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
-		p.ZeroGrad()
-	}
-}
-
-// RMSProp is the RMSProp optimizer, the common pre-Adam default for
-// recurrent networks.
-type RMSProp struct {
-	LR, Decay, Eps float64
-
-	cache map[*Param]*mat.Dense
-}
-
-// NewRMSProp returns an RMSProp optimizer with decay 0.9 and ε=1e-8.
-func NewRMSProp(lr float64) *RMSProp {
-	return &RMSProp{LR: lr, Decay: 0.9, Eps: 1e-8, cache: make(map[*Param]*mat.Dense)}
-}
-
-// Name implements Optimizer.
-func (r *RMSProp) Name() string { return "rmsprop" }
-
-// Step implements Optimizer.
-func (r *RMSProp) Step(params []*Param) {
-	for _, p := range params {
-		c, ok := r.cache[p]
-		if !ok {
-			rows, cols := p.W.Dims()
-			c = mat.New(rows, cols)
-			r.cache[p] = c
-		}
-		cd, gd, wd := c.Data(), p.Grad.Data(), p.W.Data()
-		for i := range gd {
-			g := gd[i]
-			cd[i] = r.Decay*cd[i] + (1-r.Decay)*g*g
-			wd[i] -= r.LR * g / (math.Sqrt(cd[i]) + r.Eps)
 		}
 		p.ZeroGrad()
 	}

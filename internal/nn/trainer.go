@@ -203,21 +203,3 @@ func Train(net *Network, data Dataset, cfg TrainConfig) ([]float64, error) {
 	}
 	return losses, nil
 }
-
-// EvaluateLoss returns the mean loss of net over data without training.
-func EvaluateLoss(net *Network, data Dataset, loss Loss) (float64, error) {
-	if err := data.Validate(net.InSize(), net.OutSize()); err != nil {
-		return 0, err
-	}
-	if data.Len() == 0 {
-		return 0, errEmptyDataset
-	}
-	if loss == nil {
-		loss = MSE{}
-	}
-	var total float64
-	for i := range data.X {
-		total += loss.Value(net.Forward(data.X[i]), data.Y[i])
-	}
-	return total / float64(data.Len()), nil
-}

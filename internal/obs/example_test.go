@@ -41,16 +41,20 @@ func ExampleRegistry() {
 // ExampleLogger pins the structured event log's deterministic mode: with
 // an injected clock, identical inputs render identical text.
 func ExampleLogger() {
-	logger := obs.NewLogger(obs.NewTextHandler(os.Stdout), obs.LevelInfo).
+	sink := obs.NewMemorySink(0)
+	logger := obs.NewLogger(sink, obs.LevelInfo).
 		WithClock(func() int64 { return 1700000000000000000 })
 
 	logger.Debug("filtered out")
-	logger.Info("rebalance", obs.String("topology", "wordcount"), obs.Int("workers", 4))
+	logger.Info("rebalance", obs.String("topology", "wordcount"), obs.String("workers", "4"))
 	// The same logger doubles as the engine's dsps.EventSink.
 	logger.Event(dsps.EventWarn, "fault injected", "worker", "worker-1")
+	for _, r := range sink.Records() {
+		fmt.Println(r.TimeNs, r.Level, r.Msg, r.Attrs)
+	}
 	// Output:
-	// t=1700000000000000000 level=INFO msg=rebalance topology=wordcount workers=4
-	// t=1700000000000000000 level=WARN msg="fault injected" worker=worker-1
+	// 1700000000000000000 INFO rebalance [{topology wordcount} {workers 4}]
+	// 1700000000000000000 WARN fault injected [{worker worker-1}]
 }
 
 // Example_tupleTracing runs a topology with the deterministic trace

@@ -146,19 +146,3 @@ func ExponentialBounds(start, factor float64, n int) []float64 {
 	}
 	return out
 }
-
-// LinearBounds returns n strictly increasing bucket bounds starting at
-// start with the given step, the usual shape for small-count histograms
-// such as batch sizes. Panics unless step > 0 and n >= 1.
-func LinearBounds(start, step float64, n int) []float64 {
-	if step <= 0 || n < 1 {
-		panic("obs: LinearBounds needs step > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v += step
-	}
-	return out
-}

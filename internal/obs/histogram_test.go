@@ -105,15 +105,11 @@ func TestBoundsHelpers(t *testing.T) {
 	if got := ExponentialBounds(1, 2, 4); got[0] != 1 || got[3] != 8 {
 		t.Fatalf("ExponentialBounds = %v", got)
 	}
-	if got := LinearBounds(1, 1, 4); got[0] != 1 || got[3] != 4 {
-		t.Fatalf("LinearBounds = %v", got)
-	}
 	for _, f := range []func(){
 		func() { NewHistogram("x", "", nil) },
 		func() { NewHistogram("x", "", []float64{2, 1}) },
 		func() { NewHistogram("x", "", []float64{math.NaN()}) },
 		func() { ExponentialBounds(0, 2, 3) },
-		func() { LinearBounds(0, 0, 3) },
 	} {
 		func() {
 			defer func() {

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -52,11 +49,6 @@ type Attr struct {
 
 // String builds an Attr (a convenience mirroring slog.String).
 func String(key, value string) Attr { return Attr{Key: key, Value: value} }
-
-// Int builds an integer-valued Attr.
-func Int(key string, value int) Attr {
-	return Attr{Key: key, Value: strconv.Itoa(value)}
-}
 
 // Record is one structured log event.
 type Record struct {
@@ -142,43 +134,6 @@ func (l *Logger) Event(level int, msg string, kv ...string) {
 		attrs = append(attrs, a)
 	}
 	l.Log(Level(level), msg, attrs...)
-}
-
-// TextHandler renders records as single `t=… level=… msg=… k=v` lines to
-// an io.Writer, quoting values that contain spaces or quotes. Safe for
-// concurrent use.
-type TextHandler struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewTextHandler returns a handler writing to w.
-func NewTextHandler(w io.Writer) *TextHandler { return &TextHandler{w: w} }
-
-// Handle implements Handler.
-func (h *TextHandler) Handle(r Record) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%d level=%s msg=%s", r.TimeNs, r.Level, quoteIfNeeded(r.Msg))
-	for _, a := range r.Attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(a.Value))
-	}
-	b.WriteByte('\n')
-	h.mu.Lock()
-	io.WriteString(h.w, b.String())
-	h.mu.Unlock()
-}
-
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
 }
 
 // MemorySink is a Handler buffering records in memory: the deterministic

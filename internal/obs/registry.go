@@ -1,8 +1,9 @@
 // Package obs is the operator-facing observability layer: a pull-based
 // metrics registry with a Prometheus text exporter, exporters for the
 // engine's sampled tuple traces (JSON and Chrome trace_event), a
-// slog-style structured event logger with a deterministic test sink, and
-// an HTTP server tying them together with net/http/pprof.
+// slog-style structured event logger with a deterministic memory sink,
+// and an HTTP server tying them together with JSON status endpoints and
+// net/http/pprof.
 //
 // The package is strictly an observer: it imports the engine
 // (internal/dsps), the controller (internal/core), the chaos harness
@@ -16,7 +17,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,34 +169,5 @@ func (c *Counter) Collect() []Family {
 		Help:    c.help,
 		Type:    TypeCounter,
 		Samples: []Sample{{Value: float64(c.v.Load())}},
-	}}
-}
-
-// Gauge is a settable instrument that doubles as its own single-sample
-// Collector. Safe for concurrent use.
-type Gauge struct {
-	name string
-	help string
-	bits atomic.Uint64
-}
-
-// NewGauge returns a gauge; register it with Registry.Register.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{name: name, help: help}
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Collect implements Collector.
-func (g *Gauge) Collect() []Family {
-	return []Family{{
-		Name:    g.name,
-		Help:    g.help,
-		Type:    TypeGauge,
-		Samples: []Sample{{Value: g.Value()}},
 	}}
 }

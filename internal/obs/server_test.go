@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"predstream/internal/core"
 	"predstream/internal/dsps"
+	"predstream/internal/telemetry"
 )
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
@@ -80,6 +82,109 @@ func TestHTTPHandlerNilConfig404s(t *testing.T) {
 		if rec.Code != http.StatusNotFound {
 			t.Errorf("%s with empty config = %d, want 404", path, rec.Code)
 		}
+	}
+}
+
+// TestStatusEndpoints covers the status surface over a drained live
+// topology: /healthz, then /snapshot, /workers and /control, each answering
+// 404 when its source is unset.
+func TestStatusEndpoints(t *testing.T) {
+	c, dg := buildObsCluster(t)
+	defer c.Shutdown()
+	sampler := telemetry.NewSampler(0)
+	sampler.Sample(c.Snapshot())
+	sampler.Sample(c.Snapshot())
+	ctrl, err := core.NewController(c, []core.ControlTarget{{Component: "work", Grouping: dg}}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Step(); err != nil {
+		t.Fatal(err)
+	}
+	full := ServerConfig{Snapshots: c, Sampler: sampler, Controller: ctrl}
+
+	for _, tc := range []struct {
+		name  string
+		cfg   ServerConfig
+		path  string
+		code  int
+		check func(t *testing.T, body []byte)
+	}{
+		{"healthz", full, "/healthz", http.StatusOK, nil},
+		{"snapshot", full, "/snapshot", http.StatusOK, func(t *testing.T, body []byte) {
+			var snap struct {
+				Tasks []struct {
+					Component string `json:"component"`
+					Executed  int64  `json:"executed"`
+				} `json:"tasks"`
+				Workers []struct {
+					WorkerID string `json:"worker_id"`
+				} `json:"workers"`
+				Nodes []struct {
+					NodeID string `json:"node_id"`
+				} `json:"nodes"`
+			}
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Tasks) != 3 || len(snap.Workers) != 2 || len(snap.Nodes) != 2 {
+				t.Fatalf("shape: %d tasks, %d workers, %d nodes", len(snap.Tasks), len(snap.Workers), len(snap.Nodes))
+			}
+			var workExec int64
+			for _, task := range snap.Tasks {
+				if task.Component == "work" {
+					workExec += task.Executed
+				}
+			}
+			if workExec != 100 {
+				t.Fatalf("work executed %d, want 100", workExec)
+			}
+		}},
+		{"snapshot without source", ServerConfig{}, "/snapshot", http.StatusNotFound, nil},
+		{"workers latest", full, "/workers", http.StatusOK, func(t *testing.T, body []byte) {
+			var latest map[string]telemetry.WindowStats
+			if err := json.Unmarshal(body, &latest); err != nil {
+				t.Fatal(err)
+			}
+			if len(latest) != 2 {
+				t.Fatalf("workers reported: %v", latest)
+			}
+		}},
+		{"workers by id", full, "/workers?id=" + sampler.Workers()[0], http.StatusOK, func(t *testing.T, body []byte) {
+			var series []telemetry.WindowStats
+			if err := json.Unmarshal(body, &series); err != nil {
+				t.Fatal(err)
+			}
+			if len(series) == 0 {
+				t.Fatal("empty series")
+			}
+		}},
+		{"workers unknown id", full, "/workers?id=ghost", http.StatusNotFound, nil},
+		{"workers without sampler", ServerConfig{Snapshots: c}, "/workers", http.StatusNotFound, nil},
+		{"control", full, "/control", http.StatusOK, func(t *testing.T, body []byte) {
+			var history []core.StepReport
+			if err := json.Unmarshal(body, &history); err != nil {
+				t.Fatal(err)
+			}
+			if len(history) != 1 {
+				t.Fatalf("history = %d entries, want 1", len(history))
+			}
+		}},
+		{"control without controller", ServerConfig{Snapshots: c}, "/control", http.StatusNotFound, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			HTTPHandler(tc.cfg).ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+			if rec.Code != tc.code {
+				t.Fatalf("%s = %d, want %d\n%s", tc.path, rec.Code, tc.code, rec.Body.String())
+			}
+			if tc.check != nil {
+				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+					t.Fatalf("content type %q", ct)
+				}
+				tc.check(t, rec.Body.Bytes())
+			}
+		})
 	}
 }
 

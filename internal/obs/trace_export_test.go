@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
 	"time"
 
@@ -190,4 +191,61 @@ func TestCanonicalTraceDeterministicAcrossRuns(t *testing.T) {
 	if len(spans) != 900 {
 		t.Fatalf("canonical trace has %d spans, want 900", len(spans))
 	}
+}
+
+// canonicalSpan is a span with everything wall-clock- or arrival-order-
+// dependent removed: no Seq, no timestamps. What remains — who executed
+// which sampled root where — is a pure function of the seed for
+// topologies with deterministic routing.
+type canonicalSpan struct {
+	RootID          uint64 `json:"root_id"`
+	Kind            string `json:"kind"`
+	Topology        string `json:"topology"`
+	Component       string `json:"component"`
+	TaskID          int    `json:"task_id"`
+	TaskIndex       int    `json:"task_index"`
+	WorkerID        string `json:"worker_id"`
+	SourceComponent string `json:"source_component,omitempty"`
+	Fanout          int    `json:"fanout,omitempty"`
+}
+
+// CanonicalTraceJSON returns the spans in canonical form: timings and
+// ring sequence stripped, sorted by (RootID, Kind with emit first,
+// Component, TaskID, SourceComponent). Two identically seeded runs of a
+// topology with deterministic routing (fields/global/dynamic grouping, or
+// a single producer per shuffle edge) produce byte-identical output, as
+// long as the ring did not wrap (wraparound drops spans by arrival
+// order, which is scheduling-dependent).
+func CanonicalTraceJSON(spans []dsps.TraceSpan) ([]byte, error) {
+	canon := make([]canonicalSpan, 0, len(spans))
+	for _, s := range spans {
+		canon = append(canon, canonicalSpan{
+			RootID:          s.RootID,
+			Kind:            s.Kind.String(),
+			Topology:        s.Topology,
+			Component:       s.Component,
+			TaskID:          s.TaskID,
+			TaskIndex:       s.TaskIndex,
+			WorkerID:        s.WorkerID,
+			SourceComponent: s.SourceComponent,
+			Fanout:          s.Fanout,
+		})
+	}
+	sort.Slice(canon, func(i, j int) bool {
+		a, b := canon[i], canon[j]
+		if a.RootID != b.RootID {
+			return a.RootID < b.RootID
+		}
+		if a.Kind != b.Kind {
+			return a.Kind == dsps.SpanEmit.String()
+		}
+		if a.Component != b.Component {
+			return a.Component < b.Component
+		}
+		if a.TaskID != b.TaskID {
+			return a.TaskID < b.TaskID
+		}
+		return a.SourceComponent < b.SourceComponent
+	})
+	return json.MarshalIndent(canon, "", "  ")
 }

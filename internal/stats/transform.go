@@ -39,35 +39,6 @@ func Undiff(lastLevel float64, diffs []float64) []float64 {
 	return out
 }
 
-// ACF returns autocorrelations of xs at lags 0..maxLag. Lag 0 is always 1
-// for a non-constant series; for a constant (zero-variance) series all lags
-// return 0.
-func ACF(xs []float64, maxLag int) []float64 {
-	if maxLag >= len(xs) {
-		maxLag = len(xs) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	out := make([]float64, maxLag+1)
-	m := Mean(xs)
-	var c0 float64
-	for _, x := range xs {
-		c0 += (x - m) * (x - m)
-	}
-	if c0 == 0 {
-		return out
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		var c float64
-		for i := lag; i < len(xs); i++ {
-			c += (xs[i] - m) * (xs[i-lag] - m)
-		}
-		out[lag] = c / c0
-	}
-	return out
-}
-
 // StandardScaler is a z-score scaler fit on a training series and applied
 // to further data, as the DRNN preprocessing requires.
 type StandardScaler struct {
@@ -104,71 +75,6 @@ func (s StandardScaler) InverseAll(zs []float64) []float64 {
 	out := make([]float64, len(zs))
 	for i, z := range zs {
 		out[i] = s.Inverse(z)
-	}
-	return out
-}
-
-// MinMaxScaler maps a training range onto [0,1].
-type MinMaxScaler struct {
-	Min, Max float64
-}
-
-// FitMinMax fits a MinMaxScaler on xs. A constant series maps to 0.
-func FitMinMax(xs []float64) MinMaxScaler {
-	if len(xs) == 0 {
-		return MinMaxScaler{Min: 0, Max: 1}
-	}
-	return MinMaxScaler{Min: Min(xs), Max: Max(xs)}
-}
-
-// Transform maps x into [0,1] relative to the fitted range. Values outside
-// the training range extrapolate linearly.
-func (s MinMaxScaler) Transform(x float64) float64 {
-	span := s.Max - s.Min
-	if span == 0 {
-		return 0
-	}
-	return (x - s.Min) / span
-}
-
-// Inverse maps a scaled value back to the original range.
-func (s MinMaxScaler) Inverse(y float64) float64 {
-	return s.Min + y*(s.Max-s.Min)
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0,1].
-func EWMA(xs []float64, alpha float64) []float64 {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha %v out of (0,1]", alpha))
-	}
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}
-
-// RollingMean returns the trailing moving average of xs with the given
-// window; the first window-1 points average over what is available.
-func RollingMean(xs []float64, window int) []float64 {
-	if window <= 0 {
-		panic("stats: RollingMean window must be positive")
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-			out[i] = sum / float64(window)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
 	}
 	return out
 }

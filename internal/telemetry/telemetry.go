@@ -275,15 +275,6 @@ type FeatureConfig struct {
 	Interference bool
 }
 
-// FeatureNames returns the feature labels in vector order.
-func FeatureNames(cfg FeatureConfig) []string {
-	names := []string{"exec_rate", "emit_rate", "avg_exec_ms", "avg_queue_ms", "queue_len"}
-	if cfg.Interference {
-		names = append(names, "co_workers", "co_exec_rate", "co_avg_exec_ms", "node_busy")
-	}
-	return names
-}
-
 // Features assembles one window's feature vector.
 func Features(w WindowStats, cfg FeatureConfig) []float64 {
 	out := []float64{w.ExecRate, w.EmitRate, w.AvgExecMs, w.AvgQueueMs, w.QueueLen}

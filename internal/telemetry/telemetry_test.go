@@ -126,12 +126,6 @@ func TestFeatureVectorShapes(t *testing.T) {
 	if len(full) != 9 || full[5] != 6 || full[8] != 9 {
 		t.Fatalf("full features = %v", full)
 	}
-	if got := len(FeatureNames(FeatureConfig{})); got != 5 {
-		t.Fatalf("base names = %d", got)
-	}
-	if got := len(FeatureNames(FeatureConfig{Interference: true})); got != 9 {
-		t.Fatalf("full names = %d", got)
-	}
 }
 
 func TestTargetSelection(t *testing.T) {

@@ -1,15 +1,11 @@
 // Package trace produces the multilevel-statistics training data for the
-// prediction experiments in two ways:
-//
-//  1. Collect samples a live dsps cluster at a fixed period into a
-//     telemetry.Sampler — the direct analogue of the paper's runtime
-//     statistics collection on its Storm cluster.
-//  2. Synthetic generates traces from a queueing-theoretic model of the
-//     same causal structure (load ↑ or co-location ↑ ⇒ processing time ↑,
-//     with temporal correlation and noise). This substitutes for the
-//     paper's multi-hour production cluster traces: it is deterministic,
-//     laptop-scale, and long enough to train the DRNN, while exercising
-//     exactly the feature→target relationships the live path produces.
+// prediction experiments. Synthetic generates traces from a
+// queueing-theoretic model of the causal structure a live cluster shows
+// (load ↑ or co-location ↑ ⇒ processing time ↑, with temporal correlation
+// and noise). This substitutes for the paper's multi-hour production
+// cluster traces: it is deterministic, laptop-scale, and long enough to
+// train the DRNN, while exercising exactly the feature→target
+// relationships a telemetry.Sampler records from a live dsps cluster.
 package trace
 
 import (
@@ -18,40 +14,9 @@ import (
 	"math/rand"
 	"time"
 
-	"predstream/internal/dsps"
 	"predstream/internal/telemetry"
 	"predstream/internal/workload"
 )
-
-// CollectConfig controls live trace capture.
-type CollectConfig struct {
-	// Period is the sampling interval (the paper's measurement window).
-	Period time.Duration
-	// Windows is how many windows to record.
-	Windows int
-}
-
-// Collect samples the cluster's snapshots every Period until Windows
-// windows exist, returning the sampler. It blocks for roughly
-// Period×(Windows+1).
-func Collect(c *dsps.Cluster, cfg CollectConfig) (*telemetry.Sampler, error) {
-	if cfg.Period <= 0 {
-		return nil, fmt.Errorf("trace: non-positive period %v", cfg.Period)
-	}
-	if cfg.Windows <= 0 {
-		return nil, fmt.Errorf("trace: non-positive window count %d", cfg.Windows)
-	}
-	s := telemetry.NewSampler(0)
-	ticker := time.NewTicker(cfg.Period)
-	defer ticker.Stop()
-	for i := 0; i <= cfg.Windows; i++ {
-		s.Sample(c.Snapshot())
-		if i < cfg.Windows {
-			<-ticker.C
-		}
-	}
-	return s, nil
-}
 
 // SyntheticConfig parameterizes the queueing-model generator.
 type SyntheticConfig struct {

@@ -3,9 +3,7 @@ package trace
 import (
 	"math"
 	"testing"
-	"time"
 
-	"predstream/internal/dsps"
 	"predstream/internal/stats"
 	"predstream/internal/telemetry"
 )
@@ -122,54 +120,5 @@ func TestSyntheticToSeriesIsValid(t *testing.T) {
 	}
 	if s.Len() != 50 || s.FeatureDim() != 9 {
 		t.Fatalf("series %d×%d", s.Len(), s.FeatureDim())
-	}
-}
-
-func TestCollectValidation(t *testing.T) {
-	c := dsps.NewCluster(dsps.ClusterConfig{Delayer: dsps.NopDelayer{}})
-	if _, err := Collect(c, CollectConfig{Period: 0, Windows: 5}); err == nil {
-		t.Fatal("zero period should error")
-	}
-	if _, err := Collect(c, CollectConfig{Period: time.Millisecond, Windows: 0}); err == nil {
-		t.Fatal("zero windows should error")
-	}
-}
-
-func TestCollectFromLiveCluster(t *testing.T) {
-	emitted := 0
-	var col dsps.SpoutCollector
-	b := dsps.NewTopologyBuilder("collect")
-	b.SetSpout("src", func() dsps.Spout {
-		return &dsps.SpoutFunc{
-			OpenFn: func(_ dsps.TopologyContext, c dsps.SpoutCollector) { col = c },
-			NextFn: func() bool {
-				if emitted >= 100000 {
-					return false
-				}
-				col.Emit(dsps.Values{emitted}, nil)
-				emitted++
-				return true
-			},
-		}
-	}, 1, "n")
-	b.SetBolt("work", func() dsps.Bolt { return &dsps.BoltFunc{} }, 2).
-		ShuffleGrouping("src").WithExecCost(20 * time.Microsecond)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dsps.NewCluster(dsps.ClusterConfig{Nodes: 1, Delayer: dsps.NopDelayer{}, Seed: 9})
-	if err := c.Submit(topo, dsps.SubmitConfig{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	s, err := Collect(c, CollectConfig{Period: 10 * time.Millisecond, Windows: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range s.Workers() {
-		if got := s.Len(id); got != 5 {
-			t.Fatalf("worker %s has %d windows, want 5", id, got)
-		}
 	}
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# CI gate: vet, gofmt, the dspslint invariant linter, doccheck, build, full test
-# suite, the race detector over the packages with real concurrency
-# (training engine, stream engine, SPSC ring plane, chaos harness,
-# prediction server), a one-iteration benchmark smoke, a build-and-run check
-# of the bench/ module, a short chaos soak against the live engine, and a
-# fuzz smoke over each native fuzz target. Run via `make ci` or directly.
+# CI gate: vet, gofmt, the dspslint invariant linter (including the unused
+# analyzer), doccheck, build, full test suite, the race detector over the
+# packages with real concurrency (training engine, stream engine, SPSC ring
+# plane, chaos harness, prediction server), one iteration of every
+# in-package micro-benchmark under internal/, a build-and-run check of the
+# bench/ module, a short chaos soak against the live engine, and a fuzz
+# smoke over each native fuzz target. Run via `make ci` or directly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,7 +52,7 @@ make race
 echo "== go test -race ./internal/serve at GOMAXPROCS=4 (one dispatcher per core, more dispatchers than cores) =="
 GOMAXPROCS=4 go test -race ./internal/serve
 
-echo "== bench smoke (1 iteration per benchmark) =="
+echo "== bench smoke (1 iteration of every internal/ benchmark) =="
 make bench-smoke
 
 echo "== bench check (bench/ module vet + self-tests, 3 s app_paced and serve_predict) =="

@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzGroupingRatios$$' -run '^$$' -fuzztime 10s ./internal/dsps/
 	$(GO) test -fuzz='^FuzzHistogramQuantile$$' -run '^$$' -fuzztime 10s ./internal/dsps/
 	$(GO) test -fuzz='^FuzzAckerTrees$$' -run '^$$' -fuzztime 10s ./internal/dsps/
+	$(GO) test -fuzz='^FuzzAckerSlabOps$$' -run '^$$' -fuzztime 10s ./internal/dsps/
 	$(GO) test -fuzz='^FuzzRingBatchOps$$' -run '^$$' -fuzztime 10s ./internal/ring/
 	$(GO) test -fuzz='^FuzzServeWireFrame$$' -run '^$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz='^FuzzClusterWireFrame$$' -run '^$$' -fuzztime 10s ./internal/cluster/

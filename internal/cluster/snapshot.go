@@ -49,10 +49,7 @@ func AppendSnapshot(dst []byte, s *dsps.Snapshot) []byte {
 		a := &s.Acker[i]
 		dst = appendString(dst, a.Topology)
 		dst = appendI64(dst, int64(a.InFlight))
-		dst = appendU32(dst, uint32(len(a.ShardPending)))
-		for _, p := range a.ShardPending {
-			dst = appendI64(dst, int64(p))
-		}
+		dst = appendU32(dst, 0) // shardPending: always empty, kept for the v1 layout
 	}
 	dst = appendU32(dst, uint32(len(s.Scale)))
 	for i := range s.Scale {
@@ -192,9 +189,7 @@ func decodeSnapshot(d *dec) *dsps.Snapshot {
 		var a dsps.AckerStats
 		a.Topology = d.str()
 		a.InFlight = int(d.i64())
-		for _, p := range d.i64s(maxWireShards) {
-			a.ShardPending = append(a.ShardPending, int(p))
-		}
+		d.i64s(maxWireShards) // shardPending: read and discarded
 		s.Acker = append(s.Acker, a)
 	}
 	nScale := int(d.u32())

@@ -181,8 +181,8 @@ func benchLinearAcked(b *testing.B, workers int, opts ...func(*dsps.ClusterConfi
 	runEngineBench(b, benchCluster(b, opts...), topo, workers, &done, int64(b.N))
 }
 
-// The headline rows measure data plane v2 (SPSC rings + single-writer
-// acker owners); the Chan rows are the channel-plane control.
+// The headline rows measure data plane v2 (SPSC rings); the Chan rows
+// are the channel-plane control.
 func BenchmarkEngineLinearAckedW1(b *testing.B) { benchLinearAcked(b, 1, benchRings) }
 func BenchmarkEngineLinearAckedW2(b *testing.B) { benchLinearAcked(b, 2, benchRings) }
 func BenchmarkEngineLinearAckedW4(b *testing.B) { benchLinearAcked(b, 4, benchRings) }

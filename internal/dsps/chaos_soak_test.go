@@ -76,9 +76,9 @@ func TestChaosSoakEngineBatched(t *testing.T) {
 }
 
 // TestChaosSoakEngineRings re-runs the soak on the SPSC ring data plane
-// (data plane v2: per-producer rings, single-writer acker owners, SoA
-// batches) so the invariant checker audits ring attach/retire under
-// faults, rebalances and pause/resume — not just the channel plane.
+// (data plane v2: per-producer rings, SoA batches) so the invariant
+// checker audits ring attach/retire under faults, rebalances and
+// pause/resume — not just the channel plane.
 func TestChaosSoakEngineRings(t *testing.T) {
 	runChaosSoak(t, dsps.ClusterConfig{
 		Nodes:           2,

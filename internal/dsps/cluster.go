@@ -30,9 +30,8 @@ type ClusterConfig struct {
 	Delayer Delayer
 	// Rings switches the engine to the lock-free data plane (data plane
 	// v2): every producer→bolt hand-off uses a bounded SPSC ring of
-	// QueueSize batch slots instead of a shared input channel, and acker
-	// shards switch to single-writer owner goroutines. False (the default)
-	// keeps the channel plane.
+	// QueueSize batch slots instead of a shared input channel. False (the
+	// default) keeps the channel plane. Both planes share one acker.
 	Rings bool
 	// TraceSampleRate enables sampled per-tuple path tracing: the fraction
 	// of anchored roots (by deterministic splitmix64 hash of the rootID)
@@ -49,9 +48,6 @@ type ClusterConfig struct {
 
 // Data-plane constants (DESIGN.md › Data plane).
 const (
-	// ackerShards is the number of lock stripes in the acker's pending
-	// table (a power of two).
-	ackerShards = 8
 	// batchSize caps how many envelopes ride one data-plane batch; the
 	// effective size is clamped to QueueSize.
 	batchSize = 32
@@ -487,15 +483,9 @@ func (c *Cluster) Snapshot() *Snapshot {
 			RouteEpoch: rt.routeEpoch.Load(),
 			Retired:    countRetired(stats),
 		})
-		pending := rt.acker.shardPending()
-		inflight := 0
-		for _, p := range pending {
-			inflight += p
-		}
 		snap.Acker = append(snap.Acker, AckerStats{
-			Topology:     rt.topo.Name,
-			InFlight:     inflight,
-			ShardPending: pending,
+			Topology: rt.topo.Name,
+			InFlight: rt.acker.inFlight(),
 		})
 	}
 	for _, id := range workerOrder {
@@ -564,8 +554,8 @@ func countRetired(stats []TaskStats) int {
 	return n
 }
 
-// InFlight returns the number of tracked, incomplete spout roots across
-// every topology.
+// InFlight returns the number of tracked spout roots, across every
+// topology, whose completion has not yet been handed back to their spout.
 func (c *Cluster) InFlight() int {
 	total := 0
 	for _, rt := range c.snapshotTops() {

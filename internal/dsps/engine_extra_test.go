@@ -16,7 +16,7 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	fan := int(fanRaw%3) + 1   // children per node: 1..3
 	depth := int(depthRaw % 4) // tree depth: 0..3
 	rng := rand.New(rand.NewSource(seed))
-	a := newAcker(time.Minute, nil)
+	a, p := testAcker(time.Minute)
 
 	// Build the tree: each node is an edge id; children produced when
 	// the parent is consumed.
@@ -36,7 +36,7 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	}
 	root := build(0)
 	const rootID = 42
-	a.register(rootID, root.id, "msg", 0, 0)
+	slot := a.register(p, rootID, root.id, "msg", 0, 0)
 
 	// Collect (consumed, produced) transitions and apply them in a
 	// random order — XOR acking must be order-independent.
@@ -60,7 +60,7 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	completions := 0
 	var last ackResult
 	for i, tr := range trans {
-		r, done := a.transition(rootID, tr.consumed, tr.produced)
+		r, done := a.transition(slot, rootID, tr.consumed, tr.produced)
 		if done {
 			if i != len(trans)-1 {
 				// Completed before all transitions were applied: only a
@@ -71,7 +71,11 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 			last = r
 		}
 	}
-	return completions == 1 && last.ok && a.inFlight() == 0
+	if completions != 1 || !last.ok || last.slot != slot {
+		return false
+	}
+	a.release(p, last.slot)
+	return a.inFlight() == 0
 }
 
 // TestPropertyAckerRandomTrees is the quick.Check regression form of the

@@ -89,7 +89,7 @@ type task struct {
 	outPending atomic.Int64
 
 	counters taskCounters
-	pending  int // spout: un-acked roots; executor-goroutine-local
+	slots    slotPool // spout: its acker slots; executor-goroutine-local
 
 	// Emit-path state, owned by the executor goroutine.
 	edgeState   uint64 // splitmix64 state for edge-id draws
@@ -104,13 +104,8 @@ type task struct {
 	firstBufNs  int64     // coarse stamp of oldest unflushed tuple, 0 if none
 
 	// Ring-plane producer state, owned by the executor goroutine: the
-	// SPSC rings this task pushes through, one per downstream target and
-	// one per acker shard it has staged ops for.
+	// SPSC ring this task pushes through to each downstream target.
 	outRings map[*task]*ring.SPSC[envBatch]
-	ackRings []*ring.SPSC[*[]ackOp]
-	// ackStage holds the per-shard op slices being filled before their
-	// next push (see stageAckOp/flushAckStage).
-	ackStage []*[]ackOp
 	// ackerU64 is the spout's AckerU64 implementation, or nil; cached so
 	// the typed-lane completion path is one nil check, not a per-ack
 	// type assertion.
@@ -154,10 +149,6 @@ type runningTopology struct {
 	fl       *freeLists
 	trace    *Trace // sampled-tuple trace ring; nil = tracing disabled
 	effBatch int    // tuples per batch, min(batchSize, QueueSize)
-
-	// ackOwners runs the ring plane's single-writer acker shards (data
-	// plane v2); it is non-nil exactly when cfg.Rings is set.
-	ackOwners *ackOwners
 
 	ctx          context.Context
 	cancel       context.CancelFunc
@@ -300,9 +291,11 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 		tk.outFields = rt.fieldsOf(tk.component)
 		rt.rebuildOuts(tk, 0)
 	}
-	rt.acker = newAcker(c.cfg.AckTimeout, rt.clock.nowNs)
-	if c.cfg.Rings {
-		rt.ackOwners = newAckOwners(len(rt.acker.shards))
+	rt.acker = newAcker(c.cfg.AckTimeout, c.cfg.MaxSpoutPending, rt.clock.nowNs)
+	for _, tk := range rt.tasks {
+		if tk.spout != nil {
+			rt.acker.grow(&tk.slots)
+		}
 	}
 	return rt, nil
 }
@@ -397,9 +390,12 @@ func (rt *runningTopology) splice(fn func()) uint64 {
 }
 
 // sendAcks delivers a batch of completions to a spout task, bailing out on
-// shutdown. The ack channel holds MaxSpoutPending batches and at most
-// MaxSpoutPending roots are incomplete at once, so in practice this never
-// blocks.
+// shutdown. The ack channel holds MaxSpoutPending batches of at least one
+// root each. A spout calls NextTuple only below MaxSpoutPending incomplete
+// roots, but one NextTuple may emit several, so more roots than that can
+// be incomplete at once and this send can block. It then waits until the
+// spout's loop next drains its ack channel, which it does before every
+// NextTuple and in every park.
 func (rt *runningTopology) sendAcks(sp *task, results []ackResult) {
 	select {
 	case sp.ackCh <- results:
@@ -413,12 +409,6 @@ func (rt *runningTopology) start() {
 		defer rt.wg.Done()
 		rt.clock.run(rt.ctx)
 	}()
-	if rt.ackOwners != nil {
-		for s := range rt.ackOwners.owners {
-			rt.wg.Add(1)
-			go rt.runAckOwner(s)
-		}
-	}
 	for _, tk := range rt.tasks {
 		rt.wg.Add(1)
 		if tk.spout != nil {
@@ -506,12 +496,6 @@ func (rt *runningTopology) progress() int64 {
 // or tracked in flight.
 func (rt *runningTopology) quiescent() bool {
 	if rt.acker.inFlight() > 0 {
-		return false
-	}
-	// Ring plane: ops staged in owner rings are not yet visible in the
-	// shard maps; completions already applied may still be en route to
-	// their spout (the ackCh length check below catches those).
-	if rt.ackOwners != nil && rt.ackOwners.opsPending.Load() != 0 {
 		return false
 	}
 	rt.tasksMu.RLock()
@@ -605,18 +589,10 @@ func (rt *runningTopology) enqueue(tk *task, bufIdx int, tpl *Tuple, nowNs int64
 	}
 }
 
-// flushOut sends every non-empty out-buffer of tk downstream, and — on
-// the ring plane — pushes the task's staged ack ops to their shard
-// owners. The ack flush must precede the early return: a pure sink
-// stages transitions without ever buffering output, and quiescence
-// depends on every flush point draining the ack stage too (a sink
-// holding back its last partial op slice would wedge Drain).
+// flushOut sends every non-empty out-buffer of tk downstream.
 //
 //dsps:hotpath
 func (rt *runningTopology) flushOut(tk *task) {
-	if rt.ackOwners != nil {
-		rt.flushAckStage(tk)
-	}
 	if tk.outPending.Load() == 0 {
 		tk.firstBufNs = 0
 		return
@@ -862,7 +838,8 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 		}
 		// Draw every edge id and register the root *before* the first
 		// tuple can leave (a size-triggered flush inside enqueue may
-		// hand tuples to a downstream executor immediately).
+		// hand tuples to a downstream executor immediately), so no
+		// transition can reach the slot before its root does.
 		rootID := tk.nextEdgeID()
 		ids := tk.idScratch[:0]
 		var xor uint64
@@ -872,8 +849,7 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 			xor ^= id
 		}
 		tk.idScratch = ids
-		rt.ackRegister(tk, rootID, xor, msgID, msgU64)
-		tk.pending++
+		slot := rt.acker.register(&tk.slots, rootID, xor, msgID, msgU64, tk.id)
 		// Record the emit span before the first enqueue so a sampled
 		// root's emit always sequences ahead of its descendants' exec
 		// spans (enqueue may flush downstream immediately).
@@ -900,6 +876,7 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 				*t = *tpl
 			}
 			t.rootID = rootID
+			t.slot = slot
 			t.edgeID = ids[i]
 			rt.enqueue(tk, tk.selScratch[i], t, now)
 		}
@@ -913,13 +890,13 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 	tk.counters.executed.Add(1)
 }
 
-// handleAckBatch applies a batch of completions to the spout and recycles
-// the slice.
+// handleAckBatch applies a batch of completions to the spout, returns
+// their acker slots to the spout's pool, and recycles the slice.
 //
 //dsps:hotpath
 func (rt *runningTopology) handleAckBatch(tk *task, rb []ackResult) {
 	for _, r := range rb {
-		tk.pending--
+		rt.acker.release(&tk.slots, r.slot)
 		if r.ok {
 			tk.counters.acked.Add(1)
 			tk.counters.completeNs.Add(int64(r.latency))
@@ -1001,7 +978,7 @@ func (rt *runningTopology) runSpout(tk *task) {
 			}
 			break
 		}
-		if rt.spoutsPaused.Load() || tk.pending >= rt.cfg.MaxSpoutPending {
+		if rt.spoutsPaused.Load() || tk.slots.inUse() >= rt.cfg.MaxSpoutPending {
 			if !rt.parkSpout(tk, spoutThrottleRecheck) {
 				return
 			}
@@ -1097,7 +1074,7 @@ func (bc *boltCollector) emit(tpl *Tuple) {
 	now := rt.clock.nowNs()
 	anchored := bc.current != nil && bc.current.rootID != 0
 	if anchored {
-		rootID := bc.current.rootID
+		rootID, slot := bc.current.rootID, bc.current.slot
 		for i := 0; i < nsel; i++ {
 			t := tpl
 			if i > 0 {
@@ -1106,6 +1083,7 @@ func (bc *boltCollector) emit(tpl *Tuple) {
 			}
 			id := tk.nextEdgeID()
 			t.rootID = rootID
+			t.slot = slot
 			t.edgeID = id
 			bc.produced = append(bc.produced, id) //dspslint:ignore allocfree produced is reset per input tuple and retains capacity; grows only until the fan-out stabilizes
 			rt.enqueue(tk, tk.selScratch[i], t, now)
@@ -1164,6 +1142,16 @@ func (bc *boltCollector) flushAcks() {
 	}
 }
 
+// ackFail fails the root of an anchored input tuple, staging the
+// completion for its spout.
+//
+//dsps:hotpath
+func (rt *runningTopology) ackFail(collector *boltCollector, tpl *Tuple) {
+	if r, ok := rt.acker.fail(tpl.slot, tpl.rootID); ok {
+		collector.addAck(r)
+	}
+}
+
 // processTuple runs the full per-tuple bolt path: tick bypass, fault
 // draws, the interference cost model, Execute, metrics, and ack-tree
 // bookkeeping. Returns false when the topology shut down mid-stall.
@@ -1207,7 +1195,7 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	if faulty && fault.FailProb > 0 && tk.rng.Float64() < fault.FailProb {
 		tk.counters.dropped.Add(1)
 		if tpl.rootID != 0 {
-			rt.ackFail(tk, collector, tpl.rootID)
+			rt.ackFail(collector, tpl)
 		}
 		return true
 	}
@@ -1262,9 +1250,9 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 
 	if tpl.rootID != 0 {
 		if collector.failed {
-			rt.ackFail(tk, collector, tpl.rootID)
-		} else {
-			rt.ackTransition(tk, collector, tpl.rootID, tpl.edgeID, collector.produced)
+			rt.ackFail(collector, tpl)
+		} else if r, ok := rt.acker.transition(tpl.slot, tpl.rootID, tpl.edgeID, collector.produced); ok {
+			collector.addAck(r)
 		}
 	}
 	collector.current = nil

@@ -261,15 +261,13 @@ type ScaleStats struct {
 	Retired int
 }
 
-// AckerStats is a point-in-time view of one topology's sharded acker.
+// AckerStats is a point-in-time view of one topology's acker.
 type AckerStats struct {
 	// Topology names the owning topology.
 	Topology string
-	// InFlight is the number of tracked, incomplete spout roots.
+	// InFlight is the number of tracked spout roots whose completion has
+	// not yet been handed back to their spout.
 	InFlight int
-	// ShardPending holds the pending-root count of each lock shard, in
-	// shard order; skew across shards indicates rootID hashing imbalance.
-	ShardPending []int
 }
 
 // Snapshot is a full-cluster metrics snapshot.

@@ -98,8 +98,7 @@ func TestRingPlaneDeterminismMatchesChannelPlane(t *testing.T) {
 }
 
 // TestRingPlaneMultiStageAcking runs the three-stage anchored chain on the
-// ring plane and checks every root completes through the single-writer
-// acker owners.
+// ring plane and checks every root completes.
 func TestRingPlaneMultiStageAcking(t *testing.T) {
 	const n = 400
 	spout := &countingSpout{limit: n}

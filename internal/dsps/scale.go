@@ -400,20 +400,11 @@ func (rt *runningTopology) retireTask(v *task) int {
 			}
 		}
 		// Close this task's producer-side rings so downstream consumers
-		// and acker shard owners prune them once drained.
+		// prune them once drained.
 		for _, r := range v.outRings {
 			r.Close()
 		}
 		v.outRings = nil
-		// Staged-but-unpushed ack ops are dropped (their roots fail via the
-		// ack-timeout sweep, like force-drained tuples), then the rings
-		// close so the shard owners prune them once drained.
-		rt.dropAckStage(v)
-		for _, r := range v.ackRings {
-			if r != nil {
-				r.Close()
-			}
-		}
 	} else {
 		for {
 			select {

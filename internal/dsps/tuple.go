@@ -65,6 +65,9 @@ type Tuple struct {
 	// here with Values nil, so the emit path never boxes the value into an
 	// interface. The generic accessors transparently view lane payloads.
 	lane laneKind
+	// slot is the acker slot of rootID (anchored tuples only). It sits in
+	// the padding after lane, so carrying it costs the tuple no space.
+	slot uint32
 	i64  int64
 	f64  float64
 }

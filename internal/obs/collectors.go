@@ -190,22 +190,12 @@ func NewClusterCollector(c Snapshotter) Collector {
 			nodeExecuted.Samples = append(nodeExecuted.Samples, Sample{Labels: ls, Value: float64(n.Executed)})
 		}
 
-		ackerInFlight := gauge("predstream_acker_in_flight", "Tracked, incomplete spout roots per topology.")
-		shardPending := gauge("predstream_acker_shard_pending", "Pending roots per acker lock shard.")
+		ackerInFlight := gauge("predstream_acker_in_flight", "Tracked spout roots not yet handed back to their spout, per topology.")
 		for _, a := range snap.Acker {
 			ackerInFlight.Samples = append(ackerInFlight.Samples, Sample{
 				Labels: []Label{{Name: "topology", Value: a.Topology}},
 				Value:  float64(a.InFlight),
 			})
-			for i, p := range a.ShardPending {
-				shardPending.Samples = append(shardPending.Samples, Sample{
-					Labels: []Label{
-						{Name: "topology", Value: a.Topology},
-						{Name: "shard", Value: strconv.Itoa(i)},
-					},
-					Value: float64(p),
-				})
-			}
 		}
 
 		fams := []Family{
@@ -216,7 +206,7 @@ func NewClusterCollector(c Snapshotter) Collector {
 			scaleUps, scaleDowns, routeEpoch, scaleRetired,
 			slowdown, misbehaving,
 			nodeBusy, nodeCores, nodeExecuted,
-			ackerInFlight, shardPending,
+			ackerInFlight,
 		}
 		// Trace-ring families only exist for sources that own a trace ring
 		// (the local cluster); fleet snapshots assembled from shipped

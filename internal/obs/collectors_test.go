@@ -91,8 +91,8 @@ func TestClusterCollector(t *testing.T) {
 	if got := sumValues(fams["predstream_acker_in_flight"]); got != 0 {
 		t.Fatalf("drained in-flight = %v", got)
 	}
-	if len(fams["predstream_acker_shard_pending"].Samples) == 0 {
-		t.Fatal("no shard pending samples")
+	if len(fams["predstream_acker_in_flight"].Samples) != 1 {
+		t.Fatalf("acker in-flight samples = %d, want one per topology", len(fams["predstream_acker_in_flight"].Samples))
 	}
 	// Trace gauges are present because the cluster traces, and the ring
 	// holds 100 emits + 100 execs.

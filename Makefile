@@ -43,8 +43,8 @@ ci:
 # Short deterministic chaos soak (~15s): a generated fault schedule replays
 # against the live engine — without the control loop, with it, and with the
 # elastic planner live while scale events race a flash crowd — under
-# invariant checking. Any violation prints the reproducing seed. The ring
-# plane's chaos coverage is TestChaosSoakEngineRings in internal/dsps.
+# invariant checking. Any violation prints the reproducing seed. The
+# engine's own chaos coverage is TestChaosSoakEngine in internal/dsps.
 soak-short:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 4s -rate 300
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 2 -duration 4s -rate 300 -dynamic -control

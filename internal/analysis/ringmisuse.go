@@ -7,7 +7,7 @@ import (
 )
 
 // RingMisuse enforces the SPSC ring ownership discipline from DESIGN.md
-// "Data plane v2": a ring.SPSC has exactly one producer goroutine and one
+// "Data plane": a ring.SPSC has exactly one producer goroutine and one
 // consumer goroutine, and the compiler cannot see which is which — the
 // engine records it with directives. Functions that push into (or close)
 // a ring must carry //dsps:ringproducer in their doc comment; functions

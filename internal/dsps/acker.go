@@ -8,19 +8,29 @@ import (
 	"time"
 )
 
-// ackResult is delivered (in batches) to the spout executor that emitted
-// the root tuple. Roots anchored through the typed emit path carry their
-// message id in msgU64 (hasU64 set) so the delivery back to an AckerU64
-// spout never boxes. slot names the root's acker slot, which the spout
-// returns to its free list when it handles the result.
-type ackResult struct {
-	msgID    any
-	msgU64   uint64
-	hasU64   bool
-	ok       bool // true = fully processed, false = failed/timed out
-	slot     uint32
-	latency  time.Duration
-	spoutTID int
+// ackOp is one bolt's contribution to a root's XOR tree, sent (in
+// batches) to the spout that owns the root's slot. xor is the consumed
+// edge id XOR every edge id the bolt produced while executing it; fail
+// fails the root outright instead. An op whose root no longer occupies
+// the slot is a straggler and is dropped.
+type ackOp struct {
+	root uint64
+	xor  uint64
+	slot uint32
+	fail bool
+}
+
+// ackDone is a root whose completion the spout has applied and not yet
+// delivered: the spout delivers (Ack/Fail, then release of the slot) only
+// at its loop top, never from inside NextTuple. Roots anchored through the
+// typed emit path carry their message id in msgU64 (msgID nil) so the
+// delivery back to an AckerU64 spout never boxes.
+type ackDone struct {
+	msgID   any
+	msgU64  uint64
+	slot    uint32
+	ok      bool // true = fully processed, false = failed/timed out
+	latency time.Duration
 }
 
 // acker implements Storm's XOR-tree acking: every emitted tuple edge has a
@@ -28,21 +38,19 @@ type ackResult struct {
 // seen so far (each id appears once when created and once when acked, so
 // the value returns to zero exactly when the whole tree completed).
 //
-// The pending table is a slab of cache-line root slots, each with its own
-// lock. Every spout task owns whole chunks of the slab (one chunk covers
-// MaxSpoutPending roots) and a free list of their slots (slotPool) that
-// only its executor goroutine touches: it takes a slot when it registers
-// a root and puts it back when the root's completion reaches it, so a
-// slot is never reused while anything can still complete it. Anchored
-// tuples carry their root's slot, so a bolt's transition locks exactly
-// one slot. Completion results are *returned* to the caller rather than
-// pushed through a callback, so callers can batch deliveries back to the
-// owning spout.
+// The pending table is a slab of root slots. Every spout task owns whole
+// chunks of the slab (one chunk covers MaxSpoutPending roots) and is the
+// only goroutine that ever reads or writes their slots: it registers a
+// root, applies the ops bolts send it, sweeps timed-out roots and takes
+// the slot back when it delivers the completion, so a slot needs no lock
+// and is never reused while anything can still complete it. Anchored
+// tuples carry their root's slot; a bolt finds the owning spout through
+// the chunk → spout directory published next to the chunks.
 type acker struct {
-	// chunks is the slab directory. It only grows, by whole chunks, and a
+	// dir is the slab directory. It only grows, by whole chunks, and a
 	// chunk never moves once published, so readers index it lock-free. A
 	// slot index is chunk<<shift | offset; a chunk holds 1<<shift slots.
-	chunks atomic.Pointer[[][]ackSlot]
+	dir    atomic.Pointer[slabDir]
 	shift  uint
 	growMu sync.Mutex // orders directory growth
 
@@ -56,36 +64,47 @@ type acker struct {
 
 	// live counts slots taken and not yet released. Only spouts write it,
 	// so it sits on its own cache line, away from the directory pointer
-	// every transition reads.
+	// every bolt reads.
 	_    [64]byte
 	live atomic.Int64
 	_    [56]byte
 }
 
-// ackSlot is one tracked root, exactly one cache line. id is the root id,
-// zero while the slot is free (root ids are never zero): an op whose root
-// id does not match is a straggler for a root that already completed or
-// timed out, and is dropped.
-type ackSlot struct {
-	mu       sync.Mutex
-	id       uint64
-	val      uint64
-	msgID    any
-	msgU64   uint64
-	startNs  int64
-	spoutTID int
+// slabDir is one published version of the slab directory: chunks[c] is
+// chunk c and owners[c] the id of the spout task that owns it.
+type slabDir struct {
+	chunks [][]ackSlot
+	owners []int
 }
 
-// slotPool is one spout task's free list of acker slots. Only the spout's
+// ackSlot is one tracked root. id is the root id, zero while the slot is
+// free or its completion awaits delivery (root ids are never zero). Only
+// the owning spout's goroutine touches it.
+type ackSlot struct {
+	id      uint64
+	val     uint64
+	msgID   any
+	msgU64  uint64
+	startNs int64
+}
+
+// slotPool is one spout task's share of the slab. Only the spout's
 // executor goroutine touches it. free holds every slot the spout owns, so
-// a release never outgrows it; free[:n] are the ones not in use.
+// a release never outgrows it; free[:n] are the ones not in use. done
+// queues applied completions, done[head:nDone] still to be delivered. It
+// is as long as free, and an undelivered completion holds its slot, so
+// the undelivered ones always fit.
 type slotPool struct {
-	free []uint32
-	n    int
+	owner       int // the spout's task id
+	free        []uint32
+	n           int
+	chunks      []uint32 // chunk indices this spout owns, for its sweep
+	done        []ackDone
+	head, nDone int
 }
 
 // inUse is the number of the spout's roots whose completion it has not
-// handled yet — what MaxSpoutPending bounds.
+// delivered yet — what MaxSpoutPending bounds.
 func (p *slotPool) inUse() int { return len(p.free) - p.n }
 
 // newAcker builds an acker with an empty slab whose chunks hold
@@ -101,65 +120,53 @@ func newAcker(timeout time.Duration, maxPending int, nowNs func() int64) *acker 
 		nowNs:    nowNs,
 		sweepNow: time.Now,
 	}
-	a.chunks.Store(&[][]ackSlot{})
+	a.dir.Store(&slabDir{})
 	return a
 }
 
-// grow gives pool p one new chunk of slots and publishes it in the
-// directory. Existing chunks are never copied, only the directory of
-// references to them. Runs when a spout task is built and whenever one
-// emits past the slots it owns inside one NextTuple — never per root in
-// steady state.
+// grow gives pool p one new chunk of slots and publishes it, with p's
+// spout as its owner, in the directory. Existing chunks are never copied,
+// only the directory of references to them. Runs when a spout task is
+// built and whenever one emits past the slots it owns inside one
+// NextTuple — never per root in steady state.
 //
 //dsps:coldpath
 func (a *acker) grow(p *slotPool) {
 	n := 1 << a.shift
 	a.growMu.Lock()
-	old := *a.chunks.Load()
-	dir := make([][]ackSlot, len(old)+1)
-	copy(dir, old)
-	dir[len(old)] = make([]ackSlot, n)
-	a.chunks.Store(&dir)
+	old := a.dir.Load()
+	c := len(old.chunks)
+	dir := &slabDir{
+		chunks: append(old.chunks[:c:c], make([]ackSlot, n)),
+		owners: append(old.owners[:c:c], p.owner),
+	}
+	a.dir.Store(dir)
 	a.growMu.Unlock()
+	p.chunks = append(p.chunks, uint32(c))
 	free := make([]uint32, len(p.free)+n)
 	copy(free, p.free[:p.n])
 	for i := range n {
-		free[p.n] = uint32(len(old)<<a.shift | i)
+		free[p.n] = uint32(c<<a.shift | i)
 		p.n++
 	}
 	p.free = free
+	done := make([]ackDone, len(free))
+	copy(done, p.done[:p.nDone])
+	p.done = done
 }
 
 // slot returns the slot at index i.
 //
 //dsps:hotpath
 func (a *acker) slot(i uint32) *ackSlot {
-	return &(*a.chunks.Load())[i>>a.shift][i&(1<<a.shift-1)]
+	return &a.dir.Load().chunks[i>>a.shift][i&(1<<a.shift-1)]
 }
 
-// complete builds the completion of slot s (index i) and marks the slot
-// free, so later ops for its root are dropped; the caller holds s.mu.
-// Latency is clamped to a nanosecond so sub-coarse-tick completions still
-// register as measured.
+// owner returns the id of the spout task whose root occupies slot i.
 //
 //dsps:hotpath
-func (a *acker) complete(s *ackSlot, i uint32, ok bool) ackResult {
-	lat := time.Duration(a.nowNs() - s.startNs)
-	if lat < 1 {
-		lat = 1
-	}
-	r := ackResult{
-		msgID:    s.msgID,
-		msgU64:   s.msgU64,
-		hasU64:   s.msgID == nil,
-		ok:       ok,
-		slot:     i,
-		latency:  lat,
-		spoutTID: s.spoutTID,
-	}
-	s.id = 0
-	s.msgID = nil
-	return r
+func (a *acker) owner(i uint32) int {
+	return a.dir.Load().owners[i>>a.shift]
 }
 
 // register starts tracking a new root tuple in a slot taken from the
@@ -170,31 +177,69 @@ func (a *acker) complete(s *ackSlot, i uint32, ok bool) ackResult {
 // to its spout.
 //
 //dsps:hotpath
-func (a *acker) register(p *slotPool, rootID, edgeID uint64, msgID any, msgU64 uint64, spoutTID int) uint32 {
+func (a *acker) register(p *slotPool, rootID, edgeID uint64, msgID any, msgU64 uint64) uint32 {
 	if p.n == 0 {
 		a.grow(p)
 	}
 	p.n--
 	i := p.free[p.n]
-	now := a.nowNs()
 	s := a.slot(i)
-	// The lock orders this write against a straggler still reading the
-	// previous occupant's id.
-	s.mu.Lock()
 	s.id = rootID
 	s.val = edgeID
 	s.msgID = msgID
 	s.msgU64 = msgU64
-	s.startNs = now
-	s.spoutTID = spoutTID
-	s.mu.Unlock()
+	s.startNs = a.nowNs()
 	a.live.Add(1)
 	return i
 }
 
-// release hands a completed root's slot back to its spout's pool. The
-// spout calls it when the completion reaches it; nothing can complete the
-// slot's root any more, so the slot is free for the next register.
+// apply applies one op to the spout's slot: a straggler (root id
+// mismatch) is dropped, a fail op fails the root, and an XOR that brings
+// the value to zero completes it. Completions queue on p for delivery.
+//
+//dsps:hotpath
+func (a *acker) apply(p *slotPool, op ackOp) {
+	s := a.slot(op.slot)
+	if s.id != op.root {
+		return
+	}
+	if op.fail {
+		a.complete(p, s, op.slot, false)
+		return
+	}
+	s.val ^= op.xor
+	if s.val == 0 {
+		a.complete(p, s, op.slot, true)
+	}
+}
+
+// complete queues the completion of slot s (index i) for delivery and
+// marks the slot done, so later ops for its root are dropped. The slot
+// stays out of the free list until release. Latency is clamped to a
+// nanosecond so sub-coarse-tick completions still register as measured.
+//
+//dsps:hotpath
+func (a *acker) complete(p *slotPool, s *ackSlot, i uint32, ok bool) {
+	lat := time.Duration(a.nowNs() - s.startNs)
+	if lat < 1 {
+		lat = 1
+	}
+	if p.nDone == len(p.done) {
+		// A callback mid-delivery completed more roots than the queue
+		// has room left for: drop the delivered prefix.
+		n := copy(p.done, p.done[p.head:p.nDone])
+		clear(p.done[n:p.nDone])
+		p.head, p.nDone = 0, n
+	}
+	p.done[p.nDone] = ackDone{msgID: s.msgID, msgU64: s.msgU64, slot: i, ok: ok, latency: lat}
+	p.nDone++
+	s.id = 0
+	s.msgID = nil
+}
+
+// release hands a delivered root's slot back to its spout's pool: nothing
+// can complete the slot's root any more, so the slot is free for the next
+// register.
 //
 //dsps:hotpath
 func (a *acker) release(p *slotPool, slot uint32) {
@@ -203,91 +248,38 @@ func (a *acker) release(p *slotPool, slot uint32) {
 	a.live.Add(-1)
 }
 
-// transition records a bolt finishing one input edge and creating the
-// given output edges: the tracked value XORs the consumed edge and every
-// produced edge. A zero result completes the root; the completion is
-// returned for the caller to deliver.
-//
-//dsps:hotpath
-func (a *acker) transition(slot uint32, rootID, consumedEdge uint64, producedEdges []uint64) (ackResult, bool) {
-	v := consumedEdge
-	for _, p := range producedEdges {
-		v ^= p
-	}
-	s := a.slot(slot)
-	s.mu.Lock()
-	if s.id != rootID {
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	s.val ^= v
-	if s.val != 0 {
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	r := a.complete(s, slot, true)
-	s.mu.Unlock()
-	return r, true
-}
-
-// fail fails a root immediately (a bolt called Fail on a descendant),
-// returning the completion for the caller to deliver.
-//
-//dsps:hotpath
-func (a *acker) fail(slot uint32, rootID uint64) (ackResult, bool) {
-	s := a.slot(slot)
-	s.mu.Lock()
-	if s.id != rootID {
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	r := a.complete(s, slot, false)
-	s.mu.Unlock()
-	return r, true
-}
-
-// sweep fails every root older than the timeout and returns the expired
-// completions. The topology's sweeper goroutine calls it periodically and
-// routes the results back to their spouts. Expirations are sorted by
+// sweep fails every root of pool p older than the timeout, queueing the
+// expirations behind any completions already waiting. They are sorted by
 // (start time, rootID), so the Fail delivery order is a function of the
 // expired set alone, not of where the roots sit in the slab — chaos
 // replays see the same ack-fail sequence for the same seed.
-func (a *acker) sweep() []ackResult {
+func (a *acker) sweep(p *slotPool) {
 	if a.timeout <= 0 {
-		return nil
+		return
 	}
 	cutoffNs := a.sweepNow().Add(-a.timeout).UnixNano()
-	type expiredRoot struct {
-		id      uint64
-		startNs int64
-		r       ackResult
-	}
-	var expired []expiredRoot
-	for ci, c := range *a.chunks.Load() {
-		for j := range c {
-			s := &c[j]
-			s.mu.Lock()
-			if s.id != 0 && s.startNs < cutoffNs {
-				x := expiredRoot{id: s.id, startNs: s.startNs}
-				x.r = a.complete(s, uint32(ci<<a.shift|j), false)
-				expired = append(expired, x)
+	dir := a.dir.Load()
+	var expired []uint32
+	for _, c := range p.chunks {
+		chunk := dir.chunks[c]
+		for j := range chunk {
+			if s := &chunk[j]; s.id != 0 && s.startNs < cutoffNs {
+				expired = append(expired, c<<a.shift|uint32(j))
 			}
-			s.mu.Unlock()
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool {
-		if expired[i].startNs != expired[j].startNs {
-			return expired[i].startNs < expired[j].startNs
+		x, y := a.slot(expired[i]), a.slot(expired[j])
+		if x.startNs != y.startNs {
+			return x.startNs < y.startNs
 		}
-		return expired[i].id < expired[j].id
+		return x.id < y.id
 	})
-	out := make([]ackResult, len(expired))
-	for i, x := range expired {
-		out[i] = x.r
+	for _, i := range expired {
+		a.complete(p, a.slot(i), i, false)
 	}
-	return out
 }
 
-// inFlight returns the number of roots registered and not yet handed back
-// to their spout.
+// inFlight returns the number of roots registered and not yet delivered
+// back to their spout.
 func (a *acker) inFlight() int { return int(a.live.Load()) }

@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -23,9 +24,37 @@ func (c *fakeClock) install(a *acker) {
 	a.sweepNow = func() time.Time { return time.Unix(0, c.ns) }
 }
 
+// xorOp is the op a bolt sends after consuming edge consumed of root in
+// slot and producing the given edges.
+func xorOp(root uint64, slot uint32, consumed uint64, produced ...uint64) ackOp {
+	for _, e := range produced {
+		consumed ^= e
+	}
+	return ackOp{root: root, xor: consumed, slot: slot}
+}
+
+// failOp is the op a bolt sends when it fails root.
+func failOp(root uint64, slot uint32) ackOp { return ackOp{root: root, slot: slot, fail: true} }
+
+// deliver does what the spout loop does with its queued completions — the
+// slots go back to the pool — and returns them.
+func deliver(a *acker, p *slotPool) []ackDone {
+	out := append([]ackDone(nil), p.done[:p.nDone]...)
+	for _, d := range out {
+		a.release(p, d.slot)
+	}
+	clear(p.done[:p.nDone])
+	p.nDone = 0
+	return out
+}
+
 func TestAckerSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(ackSlot{}); got != 64 {
-		t.Fatalf("ackSlot is %d bytes, want one 64-byte cache line", got)
+	// No lock and no owner id: only the owning spout touches a slot.
+	if got := unsafe.Sizeof(ackSlot{}); got != 48 {
+		t.Fatalf("ackSlot is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(ackOp{}); got != 24 {
+		t.Fatalf("ackOp is %d bytes, want 24", got)
 	}
 	// The slot rides in the padding after Tuple.lane: the tuple stays at
 	// the size it had before it carried one.
@@ -42,35 +71,38 @@ func TestAckerLinearChainCompletes(t *testing.T) {
 	// Spout emits edge e1; bolt A consumes e1 and produces e2; bolt B
 	// consumes e2 and produces nothing.
 	const root, e1, e2 = 100, 11, 22
-	s := a.register(p, root, e1, "m1", 0, 0)
-	if _, done := a.transition(s, root, e1, []uint64{e2}); done {
+	s := a.register(p, root, e1, "m1", 0)
+	if a.apply(p, xorOp(root, s, e1, e2)); p.nDone != 0 {
 		t.Fatal("completed before leaf acked")
 	}
-	r, done := a.transition(s, root, e2, nil)
-	if !done || !r.ok || r.msgID != "m1" || r.slot != s {
-		t.Fatalf("result = %+v, done = %v", r, done)
+	a.apply(p, xorOp(root, s, e2))
+	if p.nDone != 1 {
+		t.Fatalf("%d completions queued, want 1", p.nDone)
+	}
+	if d := p.done[0]; !d.ok || d.msgID != "m1" || d.slot != s {
+		t.Fatalf("completion = %+v", d)
 	}
 	if a.inFlight() != 1 {
-		t.Fatalf("inFlight = %d before the spout released the slot", a.inFlight())
+		t.Fatalf("inFlight = %d before the spout delivered the completion", a.inFlight())
 	}
-	a.release(p, r.slot)
+	deliver(a, p)
 	if a.inFlight() != 0 {
-		t.Fatal("slot still counted after release")
+		t.Fatal("slot still counted after delivery")
 	}
 }
 
+// The XOR tree is order-independent: the count bolt's op may reach the
+// spout before the op of the parse bolt that created count's input edge.
 func TestAckerOutOfOrderTransitions(t *testing.T) {
-	// The XOR tree is order-independent: the downstream ack may arrive
-	// before the upstream transition that created its edge.
 	a, p := testAcker(time.Minute)
-	const root, e1, e2 = 200, 31, 32
-	s := a.register(p, root, e1, "m", 0, 0)
-	if _, done := a.transition(s, root, e2, nil); done { // leaf acks first
-		t.Fatal("completed on leaf alone")
+	const root, spoutEdge, parseEdge = 200, 31, 32
+	s := a.register(p, root, spoutEdge, "m", 0)
+	if a.apply(p, xorOp(root, s, parseEdge)); p.nDone != 0 { // count acks first
+		t.Fatal("completed on count's op alone")
 	}
-	r, done := a.transition(s, root, e1, []uint64{e2}) // then the producer
-	if !done || !r.ok {
-		t.Fatalf("result = %+v, done = %v", r, done)
+	a.apply(p, xorOp(root, s, spoutEdge, parseEdge)) // then parse's
+	if d := deliver(a, p); len(d) != 1 || !d[0].ok {
+		t.Fatalf("completions = %+v", d)
 	}
 }
 
@@ -79,36 +111,37 @@ func TestAckerFanOutTree(t *testing.T) {
 	// Spout emits two copies (e1, e2); each bolt copy emits two more.
 	const root = 300
 	edges := []uint64{1, 2, 3, 4, 5, 6}
-	s := a.register(p, root, edges[0]^edges[1], "m", 0, 0)
-	if _, done := a.transition(s, root, edges[0], []uint64{edges[2], edges[3]}); done {
-		t.Fatal("completed early")
-	}
-	if _, done := a.transition(s, root, edges[1], []uint64{edges[4], edges[5]}); done {
-		t.Fatal("completed early")
-	}
+	s := a.register(p, root, edges[0]^edges[1], "m", 0)
+	a.apply(p, xorOp(root, s, edges[0], edges[2], edges[3]))
+	a.apply(p, xorOp(root, s, edges[1], edges[4], edges[5]))
 	for i, leaf := range edges[2:] {
-		r, done := a.transition(s, root, leaf, nil)
-		if last := i == len(edges[2:])-1; done != last {
-			t.Fatalf("leaf %d: done = %v", i, done)
-		} else if last && (!r.ok || r.msgID != "m") {
-			t.Fatalf("result = %+v", r)
+		if p.nDone != 0 {
+			t.Fatalf("completed before leaf %d", i)
 		}
+		a.apply(p, xorOp(root, s, leaf))
+	}
+	if d := deliver(a, p); len(d) != 1 || !d[0].ok || d[0].msgID != "m" {
+		t.Fatalf("completions = %+v", d)
 	}
 }
 
 func TestAckerExplicitFail(t *testing.T) {
 	a, p := testAcker(time.Minute)
-	s := a.register(p, 1, 5, "m", 0, 3)
-	r, done := a.fail(s, 1)
-	if !done || r.ok || r.spoutTID != 3 || r.slot != s {
-		t.Fatalf("result = %+v, done = %v", r, done)
+	s := a.register(p, 1, 5, "m", 0)
+	a.apply(p, failOp(1, s))
+	if p.nDone != 1 || p.done[0].ok || p.done[0].slot != s || p.done[0].msgID != "m" {
+		t.Fatalf("completions = %+v", p.done[:p.nDone])
 	}
-	// Late transitions for a failed root are ignored.
-	if _, done := a.transition(s, 1, 5, nil); done {
-		t.Fatal("failed root completed again")
+	// Late ops for a failed root are dropped, before and after delivery.
+	a.apply(p, xorOp(1, s, 5))
+	a.apply(p, failOp(1, s))
+	if p.nDone != 1 {
+		t.Fatalf("failed root completed again: %d completions", p.nDone)
 	}
-	if _, done := a.fail(s, 1); done {
-		t.Fatal("failed root failed twice")
+	deliver(a, p)
+	a.apply(p, failOp(1, s))
+	if p.nDone != 0 || a.inFlight() != 0 {
+		t.Fatalf("op after delivery: %d completions, inFlight %d", p.nDone, a.inFlight())
 	}
 }
 
@@ -117,138 +150,157 @@ func TestAckerTimeoutSweep(t *testing.T) {
 	var clk fakeClock
 	clk.install(a)
 	clk.ns = 1e9
-	a.register(p, 1, 5, "old", 0, 0)
+	a.register(p, 1, 5, "old", 0)
 	clk.ns += int64(20 * time.Millisecond)
-	fresh := a.register(p, 2, 6, "fresh", 0, 0)
-	expired := a.sweep()
+	fresh := a.register(p, 2, 6, "fresh", 0)
+	a.sweep(p)
+	expired := deliver(a, p)
 	if len(expired) != 1 {
 		t.Fatalf("sweep failed %d roots, want 1", len(expired))
 	}
 	if expired[0].ok || expired[0].msgID != "old" {
 		t.Fatalf("expired = %+v", expired[0])
 	}
-	a.release(p, expired[0].slot)
 	if a.inFlight() != 1 {
 		t.Fatalf("inFlight = %d, want the fresh root", a.inFlight())
 	}
-	if r, done := a.transition(fresh, 2, 6, nil); !done || !r.ok {
-		t.Fatalf("fresh root after sweep: %+v, %v", r, done)
+	a.apply(p, xorOp(2, fresh, 6))
+	if d := deliver(a, p); len(d) != 1 || !d[0].ok {
+		t.Fatalf("fresh root after sweep: %+v", d)
 	}
 }
 
+// Each spout sweeps its own slots only, and delivers its expirations in
+// (start, root id) order behind the completions already queued.
 func TestAckerSweepOrdersByStartThenRoot(t *testing.T) {
-	a, p := testAcker(time.Millisecond)
+	a := newAcker(time.Millisecond, 8, nil)
 	var clk fakeClock
 	clk.install(a)
 	clk.ns = 1e9
+	p, other := &slotPool{owner: 1}, &slotPool{owner: 2}
+	a.grow(p)
+	a.grow(other)
 	// Register in an order unrelated to (start, root) so the slab's slot
 	// order cannot produce the expected order by accident.
-	a.register(p, 30, 1, "b", 0, 0)
-	a.register(p, 10, 1, "a", 0, 0)
+	a.register(p, 30, 1, "b", 0)
+	a.register(other, 5, 1, "other", 0)
+	a.register(p, 10, 1, "a", 0)
 	clk.ns -= 5
-	a.register(p, 20, 1, "first", 0, 0)
+	a.register(p, 20, 1, "first", 0)
+	done := a.register(p, 40, 7, "acked", 0)
+	a.apply(p, xorOp(40, done, 7))
 	clk.ns += int64(time.Second)
+	a.sweep(p)
 	var got []any
-	for _, r := range a.sweep() {
-		got = append(got, r.msgID)
+	for _, d := range deliver(a, p) {
+		got = append(got, d.msgID)
 	}
-	if len(got) != 3 || got[0] != "first" || got[1] != "a" || got[2] != "b" {
-		t.Fatalf("sweep order = %v, want [first a b]", got)
+	if len(got) != 4 || got[0] != "acked" || got[1] != "first" || got[2] != "a" || got[3] != "b" {
+		t.Fatalf("delivery order = %v, want [acked first a b]", got)
+	}
+	if other.nDone != 0 || a.inFlight() != 1 {
+		t.Fatalf("sweep reached the other spout's slots: %d queued there, inFlight %d", other.nDone, a.inFlight())
 	}
 }
 
 func TestAckerSweepDisabledWithoutTimeout(t *testing.T) {
 	a, p := testAcker(0)
-	a.register(p, 1, 5, "m", 0, 0)
-	if expired := a.sweep(); len(expired) != 0 {
-		t.Fatalf("sweep with no timeout failed %d", len(expired))
+	a.register(p, 1, 5, "m", 0)
+	if a.sweep(p); p.nDone != 0 {
+		t.Fatalf("sweep with no timeout failed %d", p.nDone)
 	}
 }
 
 func TestAckerUnknownRootIgnored(t *testing.T) {
 	a, p := testAcker(time.Minute)
-	s := a.register(p, 1, 5, "m", 0, 0)
-	if _, done := a.transition(s, 999, 5, nil); done {
+	s := a.register(p, 1, 5, "m", 0)
+	a.apply(p, xorOp(999, s, 5))
+	a.apply(p, failOp(999, s))
+	if p.nDone != 0 {
 		t.Fatal("op for another root completed the slot")
 	}
-	if _, done := a.fail(s, 999); done {
-		t.Fatal("op for another root failed the slot")
-	}
-	if r, done := a.transition(s, 1, 5, nil); !done || !r.ok {
-		t.Fatalf("occupant disturbed by foreign ops: %+v, %v", r, done)
+	a.apply(p, xorOp(1, s, 5))
+	if d := deliver(a, p); len(d) != 1 || !d[0].ok {
+		t.Fatalf("occupant disturbed by foreign ops: %+v", d)
 	}
 }
 
-// A transition for a root that timed out, arriving after the spout took
-// the root's slot back and reused it, must be dropped; the new occupant
-// must still complete on its own edges.
+// An op for a root that timed out, arriving after the spout took the
+// root's slot back and reused it, must be dropped; the new occupant must
+// still complete on its own edges.
 func TestAckerStragglerOnReusedSlotDropped(t *testing.T) {
 	a, p := testAcker(10 * time.Millisecond)
 	var clk fakeClock
 	clk.install(a)
 	clk.ns = 1e9
 	const oldRoot, oldEdge = 7, 0x55
-	s := a.register(p, oldRoot, oldEdge, "old", 0, 0)
+	s := a.register(p, oldRoot, oldEdge, "old", 0)
 	clk.ns += int64(time.Second)
-	expired := a.sweep()
-	if len(expired) != 1 || expired[0].slot != s {
+	a.sweep(p)
+	if expired := deliver(a, p); len(expired) != 1 || expired[0].slot != s {
 		t.Fatalf("sweep = %+v", expired)
 	}
-	a.release(p, s)
 	// The pool is LIFO: the next root lands in the slot just released.
 	// Give it the straggler's edge so that, were the op applied, it would
 	// complete the wrong root.
 	const newRoot = 8
-	if got := a.register(p, newRoot, oldEdge, "new", 0, 0); got != s {
+	if got := a.register(p, newRoot, oldEdge, "new", 0); got != s {
 		t.Fatalf("new root in slot %d, want reused slot %d", got, s)
 	}
-	if _, done := a.transition(s, oldRoot, oldEdge, nil); done {
+	a.apply(p, xorOp(oldRoot, s, oldEdge))
+	a.apply(p, failOp(oldRoot, s))
+	if p.nDone != 0 {
 		t.Fatal("straggler completed the slot's new occupant")
 	}
-	if _, done := a.fail(s, oldRoot); done {
-		t.Fatal("straggler failed the slot's new occupant")
-	}
-	r, done := a.transition(s, newRoot, oldEdge, nil)
-	if !done || !r.ok || r.msgID != "new" {
-		t.Fatalf("new occupant: %+v, done = %v", r, done)
+	a.apply(p, xorOp(newRoot, s, oldEdge))
+	if d := deliver(a, p); len(d) != 1 || !d[0].ok || d[0].msgID != "new" {
+		t.Fatalf("new occupant: %+v", d)
 	}
 }
 
 // A spout that takes more slots than its pool holds grows the slab by a
-// chunk; slots already handed out stay where they are.
+// chunk; slots already handed out stay where they are, and the owner
+// directory names the spout for every chunk it grew.
 func TestAckerSlabGrowsByWholeChunks(t *testing.T) {
 	a := newAcker(time.Minute, 3, nil) // rounds up to 4-slot chunks
-	var p, other slotPool
-	a.grow(&p)
-	a.grow(&other)
-	first := a.register(&p, 1, 1, "m", 0, 0)
+	p, other := &slotPool{owner: 7}, &slotPool{owner: 9}
+	a.grow(p)
+	a.grow(other)
+	first := a.register(p, 1, 1, "m", 0)
 	before := a.slot(first)
-	seen := map[uint32]bool{first: true}
+	seen := map[uint32]uint64{first: 1}
 	for root := uint64(2); root <= 9; root++ {
-		s := a.register(&p, root, root, "m", 0, 0)
-		if seen[s] {
+		s := a.register(p, root, root, "m", 0)
+		if _, dup := seen[s]; dup {
 			t.Fatalf("slot %d handed out twice", s)
 		}
 		if s>>a.shift == 1 {
 			t.Fatalf("slot %d is in the other spout's chunk", s)
 		}
-		seen[s] = true
+		seen[s] = root
 	}
-	if n := len(*a.chunks.Load()); n != 4 {
+	dir := a.dir.Load()
+	if n := len(dir.chunks); n != 4 {
 		t.Fatalf("%d chunks after 9 roots in 4-slot chunks (plus one for the other spout), want 4", n)
+	}
+	if want := []int{7, 9, 7, 7}; len(dir.owners) != 4 || dir.owners[0] != want[0] || dir.owners[1] != want[1] ||
+		dir.owners[2] != want[2] || dir.owners[3] != want[3] {
+		t.Fatalf("owner directory = %v, want %v", dir.owners, want)
 	}
 	if a.slot(first) != before {
 		t.Fatal("growth moved a live slot")
 	}
-	for s := range seen {
-		root := a.slot(s).id
-		if r, done := a.transition(s, root, root, nil); !done || !r.ok {
-			t.Fatalf("root %d in slot %d did not complete", root, s)
+	for s, root := range seen {
+		if a.owner(s) != 7 {
+			t.Fatalf("slot %d owned by %d, want 7", s, a.owner(s))
 		}
-		a.release(&p, s)
+		a.apply(p, xorOp(root, s, root))
+	}
+	if d := deliver(a, p); len(d) != len(seen) {
+		t.Fatalf("%d of %d roots completed", len(d), len(seen))
 	}
 	if a.inFlight() != 0 {
-		t.Fatalf("inFlight = %d after releasing all", a.inFlight())
+		t.Fatalf("inFlight = %d after delivering all", a.inFlight())
 	}
 }
 
@@ -259,19 +311,70 @@ func TestAckerLatencyMeasured(t *testing.T) {
 		stepNs += int64(10 * time.Millisecond)
 		return stepNs
 	}
-	s := a.register(p, 1, 5, "m", 0, 0)   // now = +10ms
-	r, done := a.transition(s, 1, 5, nil) // now = +20ms
-	if !done || r.latency != 10*time.Millisecond {
-		t.Fatalf("latency = %v, done = %v", r.latency, done)
+	s := a.register(p, 1, 5, "m", 0) // now = +10ms
+	a.apply(p, xorOp(1, s, 5))       // now = +20ms
+	if d := deliver(a, p); len(d) != 1 || d[0].latency != 10*time.Millisecond {
+		t.Fatalf("completions = %+v", d)
+	}
+}
+
+// reusingSpout's Ack registers and completes a root in the slot just
+// freed — what happens when an Ack emits, its send blocks, and the spout
+// applies the ops that finish the new root while it waits.
+type reusingSpout struct {
+	BaseSpout
+	a     *acker
+	p     *slotPool
+	left  int
+	acked []any
+}
+
+func (s *reusingSpout) Open(TopologyContext, SpoutCollector) {}
+func (s *reusingSpout) NextTuple() bool                      { return false }
+
+func (s *reusingSpout) Ack(id any) {
+	s.acked = append(s.acked, id)
+	if s.left > 0 {
+		s.left--
+		root := uint64(100 + s.left)
+		i := s.a.register(s.p, root, 7, s.left, 0)
+		s.a.apply(s.p, xorOp(root, i, 7))
+	}
+}
+
+// Completions queued by a callback during delivery are delivered in the
+// same pass, even when they outnumber the room left behind the ones
+// already delivered.
+func TestDeliverDoneSurvivesCallbacksThatCompleteRoots(t *testing.T) {
+	a := newAcker(time.Minute, 1, nil) // one-slot chunks: each new root reuses the freed slot
+	tk := &task{stage: &counterStage{}}
+	a.grow(&tk.slots)
+	sp := &reusingSpout{a: a, p: &tk.slots, left: 5}
+	tk.spout = sp
+	rt := &runningTopology{acker: a}
+	s := a.register(&tk.slots, 1, 3, "first", 0)
+	a.apply(&tk.slots, xorOp(1, s, 3))
+	rt.deliverDone(tk)
+	want := []any{"first", 4, 3, 2, 1, 0}
+	if len(sp.acked) != len(want) {
+		t.Fatalf("acked %v, want %v", sp.acked, want)
+	}
+	for i := range want {
+		if sp.acked[i] != want[i] {
+			t.Fatalf("acked %v, want %v", sp.acked, want)
+		}
+	}
+	if p := tk.slots; p.head != 0 || p.nDone != 0 || a.inFlight() != 0 || tk.stage.acked != 6 {
+		t.Fatalf("after delivery: head %d nDone %d inFlight %d staged acks %d", p.head, p.nDone, a.inFlight(), tk.stage.acked)
 	}
 }
 
 // BenchmarkAckerRoot prices one acked root through the slab the way the
-// engine drives it: one goroutine (the spout) registers roots and takes
-// their slots back, and the b.RunParallel goroutines (the bolts) apply
-// each root's two transitions, the second usually on a different
-// goroutine from the first. Roots move in batches of 32, like the data
-// plane's. ns/op is per root.
+// engine drives it: the benchmark goroutine is the spout — it registers
+// roots, applies the ops that come back and takes the slots back — and a
+// second goroutine is the bolts, building each root's two ops (a relay's
+// and a sink's) from the roots it is handed. Roots and ops move in
+// batches, like the data plane's. ns/op is per root.
 func BenchmarkAckerRoot(b *testing.B) {
 	const batch, pending = 32, 4096
 	type root struct {
@@ -279,75 +382,58 @@ func BenchmarkAckerRoot(b *testing.B) {
 		id, e1, e2 uint64
 	}
 	a := newAcker(time.Minute, pending, nil)
-	var pool slotPool
-	a.grow(&pool)
-	// Every slot in flight sits in one of these queues at most once, so
-	// no send ever blocks.
+	p := &slotPool{}
+	a.grow(p)
+	// At most pending/batch root batches are in flight, each answered by
+	// one op batch, so no send below ever blocks.
 	fresh := make(chan []root, pending/batch)
-	half := make(chan []root, pending/batch)
-	done := make(chan []root, pending/batch)
-	stop := make(chan struct{})
-	spoutDone := make(chan struct{})
+	rootFree := make(chan []root, pending/batch)
+	ops := make(chan []ackOp, pending/batch)
+	opFree := make(chan []ackOp, pending/batch)
+	for range pending / batch {
+		rootFree <- make([]root, batch)
+		opFree <- make([]ackOp, 0, 2*batch)
+	}
 	go func() {
-		defer close(spoutDone)
-		free := make([][]root, 0, pending/batch)
-		for range pending / batch {
-			free = append(free, make([]root, batch))
-		}
-		var ids uint64
-		next := func() uint64 { ids += 0x9e3779b97f4a7c15; return ids | 1 }
-		for {
-			if len(free) == 0 {
-				select {
-				case rb := <-done:
-					for _, r := range rb {
-						a.release(&pool, r.slot)
-					}
-					free = append(free, rb)
-				case <-stop:
-					return
-				}
+		for rb := range fresh {
+			ob := (<-opFree)[:0]
+			for _, r := range rb {
+				ob = append(ob, xorOp(r.id, r.slot, r.e1, r.e2), xorOp(r.id, r.slot, r.e2))
 			}
-			rb := free[len(free)-1]
-			free = free[:len(free)-1]
-			for i := range rb {
-				r := root{id: next(), e1: next(), e2: next()}
-				r.slot = a.register(&pool, r.id, r.e1, nil, r.id, 0)
-				rb[i] = r
-			}
-			select {
-			case fresh <- rb:
-			case <-stop:
-				return
-			}
+			rootFree <- rb
+			ops <- ob
 		}
 	}()
+	var ids uint64
+	next := func() uint64 { ids += 0x9e3779b97f4a7c15; return ids | 1 }
 	b.ReportAllocs()
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		produced := make([]uint64, 1)
-		for {
-			rb := <-fresh
-			for _, r := range rb {
-				produced[0] = r.e2
-				a.transition(r.slot, r.id, r.e1, produced)
+	registered, completed := 0, 0
+	for completed < b.N {
+		if k := min(batch, b.N-registered); k > 0 && p.inUse() <= pending-batch {
+			rb := (<-rootFree)[:k]
+			for i := range rb {
+				r := root{id: next(), e1: next(), e2: next()}
+				r.slot = a.register(p, r.id, r.e1, nil, r.id)
+				rb[i] = r
 			}
-			half <- rb
-			rb = <-half
-			for _, r := range rb {
-				if !pb.Next() {
-					return
-				}
-				if _, ok := a.transition(r.slot, r.id, r.e2, nil); !ok {
-					panic("root did not complete on its last edge")
-				}
-			}
-			done <- rb
+			registered += k
+			fresh <- rb
+			continue
 		}
-	})
+		ob := <-ops
+		for _, op := range ob {
+			a.apply(p, op)
+		}
+		opFree <- ob
+		for i := range p.nDone {
+			a.release(p, p.done[i].slot)
+		}
+		completed += p.nDone
+		p.nDone = 0
+	}
 	b.StopTimer()
-	close(stop)
-	<-spoutDone
+	close(fresh)
 }
 
 // burstSpout emits burst anchored roots per NextTuple call.
@@ -369,55 +455,205 @@ func (s *burstSpout) NextTuple() bool {
 
 // A spout may emit several roots in one NextTuple, so it can hold more
 // incomplete roots than MaxSpoutPending. Its slab then grows past its
-// first chunk, and every root must still complete exactly once, on both
-// data planes.
+// first chunk, and every root must still complete exactly once.
 func TestSpoutEmittingPastMaxSpoutPendingCompletes(t *testing.T) {
-	for _, plane := range []struct {
-		name  string
-		rings bool
-	}{{"channels", false}, {"rings", true}} {
-		t.Run(plane.name, func(t *testing.T) {
-			const n = 3000
-			spout := &burstSpout{countingSpout: countingSpout{limit: n}, burst: 3}
-			b := NewTopologyBuilder("burst")
-			b.SetSpout("src", func() Spout { return spout }, 1, "n")
-			b.SetBolt("relay", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("src")
-			b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay")
-			topo, _ := b.Build()
-			c := testCluster(func(cfg *ClusterConfig) {
-				cfg.MaxSpoutPending = 4
-				cfg.Rings = plane.rings
-			})
-			if err := c.Submit(topo, SubmitConfig{}); err != nil {
-				t.Fatal(err)
+	// The ring plane is the one data plane; the subtest keeps its name.
+	t.Run("rings", func(t *testing.T) {
+		const n = 3000
+		spout := &burstSpout{countingSpout: countingSpout{limit: n}, burst: 3}
+		b := NewTopologyBuilder("burst")
+		b.SetSpout("src", func() Spout { return spout }, 1, "n")
+		b.SetBolt("relay", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("src")
+		b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay")
+		topo, _ := b.Build()
+		c := testCluster(func(cfg *ClusterConfig) { cfg.MaxSpoutPending = 4 })
+		if err := c.Submit(topo, SubmitConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown()
+		if !c.Drain(10 * time.Second) {
+			t.Fatal("did not drain")
+		}
+		if acked, failed := spout.acked.Load(), spout.failed.Load(); acked != n || failed != 0 {
+			t.Fatalf("acked %d failed %d, want %d and 0", acked, failed, n)
+		}
+		if got := c.InFlight(); got != 0 {
+			t.Fatalf("in flight = %d", got)
+		}
+		snap := c.Snapshot()
+		src := snap.ComponentTasks("src")[0]
+		if src.Emitted != n || src.Acked+src.Failed != src.Emitted {
+			t.Fatalf("spout emitted %d, acked %d, failed %d", src.Emitted, src.Acked, src.Failed)
+		}
+		for _, comp := range []string{"relay", "sink"} {
+			total := int64(0)
+			for _, ts := range snap.ComponentTasks(comp) {
+				total += ts.Executed
 			}
-			defer c.Shutdown()
-			if !c.Drain(10 * time.Second) {
-				t.Fatal("did not drain")
+			if total != n {
+				t.Fatalf("%s executed %d, want %d", comp, total, n)
 			}
-			if acked, failed := spout.acked.Load(), spout.failed.Load(); acked != n || failed != 0 {
-				t.Fatalf("acked %d failed %d, want %d and 0", acked, failed, n)
+		}
+		if chunks := len(c.snapshotTops()[0].acker.dir.Load().chunks); chunks < 2 {
+			t.Fatalf("slab has %d chunk(s): the over-range emits never grew it", chunks)
+		}
+	})
+}
+
+// fanBolt emits each input fan times.
+type fanBolt struct {
+	BaseBolt
+	fan int
+	c   OutputCollector
+}
+
+func (b *fanBolt) Prepare(_ TopologyContext, c OutputCollector) { b.c = c }
+func (b *fanBolt) Execute(t *Tuple) {
+	for range b.fan {
+		b.c.Emit(t.Values)
+	}
+}
+
+// Every bolt a root passes sends its spout an op, so ops outnumber roots
+// and a bolt can block on the spout's full ack channel while the spout
+// blocks on that bolt's full queue. The spout must keep applying ops
+// while it is backpressured, or the two wait on each other forever.
+func TestBackpressuredSpoutWithFullAckChannelDoesNotWedge(t *testing.T) {
+	const n = 2000
+	spout := &burstSpout{countingSpout: countingSpout{limit: n}, burst: 16}
+	b := NewTopologyBuilder("wedge")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n")
+	b.SetBolt("fan", func() Bolt { return &fanBolt{fan: 4} }, 2, "n").ShuffleGrouping("src")
+	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 2).ShuffleGrouping("fan")
+	topo, _ := b.Build()
+	c := testCluster(func(cfg *ClusterConfig) {
+		cfg.MaxSpoutPending = 2
+		cfg.QueueSize = 2
+		// A wedge must show as a drain failure, not be papered over by
+		// the timeout sweep failing the stuck roots.
+		cfg.AckTimeout = time.Minute
+	})
+	if err := c.Submit(topo, SubmitConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if !c.Drain(20 * time.Second) {
+		t.Fatalf("wedged: acked %d of %d, %d in flight", spout.acked.Load(), n, c.InFlight())
+	}
+	if acked, failed := spout.acked.Load(), spout.failed.Load(); acked != n || failed != 0 {
+		t.Fatalf("acked %d failed %d, want %d and 0", acked, failed, n)
+	}
+}
+
+// reentrySpout emits bursts of anchored roots and panics if the engine
+// calls Ack or Fail while its NextTuple is running.
+type reentrySpout struct {
+	burstSpout
+	inNext atomic.Bool
+}
+
+func (s *reentrySpout) NextTuple() bool {
+	s.inNext.Store(true)
+	defer s.inNext.Store(false)
+	return s.burstSpout.NextTuple()
+}
+
+func (s *reentrySpout) Ack(id any) {
+	if s.inNext.Load() {
+		panic("Ack called from inside NextTuple")
+	}
+	s.burstSpout.Ack(id)
+}
+
+func (s *reentrySpout) Fail(id any) {
+	if s.inNext.Load() {
+		panic("Fail called from inside NextTuple")
+	}
+	s.burstSpout.Fail(id)
+}
+
+// A spout blocked on backpressure inside NextTuple applies ops, and so
+// completes roots, but their Ack/Fail wait for the loop top.
+func TestSpoutAckNeverReentersNextTuple(t *testing.T) {
+	const n = 2000
+	spout := &reentrySpout{burstSpout: burstSpout{countingSpout: countingSpout{limit: n}, burst: 16}}
+	b := NewTopologyBuilder("reentry")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n")
+	b.SetBolt("fan", func() Bolt { return &fanBolt{fan: 4} }, 1, "n").ShuffleGrouping("src")
+	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("fan")
+	topo, _ := b.Build()
+	c := testCluster(func(cfg *ClusterConfig) {
+		cfg.MaxSpoutPending = 4
+		cfg.QueueSize = 4
+	})
+	if err := c.Submit(topo, SubmitConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if !c.Drain(20 * time.Second) {
+		t.Fatalf("did not drain: acked %d of %d", spout.acked.Load(), n)
+	}
+	if acked := spout.acked.Load(); acked != n {
+		t.Fatalf("acked %d, want %d", acked, n)
+	}
+	if waits := c.Snapshot().ComponentTasks("src")[0].BackpressureWaits; waits == 0 {
+		t.Fatal("the spout never blocked on backpressure: the test exercised nothing")
+	}
+}
+
+// batchSpout emits one full batch of anchored roots in a single
+// NextTuple, then nothing.
+type batchSpout struct {
+	countingSpout
+}
+
+func (s *batchSpout) NextTuple() bool {
+	if s.next > 0 {
+		return false
+	}
+	for s.next < s.limit {
+		s.collector.Emit(Values{s.next}, s.next)
+		s.next++
+	}
+	return true
+}
+
+// Executors stage their counters, but a snapshot taken while a bolt is
+// partway through a batch of slow tuples must still see it advance: a
+// controller that only saw per-batch counts would take a slow worker for
+// a stalled one.
+func TestSnapshotSeesExecutedAdvanceMidBatch(t *testing.T) {
+	spout := &batchSpout{countingSpout{limit: batchSize}}
+	b := NewTopologyBuilder("midbatch")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n")
+	b.SetBolt("slow", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("src").
+		WithExecCost(2 * time.Millisecond)
+	topo, _ := b.Build()
+	c := testCluster(func(cfg *ClusterConfig) { cfg.Delayer = RealDelayer{} })
+	if err := c.Submit(topo, SubmitConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	executed := map[int64]bool{}
+	var lastLatency time.Duration
+	latencyAdvanced := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		ts := c.Snapshot().ComponentTasks("slow")[0]
+		if ts.Executed == batchSize {
+			break
+		}
+		if ts.Executed > 0 {
+			executed[ts.Executed] = true
+			if ts.ExecLatency > lastLatency {
+				latencyAdvanced++
 			}
-			if got := c.InFlight(); got != 0 {
-				t.Fatalf("in flight = %d", got)
-			}
-			snap := c.Snapshot()
-			src := snap.ComponentTasks("src")[0]
-			if src.Emitted != n || src.Acked+src.Failed != src.Emitted {
-				t.Fatalf("spout emitted %d, acked %d, failed %d", src.Emitted, src.Acked, src.Failed)
-			}
-			for _, comp := range []string{"relay", "sink"} {
-				total := int64(0)
-				for _, ts := range snap.ComponentTasks(comp) {
-					total += ts.Executed
-				}
-				if total != n {
-					t.Fatalf("%s executed %d, want %d", comp, total, n)
-				}
-			}
-			if chunks := len(*c.snapshotTops()[0].acker.chunks.Load()); chunks < 2 {
-				t.Fatalf("slab has %d chunk(s): the over-range emits never grew it", chunks)
-			}
-		})
+			lastLatency = ts.ExecLatency
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(executed) < 3 || latencyAdvanced < 3 {
+		t.Fatalf("mid-batch snapshots saw executed counts %v and exec latency advance %d times; want each to advance at least 3 times",
+			executed, latencyAdvanced)
 	}
 }

@@ -3,8 +3,9 @@ package dsps
 // Data-plane batching support: tuple arenas and batch-slice free lists.
 // Together they make the steady-state emit/execute path allocation-free —
 // tuples come out of chunked arenas (amortized one allocation per
-// arenaChunk tuples) and the []envelope / []ackResult batches that ride
-// the executor channels are recycled through free lists.
+// arenaChunk tuples) and the tuple batches that ride the rings and the
+// []ackOp batches that ride the ack channels are recycled through free
+// lists.
 
 // arenaChunk is how many Tuples a tupleArena allocates at once.
 const arenaChunk = 256
@@ -63,19 +64,19 @@ func (b envBatch) size() int { return len(b.tuples) }
 // overflow is dropped to the GC.
 const freeListCap = 256
 
-// freeLists recycles the batch slices flowing through the data plane
-// (channels or rings). Gets and puts are non-blocking channel operations,
+// freeLists recycles the batch slices flowing through the data plane.
+// Gets and puts are non-blocking channel operations,
 // so they are safe from any goroutine and never alloc on the Put side
 // (unlike sync.Pool, whose interface conversion boxes the payload).
 type freeLists struct {
 	envs chan envBatch
-	acks chan []ackResult
+	acks chan []ackOp
 }
 
 func newFreeLists() *freeLists {
 	return &freeLists{
 		envs: make(chan envBatch, freeListCap),
-		acks: make(chan []ackResult, freeListCap),
+		acks: make(chan []ackOp, freeListCap),
 	}
 }
 
@@ -113,28 +114,27 @@ func (f *freeLists) putEnvs(b envBatch) {
 	}
 }
 
-// getAcks is on the per-tuple data plane.
+// getAcks returns an empty op batch with at least its previous capacity,
+// falling back to a fresh allocation of capHint.
 //
 //dsps:hotpath
 //dsps:allocs free-list miss fallback: fresh ack slices only when the list runs dry
-func (f *freeLists) getAcks(capHint int) []ackResult {
+func (f *freeLists) getAcks(capHint int) []ackOp {
 	select {
 	case b := <-f.acks:
 		return b[:0]
 	default:
-		return make([]ackResult, 0, capHint)
+		return make([]ackOp, 0, capHint)
 	}
 }
 
-// putAcks is on the per-tuple data plane.
+// putAcks recycles an op batch. Ops hold no pointers, so nothing needs
+// clearing.
 //
 //dsps:hotpath
-func (f *freeLists) putAcks(b []ackResult) {
+func (f *freeLists) putAcks(b []ackOp) {
 	if cap(b) == 0 {
 		return
-	}
-	for i := range b {
-		b[i] = ackResult{}
 	}
 	select {
 	case f.acks <- b:

@@ -111,9 +111,9 @@ type benchSink struct {
 func (b *benchSink) Prepare(dsps.TopologyContext, dsps.OutputCollector) {}
 func (b *benchSink) Execute(*dsps.Tuple)                                { b.seen.Add(1) }
 
-func benchCluster(b *testing.B, opts ...func(*dsps.ClusterConfig)) *dsps.Cluster {
+func benchCluster(b *testing.B) *dsps.Cluster {
 	b.Helper()
-	cfg := dsps.ClusterConfig{
+	return dsps.NewCluster(dsps.ClusterConfig{
 		Nodes:           2,
 		CoresPerNode:    4,
 		QueueSize:       1024,
@@ -121,17 +121,8 @@ func benchCluster(b *testing.B, opts ...func(*dsps.ClusterConfig)) *dsps.Cluster
 		AckTimeout:      time.Minute,
 		Delayer:         dsps.NopDelayer{},
 		Seed:            1,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return dsps.NewCluster(cfg)
+	})
 }
-
-// benchRings flips a benchmark cluster onto the SPSC ring data plane —
-// the configuration the headline rows measure (see DESIGN.md "Data plane
-// v2"); the *Chan* control rows keep the channel plane for comparison.
-func benchRings(cfg *dsps.ClusterConfig) { cfg.Rings = true }
 
 // waitFor sleep-polls until the counter reaches want. Polling must not
 // busy-spin: the benchmark goroutine shares the scheduler with the
@@ -166,7 +157,7 @@ func runEngineBench(b *testing.B, c *dsps.Cluster, topo *dsps.Topology, workers 
 
 // benchLinearAcked is the headline row: spout(1) -> relay(2) -> sink(2),
 // every root anchored and acked through the XOR tree.
-func benchLinearAcked(b *testing.B, workers int, opts ...func(*dsps.ClusterConfig)) {
+func benchLinearAcked(b *testing.B, workers int) {
 	var done atomic.Int64
 	var seen atomic.Int64
 	spout := &benchSpout{limit: b.N, anchored: true, done: &done}
@@ -178,20 +169,15 @@ func benchLinearAcked(b *testing.B, workers int, opts ...func(*dsps.ClusterConfi
 	if err != nil {
 		b.Fatal(err)
 	}
-	runEngineBench(b, benchCluster(b, opts...), topo, workers, &done, int64(b.N))
+	runEngineBench(b, benchCluster(b), topo, workers, &done, int64(b.N))
 }
 
-// The headline rows measure data plane v2 (SPSC rings); the Chan rows
-// are the channel-plane control.
-func BenchmarkEngineLinearAckedW1(b *testing.B) { benchLinearAcked(b, 1, benchRings) }
-func BenchmarkEngineLinearAckedW2(b *testing.B) { benchLinearAcked(b, 2, benchRings) }
-func BenchmarkEngineLinearAckedW4(b *testing.B) { benchLinearAcked(b, 4, benchRings) }
-
-func BenchmarkEngineLinearAckedChanW1(b *testing.B) { benchLinearAcked(b, 1) }
-func BenchmarkEngineLinearAckedChanW4(b *testing.B) { benchLinearAcked(b, 4) }
+func BenchmarkEngineLinearAckedW1(b *testing.B) { benchLinearAcked(b, 1) }
+func BenchmarkEngineLinearAckedW2(b *testing.B) { benchLinearAcked(b, 2) }
+func BenchmarkEngineLinearAckedW4(b *testing.B) { benchLinearAcked(b, 4) }
 
 // BenchmarkEngineLinearAckedLanesW1 is the fully unboxed headline: typed
-// int64 lanes end to end (EmitInt64/Int64/AckerU64) on the ring plane —
+// int64 lanes end to end (EmitInt64/Int64/AckerU64) —
 // no Values slice, no msgID boxing, no interface dispatch on completions.
 func BenchmarkEngineLinearAckedLanesW1(b *testing.B) {
 	var done atomic.Int64
@@ -205,7 +191,7 @@ func BenchmarkEngineLinearAckedLanesW1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runEngineBench(b, benchCluster(b, benchRings), topo, 1, &done, int64(b.N))
+	runEngineBench(b, benchCluster(b), topo, 1, &done, int64(b.N))
 }
 
 // BenchmarkEngineLinearAckedObservedW4 is the headline row with the

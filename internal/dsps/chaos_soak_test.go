@@ -5,6 +5,7 @@
 package dsps_test
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -47,48 +48,24 @@ func soakEngineTopology(t *testing.T) *dsps.Topology {
 }
 
 // TestChaosSoakEngine runs ~1.2s of generated chaos (faults, rebalances, a
-// mid-run checkpoint, a pause/resume pair) by default; CHAOS_SOAK_SECONDS
-// stretches the horizon for `make soak`. Any violation reproduces from the
-// printed seed.
+// mid-run checkpoint, a pause/resume pair) per engine seed by default;
+// CHAOS_SOAK_SECONDS stretches the horizon for `make soak`. Each seed is
+// a different routing and fault interleaving over ring attach/retire, the
+// spout-applied acker and staged counters. Any violation reproduces from
+// the printed seed.
 func TestChaosSoakEngine(t *testing.T) {
-	runChaosSoak(t, dsps.ClusterConfig{
-		Nodes:           2,
-		QueueSize:       64,
-		MaxSpoutPending: 128,
-		AckTimeout:      300 * time.Millisecond,
-		Delayer:         dsps.NopDelayer{},
-		Seed:            7,
-	})
-}
-
-// TestChaosSoakEngineBatched re-runs the channel-plane soak on a second
-// engine seed, so the invariant checker audits the batching path under a
-// different routing and fault interleaving.
-func TestChaosSoakEngineBatched(t *testing.T) {
-	runChaosSoak(t, dsps.ClusterConfig{
-		Nodes:           2,
-		QueueSize:       64,
-		MaxSpoutPending: 128,
-		AckTimeout:      300 * time.Millisecond,
-		Delayer:         dsps.NopDelayer{},
-		Seed:            11,
-	})
-}
-
-// TestChaosSoakEngineRings re-runs the soak on the SPSC ring data plane
-// (data plane v2: per-producer rings, SoA batches) so the invariant
-// checker audits ring attach/retire under faults, rebalances and
-// pause/resume — not just the channel plane.
-func TestChaosSoakEngineRings(t *testing.T) {
-	runChaosSoak(t, dsps.ClusterConfig{
-		Nodes:           2,
-		QueueSize:       64,
-		MaxSpoutPending: 128,
-		AckTimeout:      300 * time.Millisecond,
-		Delayer:         dsps.NopDelayer{},
-		Seed:            13,
-		Rings:           true,
-	})
+	for _, seed := range []int64{7, 11, 13} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runChaosSoak(t, dsps.ClusterConfig{
+				Nodes:           2,
+				QueueSize:       64,
+				MaxSpoutPending: 128,
+				AckTimeout:      300 * time.Millisecond,
+				Delayer:         dsps.NopDelayer{},
+				Seed:            seed,
+			})
+		})
+	}
 }
 
 func runChaosSoak(t *testing.T, cfg dsps.ClusterConfig) {

@@ -28,11 +28,6 @@ type ClusterConfig struct {
 	Seed int64
 	// Delayer models service time; default RealDelayer.
 	Delayer Delayer
-	// Rings switches the engine to the lock-free data plane (data plane
-	// v2): every producer→bolt hand-off uses a bounded SPSC ring of
-	// QueueSize batch slots instead of a shared input channel. False (the
-	// default) keeps the channel plane. Both planes share one acker.
-	Rings bool
 	// TraceSampleRate enables sampled per-tuple path tracing: the fraction
 	// of anchored roots (by deterministic splitmix64 hash of the rootID)
 	// whose spout→bolt span chains are recorded. 0 (the default) disables
@@ -86,8 +81,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type node struct {
 	id       string
 	cores    int
-	busy     atomic.Int64 // executors currently mid-execute
-	executed atomic.Int64
+	busy     atomic.Int64 // executors with a service cost currently mid-execute
+	executed atomic.Int64 // bolt tuples executed, published with each task's count
 }
 
 // workerProc is one simulated worker process (a group of executors
@@ -535,8 +530,7 @@ func (rt *runningTopology) taskStats(t *task) TaskStats {
 		BackpressureWaits: t.counters.bpWaits.Load(),
 	}
 	if t.bolt != nil {
-		// queued is reservation-accurate: 0 ≤ queued ≤ QueueSize, on
-		// either data plane.
+		// queued is reservation-accurate: 0 ≤ queued ≤ QueueSize.
 		ts.QueueLen = int(t.queued.Load())
 		ts.RingDepth = t.ringDepth()
 		ts.RingParks = t.counters.ringParks.Load()

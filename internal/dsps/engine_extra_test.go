@@ -36,15 +36,11 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	}
 	root := build(0)
 	const rootID = 42
-	slot := a.register(p, rootID, root.id, "msg", 0, 0)
+	slot := a.register(p, rootID, root.id, "msg", 0)
 
-	// Collect (consumed, produced) transitions and apply them in a
-	// random order — XOR acking must be order-independent.
-	type transition struct {
-		consumed uint64
-		produced []uint64
-	}
-	var trans []transition
+	// Build every bolt's op (consumed edge XOR produced edges) and apply
+	// them in a random order — XOR acking must be order-independent.
+	var ops []ackOp
 	var walk func(n *node)
 	walk = func(n *node) {
 		var produced []uint64
@@ -52,29 +48,23 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 			produced = append(produced, c.id)
 			walk(c)
 		}
-		trans = append(trans, transition{consumed: n.id, produced: produced})
+		ops = append(ops, xorOp(rootID, slot, n.id, produced...))
 	}
 	walk(root)
-	rng.Shuffle(len(trans), func(i, j int) { trans[i], trans[j] = trans[j], trans[i] })
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 
-	completions := 0
-	var last ackResult
-	for i, tr := range trans {
-		r, done := a.transition(slot, rootID, tr.consumed, tr.produced)
-		if done {
-			if i != len(trans)-1 {
-				// Completed before all transitions were applied: only a
-				// bug (or an astronomically improbable XOR collision).
-				return false
-			}
-			completions++
-			last = r
+	for i, op := range ops {
+		a.apply(p, op)
+		if p.nDone != 0 && i != len(ops)-1 {
+			// Completed before all ops were applied: only a bug (or an
+			// astronomically improbable XOR collision).
+			return false
 		}
 	}
-	if completions != 1 || !last.ok || last.slot != slot {
+	done := deliver(a, p)
+	if len(done) != 1 || !done[0].ok || done[0].slot != slot {
 		return false
 	}
-	a.release(p, last.slot)
 	return a.inFlight() == 0
 }
 

@@ -27,8 +27,8 @@ type edge struct {
 }
 
 // outBuf accumulates tuples bound for one (edge, target) pair until a
-// size- or deadline-triggered flush hands the whole batch to the target's
-// input queue (channel or ring). Owned by the emitting executor
+// size- or deadline-triggered flush hands the whole batch to the target
+// through the producer's ring to it. Owned by the emitting executor
 // goroutine.
 type outBuf struct {
 	target *task
@@ -50,14 +50,13 @@ type task struct {
 	spout Spout
 	bolt  Bolt
 
-	inCh  chan envBatch    // bolts only; nil on the ring plane
-	ackCh chan []ackResult // spouts only
-	space chan struct{}    // bolts only: capacity-freed wakeup signal
-	stop  chan struct{}    // closed by ScaleDown to drain this executor
-	done  chan struct{}    // closed when the executor goroutine exits
-	rng   *rand.Rand       // fault-probability draws; executor-goroutine-local
+	ackCh chan []ackOp  // spouts only: ops on the spout's roots
+	space chan struct{} // bolts only: capacity-freed wakeup signal
+	stop  chan struct{} // closed by ScaleDown to drain this executor
+	done  chan struct{} // closed when the executor goroutine exits
+	rng   *rand.Rand    // fault-probability draws; executor-goroutine-local
 
-	// Ring-plane input (cfg.Rings; bolts only). inRings is the
+	// Input (bolts only). inRings is the
 	// copy-on-write list of per-producer SPSC rings this executor drains;
 	// ringMu orders list splices (producers attach, the consumer prunes).
 	// ringWait parks the executor when every ring is empty; producers Wake
@@ -84,12 +83,16 @@ type task struct {
 	// consumer releases at receive, so it is exact — never negative,
 	// never above QueueSize — even though batches vary in size.
 	queued atomic.Int64
-	// outPending counts envelopes sitting in this task's out-buffers,
-	// emitted but not yet flushed downstream; quiescence requires zero.
+	// outPending counts this task's non-empty out-buffers plus batches
+	// taken from them and not yet handed off: tuples emitted but not yet
+	// delivered downstream. Quiescence requires zero.
 	outPending atomic.Int64
 
 	counters taskCounters
-	slots    slotPool // spout: its acker slots; executor-goroutine-local
+	// stage is the executor's collector's staged counters; only the
+	// executor goroutine touches it (see counterStage).
+	stage *counterStage
+	slots slotPool // spout: its acker slots; executor-goroutine-local
 
 	// Emit-path state, owned by the executor goroutine.
 	edgeState   uint64 // splitmix64 state for edge-id draws
@@ -103,8 +106,8 @@ type task struct {
 	idScratch   []uint64  // spout edge-id staging, reused
 	firstBufNs  int64     // coarse stamp of oldest unflushed tuple, 0 if none
 
-	// Ring-plane producer state, owned by the executor goroutine: the
-	// SPSC ring this task pushes through to each downstream target.
+	// Producer state, owned by the executor goroutine: the SPSC ring this
+	// task pushes through to each downstream target.
 	outRings map[*task]*ring.SPSC[envBatch]
 	// ackerU64 is the spout's AckerU64 implementation, or nil; cached so
 	// the typed-lane completion path is one nil check, not a per-ack
@@ -216,7 +219,7 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				worker:    place(),
 				execCost:  sd.execCost,
 				spout:     sd.factory(),
-				ackCh:     make(chan []ackResult, c.cfg.MaxSpoutPending),
+				ackCh:     make(chan []ackOp, c.cfg.MaxSpoutPending),
 				stop:      make(chan struct{}),
 				done:      make(chan struct{}),
 				rng:       rand.New(rand.NewSource(taskSeed)),
@@ -227,6 +230,7 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				return nil, fmt.Errorf("dsps: spout factory for %q returned nil", sd.name)
 			}
 			tk.ackerU64, _ = tk.spout.(AckerU64)
+			tk.slots.owner = tk.id
 			rt.tasks = append(rt.tasks, tk)
 			c.nextTask++
 		}
@@ -300,18 +304,12 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 	return rt, nil
 }
 
-// initBoltInput wires a bolt task's input queue for the active data
-// plane: a QueueSize-slot channel on the channel plane, an (initially
-// empty) list of per-producer SPSC rings plus a park/wake waiter on the
-// ring plane. Either way the queue bound is enforced in tuples by
-// reserve(), and sizing at QueueSize slots means a reserved batch (≥1
-// tuple each) always finds a free slot, so the hand-off after a
-// successful reservation never blocks.
+// initBoltInput wires a bolt task's input: an (initially empty) list of
+// per-producer SPSC rings plus a park/wake waiter. The queue bound is
+// enforced in tuples by reserve(), and every ring holds QueueSize batch
+// slots, so a reserved batch (≥1 tuple each) always finds a free slot and
+// the push after a successful reservation never fails.
 func (rt *runningTopology) initBoltInput(tk *task) {
-	if !rt.cfg.Rings {
-		tk.inCh = make(chan envBatch, rt.cfg.QueueSize)
-		return
-	}
 	empty := make([]*ring.SPSC[envBatch], 0)
 	tk.inRings.Store(&empty)
 	tk.ringWait = ring.NewWaiter()
@@ -389,16 +387,16 @@ func (rt *runningTopology) splice(fn func()) uint64 {
 	return epoch
 }
 
-// sendAcks delivers a batch of completions to a spout task, bailing out on
-// shutdown. The ack channel holds MaxSpoutPending batches of at least one
-// root each. A spout calls NextTuple only below MaxSpoutPending incomplete
-// roots, but one NextTuple may emit several, so more roots than that can
-// be incomplete at once and this send can block. It then waits until the
-// spout's loop next drains its ack channel, which it does before every
-// NextTuple and in every park.
-func (rt *runningTopology) sendAcks(sp *task, results []ackResult) {
+// sendAcks delivers a batch of ops to the spout task that owns their
+// roots, bailing out on shutdown. The ack channel holds MaxSpoutPending
+// batches, but every bolt a root passes sends an op for it, so ops
+// outnumber roots and this send can block. It then waits until the spout
+// next drains its ack channel, which it does before every NextTuple, in
+// every park, and while it is itself blocked on backpressure — so a bolt
+// blocked here never holds up the spout that would unblock it.
+func (rt *runningTopology) sendAcks(sp *task, ops []ackOp) {
 	select {
-	case sp.ackCh <- results:
+	case sp.ackCh <- ops:
 	case <-rt.ctx.Done():
 	}
 }
@@ -417,38 +415,6 @@ func (rt *runningTopology) start() {
 			go rt.runBolt(tk)
 		}
 	}
-	// Ack-timeout sweeper: expired roots are grouped per spout and
-	// delivered in batches (cold path, so the per-sweep map is fine).
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		period := rt.cfg.AckTimeout / 2
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-rt.ctx.Done():
-				return
-			case <-ticker.C:
-				expired := rt.acker.sweep()
-				if len(expired) == 0 {
-					continue
-				}
-				bySpout := map[*task][]ackResult{}
-				for _, r := range expired {
-					if sp := rt.taskOf(r.spoutTID); sp != nil {
-						bySpout[sp] = append(bySpout[sp], r)
-					}
-				}
-				for sp, rs := range bySpout {
-					rt.sendAcks(sp, rs)
-				}
-			}
-		}
-	}()
 }
 
 func (rt *runningTopology) stop() {
@@ -501,10 +467,7 @@ func (rt *runningTopology) quiescent() bool {
 	rt.tasksMu.RLock()
 	defer rt.tasksMu.RUnlock()
 	for _, tk := range rt.tasks {
-		if tk.queued.Load() != 0 || tk.outPending.Load() != 0 {
-			return false
-		}
-		if tk.ackCh != nil && len(tk.ackCh) > 0 {
+		if tk.queued.Load() != 0 || tk.outPending.Load() != 0 || len(tk.ackCh) > 0 {
 			return false
 		}
 	}
@@ -576,12 +539,12 @@ func (rt *runningTopology) enqueue(tk *task, bufIdx int, tpl *Tuple, nowNs int64
 	ob := &tk.outs[bufIdx]
 	if ob.envs.tuples == nil {
 		ob.envs = rt.fl.getEnvs(rt.effBatch)
+		tk.outPending.Add(1)
 	}
 	if tk.firstBufNs == 0 {
 		tk.firstBufNs = nowNs
 	}
 	ob.envs.add(tpl, nowNs)
-	tk.outPending.Add(1)
 	if ob.envs.size() >= rt.effBatch {
 		envs := ob.envs
 		ob.envs = envBatch{}
@@ -649,25 +612,30 @@ func (tk *task) release(n int64) {
 	}
 }
 
-// sendBatch enqueues a batch, blocking for backpressure but bailing out on
-// shutdown. Backpressure is tuple-denominated: the producer reserves
-// len(envs) slots against the target's QueueSize before the hand-off, and
-// the channel itself (sized at QueueSize slots) never blocks a reserved
-// send. When the batch rides a *dynamic* edge and the target's queue
-// stays full, the grouping is re-consulted periodically: if the controller
-// has since steered traffic away from a misbehaving target, the waiting
-// batch is re-directed instead of wedging its producer — the paper's
-// "re-direct data tuples to bypass misbehaving workers" applied to
-// in-flight emissions. Non-dynamic edges never re-route (fields grouping
-// correctness depends on stable key→task assignment).
+// sendBatch hands a batch to target through the producer's ring to it,
+// blocking for backpressure but bailing out on shutdown. Backpressure is
+// tuple-denominated: the producer reserves len(envs) slots against the
+// target's QueueSize before the push, and a ring (QueueSize batch slots)
+// never refuses a reserved push. When the batch rides a *dynamic* edge
+// and the target's queue stays full, the grouping is re-consulted
+// periodically: if the controller has since steered traffic away from a
+// misbehaving target, the waiting batch is re-directed instead of
+// wedging its producer — the paper's "re-direct data tuples to bypass
+// misbehaving workers" applied to in-flight emissions. Non-dynamic edges
+// never re-route (fields grouping correctness depends on stable
+// key→task assignment).
 //
-// The reserve+hand-off rides the topology splice read lock: it never
-// blocks while held (a reserved send always finds a channel slot), and it
-// orders the send against ScaleDown's retire sequence — once the retirer
-// has set target.dead under the write lock, no further batch can land in
-// the dead queue, so reclaiming it is race-free. A batch parked against a
-// since-retired target re-homes to a live sibling through the edge's
-// current fan-out table.
+// The reserve+push rides the topology splice read lock: it never blocks
+// while held, and it orders the push against ScaleDown's retire sequence
+// — once the retirer has set target.dead under the write lock, no further
+// batch can land in the dead task's rings, so reclaiming them is
+// race-free. A batch parked against a since-retired target re-homes to a
+// live sibling through the edge's current fan-out table.
+//
+// A blocked producer publishes its staged counters first, and a blocked
+// spout keeps applying the ops on its ack channel: a bolt blocked on that
+// channel may be what keeps target's queue full. Their completions wait
+// for the spout's loop top.
 //
 //dsps:hotpath
 //dsps:ringproducer
@@ -675,11 +643,13 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 	n := int64(envs.size())
 	bound := int64(rt.cfg.QueueSize)
 	dg, dynamic := e.grouping.(*DynamicGrouping)
-	retry := blockedRecheck
+	recheck := blockedRecheck
 	if dynamic {
-		retry = rerouteRetry
+		recheck = rerouteRetry
 	}
-	waited := false
+	// recheckC fires once the target has freed no capacity for a recheck
+	// period; nil until the first wait.
+	var recheckC <-chan time.Time
 	target.inbound.Add(1)
 	for {
 		rt.spliceMu.RLock()
@@ -693,7 +663,7 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 				// No live target remains (topology tearing down): drop the
 				// batch; anchored roots fail via the ack-timeout sweep.
 				target.inbound.Add(-1)
-				src.outPending.Add(-n)
+				src.outPending.Add(-1)
 				rt.fl.putEnvs(envs)
 				return
 			}
@@ -709,58 +679,57 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 			continue
 		}
 		if target.reserve(n, bound) {
-			if rt.cfg.Rings {
-				r := src.outRings[target]
-				if r == nil {
-					r = rt.attachInRingLocked(target)
-					if src.outRings == nil {
-						src.outRings = make(map[*task]*ring.SPSC[envBatch]) //dspslint:ignore allocfree one-time lazy init per source task on first ring attach
-					}
-					src.outRings[target] = r
+			r := src.outRings[target]
+			if r == nil {
+				r = rt.attachInRingLocked(target)
+				if src.outRings == nil {
+					src.outRings = make(map[*task]*ring.SPSC[envBatch]) //dspslint:ignore allocfree one-time lazy init per source task on first ring attach
 				}
-				// Reserved tuples ≤ QueueSize and every in-flight batch
-				// holds ≥ 1 of them, so a ring with ≥ QueueSize batch slots
-				// always has room for a reserved push; the failure arm is
-				// defensive (it would indicate a reservation accounting bug)
-				// and backs out rather than losing the batch.
-				if !r.Push(envs) {
-					target.release(n)
-					rt.spliceMu.RUnlock()
-					runtime.Gosched()
-					continue
-				}
-				rt.spliceMu.RUnlock()
-				target.ringWait.Wake()
-			} else {
-				//dspslint:ignore lockedsend reserved send never blocks; the splice read lock orders it against fan-out splices
-				target.inCh <- envs
-				rt.spliceMu.RUnlock()
+				src.outRings[target] = r
 			}
+			// Reserved tuples ≤ QueueSize and every in-flight batch holds
+			// ≥ 1 of them, so a ring with ≥ QueueSize batch slots always
+			// has room for a reserved push; the failure arm is defensive
+			// (it would indicate a reservation accounting bug) and backs
+			// out rather than losing the batch.
+			if !r.Push(envs) {
+				target.release(n)
+				rt.spliceMu.RUnlock()
+				runtime.Gosched()
+				continue
+			}
+			rt.spliceMu.RUnlock()
+			target.ringWait.Wake()
 			target.inbound.Add(-1)
-			src.outPending.Add(-n)
+			src.outPending.Add(-1)
 			src.counters.batches.Add(1)
 			return
 		}
 		rt.spliceMu.RUnlock()
-		if !waited {
-			waited = true
+		if recheckC == nil {
 			src.counters.bpWaits.Add(1)
+			src.stage.publish(src, rt.clock.nowNs())
+			recheckC = time.After(recheck)
 		}
 		select {
 		case <-target.space:
+			recheckC = time.After(recheck)
+		case ops := <-src.ackCh:
+			rt.handleAckBatch(src, ops)
 		case <-rt.ctx.Done():
 			target.inbound.Add(-1)
-			src.outPending.Add(-n)
+			src.outPending.Add(-1)
 			return
 		case <-src.stop:
 			// The producer itself is being drained: abandon the blocked
 			// send so its executor can settle (the batch's roots fail via
 			// ack timeout, exactly like a Storm rebalance).
 			target.inbound.Add(-1)
-			src.outPending.Add(-n)
+			src.outPending.Add(-1)
 			rt.fl.putEnvs(envs)
 			return
-		case <-time.After(retry):
+		case <-recheckC:
+			recheckC = time.After(recheck)
 			if dynamic {
 				tl := *e.targets.Load()
 				if idx := dg.selectOne(envs.tuples[0], len(tl)); idx >= 0 && idx < len(tl) {
@@ -776,8 +745,9 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 // --- Spout executor ---
 
 type spoutCollector struct {
-	rt *runningTopology
-	tk *task
+	rt    *runningTopology
+	tk    *task
+	stage counterStage
 }
 
 // Emit implements SpoutCollector. Called only from the spout's executor
@@ -822,109 +792,122 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 	tpl.fields = tk.outFields
 	nsel := rt.routeInto(tk, tpl)
 	now := rt.clock.nowNs()
-	if anchored {
-		if nsel == 0 {
-			// Nothing downstream: complete immediately.
-			tk.counters.acked.Add(1)
-			if msgID != nil {
-				tk.spout.Ack(msgID)
-			} else if tk.ackerU64 != nil {
-				tk.ackerU64.AckU64(msgU64)
-			} else {
-				tk.spout.Ack(msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
-			}
-			tk.counters.emitted.Add(1)
-			return
-		}
-		// Draw every edge id and register the root *before* the first
-		// tuple can leave (a size-triggered flush inside enqueue may
-		// hand tuples to a downstream executor immediately), so no
-		// transition can reach the slot before its root does.
-		rootID := tk.nextEdgeID()
-		ids := tk.idScratch[:0]
-		var xor uint64
-		for i := 0; i < nsel; i++ {
-			id := tk.nextEdgeID()
-			ids = append(ids, id) //dspslint:ignore allocfree idScratch retains capacity across emits; grows only until the fan-out stabilizes
-			xor ^= id
-		}
-		tk.idScratch = ids
-		slot := rt.acker.register(&tk.slots, rootID, xor, msgID, msgU64, tk.id)
-		// Record the emit span before the first enqueue so a sampled
-		// root's emit always sequences ahead of its descendants' exec
-		// spans (enqueue may flush downstream immediately).
-		if rt.trace != nil && rt.trace.sampled(rootID) {
-			rt.trace.record(TraceSpan{
-				RootID:    rootID,
-				Kind:      SpanEmit,
-				Topology:  rt.topo.Name,
-				Component: tk.component,
-				TaskID:    tk.id,
-				TaskIndex: tk.index,
-				WorkerID:  tk.worker.id,
-				StartNs:   now,
-				EndNs:     now,
-				Fanout:    nsel,
-			})
-		}
-		for i := 0; i < nsel; i++ {
-			t := tpl
-			if i > 0 {
-				// Each anchored delivery carries its own edge id, so
-				// fan-out needs distinct tuple headers.
-				t = tk.arena.get()
-				*t = *tpl
-			}
-			t.rootID = rootID
-			t.slot = slot
-			t.edgeID = ids[i]
-			rt.enqueue(tk, tk.selScratch[i], t, now)
-		}
-	} else {
+	sc.stage.emitted++
+	if anchored && nsel == 0 {
+		// Nothing downstream: the root completes at once, and is delivered
+		// at the loop top like every other completion (no op can name it,
+		// so any non-zero root id will do).
+		i := rt.acker.register(&tk.slots, 1, 0, msgID, msgU64)
+		rt.acker.complete(&tk.slots, rt.acker.slot(i), i, true)
+		return
+	}
+	sc.stage.executed++
+	if !anchored {
 		// Unanchored deliveries share one immutable tuple header.
 		for i := 0; i < nsel; i++ {
 			rt.enqueue(tk, tk.selScratch[i], tpl, now)
 		}
+		return
 	}
-	tk.counters.emitted.Add(1)
-	tk.counters.executed.Add(1)
+	// Draw every edge id and register the root *before* the first tuple
+	// can leave (a size-triggered flush inside enqueue may hand tuples to
+	// a downstream executor immediately), so no op can reach the slot
+	// before its root does.
+	rootID := tk.nextEdgeID()
+	ids := tk.idScratch[:0]
+	var xor uint64
+	for i := 0; i < nsel; i++ {
+		id := tk.nextEdgeID()
+		ids = append(ids, id) //dspslint:ignore allocfree idScratch retains capacity across emits; grows only until the fan-out stabilizes
+		xor ^= id
+	}
+	tk.idScratch = ids
+	slot := rt.acker.register(&tk.slots, rootID, xor, msgID, msgU64)
+	// Record the emit span before the first enqueue so a sampled root's
+	// emit always sequences ahead of its descendants' exec spans (enqueue
+	// may flush downstream immediately).
+	if rt.trace != nil && rt.trace.sampled(rootID) {
+		rt.trace.record(TraceSpan{
+			RootID:    rootID,
+			Kind:      SpanEmit,
+			Topology:  rt.topo.Name,
+			Component: tk.component,
+			TaskID:    tk.id,
+			TaskIndex: tk.index,
+			WorkerID:  tk.worker.id,
+			StartNs:   now,
+			EndNs:     now,
+			Fanout:    nsel,
+		})
+	}
+	for i := 0; i < nsel; i++ {
+		t := tpl
+		if i > 0 {
+			// Each anchored delivery carries its own edge id, so fan-out
+			// needs distinct tuple headers.
+			t = tk.arena.get()
+			*t = *tpl
+		}
+		t.rootID = rootID
+		t.slot = slot
+		t.edgeID = ids[i]
+		rt.enqueue(tk, tk.selScratch[i], t, now)
+	}
 }
 
-// handleAckBatch applies a batch of completions to the spout, returns
-// their acker slots to the spout's pool, and recycles the slice.
+// handleAckBatch applies a batch of ops to the spout's slots and recycles
+// the slice. Completions queue for delivery at the loop top.
 //
 //dsps:hotpath
-func (rt *runningTopology) handleAckBatch(tk *task, rb []ackResult) {
-	for _, r := range rb {
-		rt.acker.release(&tk.slots, r.slot)
-		if r.ok {
-			tk.counters.acked.Add(1)
-			tk.counters.completeNs.Add(int64(r.latency))
-			tk.counters.completeHist.observe(r.latency)
+func (rt *runningTopology) handleAckBatch(tk *task, ops []ackOp) {
+	for _, op := range ops {
+		rt.acker.apply(&tk.slots, op)
+	}
+	rt.fl.putAcks(ops)
+}
+
+// deliverDone delivers the spout's queued completions in order: each
+// root's slot goes back to the pool, then the spout hears Ack or Fail.
+// Only the loop top calls it, so Ack and Fail never run inside
+// NextTuple. A callback that emits may queue more completions (its sends
+// can block and apply ops); the loop delivers those too.
+//
+//dsps:hotpath
+func (rt *runningTopology) deliverDone(tk *task) {
+	p, st := &tk.slots, tk.stage
+	for p.head < p.nDone {
+		d := p.done[p.head]
+		p.done[p.head] = ackDone{}
+		p.head++
+		rt.acker.release(p, d.slot)
+		if d.ok {
+			st.acked++
+			st.completeNs += int64(d.latency)
+			st.completeHist.observe(d.latency)
 			switch {
-			case !r.hasU64:
-				tk.spout.Ack(r.msgID)
+			case d.msgID != nil:
+				tk.spout.Ack(d.msgID)
 			case tk.ackerU64 != nil:
-				tk.ackerU64.AckU64(r.msgU64)
+				tk.ackerU64.AckU64(d.msgU64)
 			default:
-				tk.spout.Ack(r.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
+				tk.spout.Ack(d.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
 			}
 		} else {
-			tk.counters.failed.Add(1)
+			st.failed++
 			switch {
-			case !r.hasU64:
-				tk.spout.Fail(r.msgID)
+			case d.msgID != nil:
+				tk.spout.Fail(d.msgID)
 			case tk.ackerU64 != nil:
-				tk.ackerU64.FailU64(r.msgU64)
+				tk.ackerU64.FailU64(d.msgU64)
 			default:
-				tk.spout.Fail(r.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
+				tk.spout.Fail(d.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
 			}
 		}
 	}
-	rt.fl.putAcks(rb)
+	p.head, p.nDone = 0, 0
 }
 
-// Upper bounds on one spout park; a completion ends either early. A timer
+// Upper bounds on one spout park; arriving ops end either early. A timer
 // wait shorter than 1 ms still takes at least 1 ms on Linux (the netpoller's
 // epoll_wait sleeps in milliseconds), so the ack channel has to be a wake
 // source of the park: an ack left for the timer to find costs a root a full
@@ -938,17 +921,19 @@ const (
 	spoutThrottleRecheck = time.Millisecond
 )
 
-// parkSpout is the spout loop's one wait. It flushes first — the acks that
-// would wake the spout may never be produced while tuples sit in its output
-// buffers — then blocks until a completion arrives (delivered before it
-// returns), d elapses, or the topology stops, for which it returns false.
+// parkSpout is the spout loop's one wait. It flushes and publishes first —
+// the ops that would wake the spout may never be produced while tuples
+// sit in its output buffers — then blocks until ops arrive (applied before
+// it returns), d elapses, or the topology stops, for which it returns
+// false.
 func (rt *runningTopology) parkSpout(tk *task, d time.Duration) bool {
 	rt.flushOut(tk)
+	tk.stage.publish(tk, rt.clock.nowNs())
 	select {
 	case <-rt.ctx.Done():
 		return false
-	case rb := <-tk.ackCh:
-		rt.handleAckBatch(tk, rb)
+	case ops := <-tk.ackCh:
+		rt.handleAckBatch(tk, ops)
 	case <-time.After(d):
 	}
 	return true
@@ -958,7 +943,12 @@ func (rt *runningTopology) runSpout(tk *task) {
 	defer rt.wg.Done()
 	defer close(tk.done)
 	collector := &spoutCollector{rt: rt, tk: tk}
+	tk.stage = &collector.stage
 	tk.spout.Open(rt.taskContext(tk), collector)
+	// The timeout sweep covers the spout's own slots every AckTimeout/2,
+	// but no more often than every 10 ms.
+	sweepEvery := int64(max(rt.cfg.AckTimeout/2, 10*time.Millisecond))
+	nextSweep := rt.clock.nowNs() + sweepEvery
 	for {
 		select {
 		case <-rt.ctx.Done():
@@ -966,17 +956,28 @@ func (rt *runningTopology) runSpout(tk *task) {
 		default:
 		}
 		rt.maybeRebuild(tk)
-		// Drain completed roots first.
+		// Apply the ops that arrived, then sweep, then deliver.
 		drained := 0
 		for drained < 64 {
 			select {
-			case rb := <-tk.ackCh:
-				rt.handleAckBatch(tk, rb)
+			case ops := <-tk.ackCh:
+				rt.handleAckBatch(tk, ops)
 				drained++
 				continue
 			default:
 			}
 			break
+		}
+		now := rt.clock.nowNs()
+		if now >= nextSweep {
+			rt.acker.sweep(&tk.slots)
+			nextSweep = now + sweepEvery
+		}
+		if tk.slots.nDone > 0 {
+			rt.deliverDone(tk)
+		}
+		if now != collector.stage.pubNs {
+			collector.stage.publish(tk, now)
 		}
 		if rt.spoutsPaused.Load() || tk.slots.inUse() >= rt.cfg.MaxSpoutPending {
 			if !rt.parkSpout(tk, spoutThrottleRecheck) {
@@ -987,19 +988,13 @@ func (rt *runningTopology) runSpout(tk *task) {
 		if tk.spout.NextTuple() {
 			// Simulated emission-path cost (deserialization, I/O): the
 			// same interference and fault model as bolt execution.
-			if cost := tk.execCost; cost > 0 {
+			if tk.execCost > 0 {
 				n := tk.worker.node
-				busy := n.busy.Add(1)
-				over := float64(busy) - float64(n.cores)
-				if over > 0 {
-					cost = time.Duration(float64(cost) * (1 + over/float64(n.cores)))
-				}
-				if f, ok := rt.cluster.faults.get(tk.worker.id); ok && f.Slowdown > 1 {
-					cost = time.Duration(float64(cost) * f.Slowdown)
-				}
+				f, _ := rt.cluster.faults.get(tk.worker.id)
+				cost := serviceCost(tk, n.busy.Add(1), f.Slowdown)
 				rt.cfg.Delayer.Delay(cost)
 				n.busy.Add(-1)
-				tk.counters.execNanos.Add(int64(cost))
+				collector.stage.execNs += int64(cost)
 			}
 			// Deadline flush: a partial batch never waits longer than
 			// flushInterval past its oldest envelope.
@@ -1012,22 +1007,39 @@ func (rt *runningTopology) runSpout(tk *task) {
 	}
 }
 
+// serviceCost is the interference model: tk's simulated service cost
+// grows while its node is oversubscribed (more busy executors than
+// cores) and when its worker is slowed by a fault.
+//
+//dsps:hotpath
+func serviceCost(tk *task, busy int64, slowdown float64) time.Duration {
+	cost, n := tk.execCost, tk.worker.node
+	if over := float64(busy) - float64(n.cores); over > 0 {
+		cost = time.Duration(float64(cost) * (1 + over/float64(n.cores)))
+	}
+	if slowdown > 1 {
+		cost = time.Duration(float64(cost) * slowdown)
+	}
+	return cost
+}
+
 // --- Bolt executor ---
 
-// ackBatch stages completions bound for one spout between flushes.
+// ackBatch stages ops bound for one spout between flushes.
 type ackBatch struct {
-	spout   *task
-	results []ackResult
+	spout *task
+	ops   []ackOp
 }
 
 type boltCollector struct {
-	rt *runningTopology
-	tk *task
+	rt    *runningTopology
+	tk    *task
+	stage counterStage
 
-	current  *Tuple
-	produced []uint64
-	failed   bool
-	acks     []ackBatch
+	current *Tuple
+	xor     uint64 // the current input's edge id XOR every edge produced from it
+	failed  bool
+	acks    []ackBatch
 }
 
 // Emit implements OutputCollector. Called only from the bolt's executor
@@ -1085,7 +1097,7 @@ func (bc *boltCollector) emit(tpl *Tuple) {
 			t.rootID = rootID
 			t.slot = slot
 			t.edgeID = id
-			bc.produced = append(bc.produced, id) //dspslint:ignore allocfree produced is reset per input tuple and retains capacity; grows only until the fan-out stabilizes
+			bc.xor ^= id
 			rt.enqueue(tk, tk.selScratch[i], t, now)
 		}
 	} else {
@@ -1093,89 +1105,101 @@ func (bc *boltCollector) emit(tpl *Tuple) {
 			rt.enqueue(tk, tk.selScratch[i], tpl, now)
 		}
 	}
-	tk.counters.emitted.Add(1)
+	bc.stage.emitted++
 }
 
 // Fail implements OutputCollector.
 func (bc *boltCollector) Fail() { bc.failed = true }
 
-// addAck stages a completion for its spout, flushing that spout's batch
-// when full.
+// addOp stages an op for the spout that owns its root, flushing that
+// spout's batch when full.
 //
 //dsps:hotpath
-func (bc *boltCollector) addAck(r ackResult) {
+func (bc *boltCollector) addOp(op ackOp) {
+	owner := bc.rt.acker.owner(op.slot)
 	var ab *ackBatch
 	for i := range bc.acks {
-		if bc.acks[i].spout.id == r.spoutTID {
+		if bc.acks[i].spout.id == owner {
 			ab = &bc.acks[i]
 			break
 		}
 	}
 	if ab == nil {
-		sp := bc.rt.taskOf(r.spoutTID)
+		sp := bc.rt.taskOf(owner)
 		if sp == nil {
 			return
 		}
 		bc.acks = append(bc.acks, ackBatch{spout: sp}) //dspslint:ignore allocfree one entry per distinct upstream spout, not per tuple
 		ab = &bc.acks[len(bc.acks)-1]
 	}
-	if ab.results == nil {
-		ab.results = bc.rt.fl.getAcks(bc.rt.effBatch)
+	if ab.ops == nil {
+		ab.ops = bc.rt.fl.getAcks(bc.rt.effBatch)
 	}
-	ab.results = append(ab.results, r) //dspslint:ignore allocfree free-listed slice sized to effBatch; flushed before it can grow
-	if len(ab.results) >= bc.rt.effBatch {
-		bc.rt.sendAcks(ab.spout, ab.results)
-		ab.results = nil
+	// Free-listed slices hold effBatch ops and are sent when full, so
+	// the op always fits.
+	n := len(ab.ops)
+	ab.ops = ab.ops[:n+1]
+	ab.ops[n] = op
+	if n+1 >= bc.rt.effBatch {
+		bc.rt.sendAcks(ab.spout, ab.ops)
+		ab.ops = nil
 	}
 }
 
-// flushAcks delivers every staged completion batch.
+// flushAcks delivers every staged op batch.
 //
 //dsps:hotpath
 func (bc *boltCollector) flushAcks() {
 	for i := range bc.acks {
 		ab := &bc.acks[i]
-		if len(ab.results) > 0 {
-			bc.rt.sendAcks(ab.spout, ab.results)
-			ab.results = nil
+		if len(ab.ops) > 0 {
+			bc.rt.sendAcks(ab.spout, ab.ops)
+			ab.ops = nil
 		}
 	}
 }
 
-// ackFail fails the root of an anchored input tuple, staging the
-// completion for its spout.
+// settle hands everything the bolt emitted, staged or counted to the rest
+// of the engine: after every round of input batches, and on the way out
+// of a drain.
 //
 //dsps:hotpath
-func (rt *runningTopology) ackFail(collector *boltCollector, tpl *Tuple) {
-	if r, ok := rt.acker.fail(tpl.slot, tpl.rootID); ok {
-		collector.addAck(r)
-	}
+func (bc *boltCollector) settle() {
+	bc.rt.flushOut(bc.tk)
+	bc.flushAcks()
+	bc.stage.publish(bc.tk, bc.rt.clock.nowNs())
 }
 
 // processTuple runs the full per-tuple bolt path: tick bypass, fault
-// draws, the interference cost model, Execute, metrics, and ack-tree
-// bookkeeping. Returns false when the topology shut down mid-stall.
+// draws, the interference cost model, Execute, metrics, and the tuple's
+// ack op. Returns false when the topology shut down mid-stall.
 //
 //dsps:hotpath
 func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl *Tuple, enqueuedNs int64) bool {
-	n := tk.worker.node
 	if tpl.IsTick() {
 		// Ticks bypass the fault/cost/ack machinery: they exist only to
 		// advance bolt-internal time.
 		collector.current = tpl
-		collector.produced = collector.produced[:0]
 		collector.failed = false
 		tk.bolt.Execute(tpl)
 		collector.current = nil
 		return true
 	}
+	st := &collector.stage
 	startNs := rt.clock.nowNs()
-	tk.counters.queueNanos.Add(startNs - enqueuedNs)
+	if startNs != st.pubNs {
+		st.publish(tk, startNs)
+	}
+	st.queueNs += startNs - enqueuedNs
 
 	fault, faulty := rt.cluster.faults.get(tk.worker.id)
 	// A stalled worker hangs mid-processing until the fault clears or the
 	// topology shuts down; its queues back up and its roots time out, like
-	// a hung JVM.
+	// a hung JVM. What it did before the stall is published first, so the
+	// controller sees it stop.
+	if faulty && fault.Stall {
+		st.publish(tk, startNs)
+	}
 	for faulty && fault.Stall {
 		select {
 		case <-rt.ctx.Done():
@@ -1195,42 +1219,36 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	if faulty && fault.FailProb > 0 && tk.rng.Float64() < fault.FailProb {
 		tk.counters.dropped.Add(1)
 		if tpl.rootID != 0 {
-			rt.ackFail(collector, tpl)
+			collector.addOp(ackOp{root: tpl.rootID, slot: tpl.slot, fail: true})
 		}
 		return true
 	}
 
-	// Interference model: service cost grows when the node is
-	// oversubscribed, and when the worker is slowed by a fault.
-	busy := n.busy.Add(1)
+	// Only executors with a cost count themselves busy on the node: the
+	// interference model is what reads it.
 	cost := tk.execCost
 	if cost > 0 {
-		over := float64(busy) - float64(n.cores)
-		if over > 0 {
-			cost = time.Duration(float64(cost) * (1 + over/float64(n.cores)))
-		}
-		if faulty && fault.Slowdown > 1 {
-			cost = time.Duration(float64(cost) * fault.Slowdown)
-		}
+		cost = serviceCost(tk, tk.worker.node.busy.Add(1), fault.Slowdown)
 		rt.cfg.Delayer.Delay(cost)
 	}
 
 	collector.current = tpl
-	collector.produced = collector.produced[:0]
+	collector.xor = tpl.edgeID
 	collector.failed = false
 	tk.bolt.Execute(tpl)
-	n.busy.Add(-1)
-	n.executed.Add(1)
+	if tk.execCost > 0 {
+		tk.worker.node.busy.Add(-1)
+	}
 
-	tk.counters.executed.Add(1)
 	// Execute latency includes the simulated cost even under NopDelayer so
 	// metric series carry the interference signal.
 	elapsed := time.Duration(rt.clock.nowNs() - startNs)
 	if elapsed < cost {
 		elapsed = cost
 	}
-	tk.counters.execNanos.Add(int64(elapsed))
-	tk.counters.execHist.observe(elapsed)
+	st.executed++
+	st.execNs += int64(elapsed)
+	st.execHist.observe(elapsed)
 
 	if rt.trace != nil && tpl.rootID != 0 && rt.trace.sampled(tpl.rootID) {
 		rt.trace.record(TraceSpan{
@@ -1249,53 +1267,73 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	}
 
 	if tpl.rootID != 0 {
-		if collector.failed {
-			rt.ackFail(collector, tpl)
-		} else if r, ok := rt.acker.transition(tpl.slot, tpl.rootID, tpl.edgeID, collector.produced); ok {
-			collector.addAck(r)
-		}
+		collector.addOp(ackOp{root: tpl.rootID, xor: collector.xor, slot: tpl.slot, fail: collector.failed})
 	}
 	collector.current = nil
 	return true
 }
 
+// runBolt is the bolt executor loop: drain every producer ring, flush,
+// and when every ring is dry park on the waiter at once. Spinning first
+// (yield-probing before the park) was measured and lost: it bought idle
+// latency with a busy core (DESIGN.md › Fast-path ledger).
 func (rt *runningTopology) runBolt(tk *task) {
 	defer rt.wg.Done()
 	defer close(tk.done)
 	collector := &boltCollector{rt: rt, tk: tk}
+	tk.stage = &collector.stage
 	tk.bolt.Prepare(rt.taskContext(tk), collector)
 	if tk.tickInterval > 0 {
 		rt.wg.Add(1)
 		go rt.runTicker(tk)
 	}
-	if rt.cfg.Rings {
-		rt.runBoltRing(tk, collector)
-		return
-	}
 	for {
 		rt.maybeRebuild(tk)
-		wake := rt.spliceWake.Load()
 		select {
 		case <-rt.ctx.Done():
 			return
 		case <-tk.stop:
 			// Drain request from ScaleDown: everything emitted or staged
-			// goes out before the executor settles.
-			rt.flushOut(tk)
-			collector.flushAcks()
+			// goes out before the executor settles; unprocessed input stays
+			// in the rings for retireTask to reclaim.
+			collector.settle()
+			return
+		default:
+		}
+		processed, ok := rt.drainInRings(tk, collector)
+		if !ok {
+			return
+		}
+		if processed > 0 {
+			// Bolts emit only while processing input, so flushing here
+			// (rather than on a deadline) bounds output latency by the
+			// input batch and leaves nothing buffered while idle.
+			collector.settle()
+			continue
+		}
+		// Park. Prepare publishes the parked flag before the emptiness
+		// re-check, closing the race against a concurrent push+Wake.
+		rt.pruneInRings(tk)
+		tk.ringWait.Prepare()
+		if !rt.inRingsEmpty(tk) {
+			tk.ringWait.Cancel()
+			continue
+		}
+		tk.counters.ringParks.Add(1)
+		wake := rt.spliceWake.Load()
+		select {
+		case <-rt.ctx.Done():
+			tk.ringWait.Cancel()
+			return
+		case <-tk.stop:
+			tk.ringWait.Cancel()
+			collector.settle()
 			return
 		case <-*wake:
 			// A splice advanced the route epoch; loop so even an idle bolt
 			// re-acks it promptly (ScaleDown waits on that convergence).
-		case batch := <-tk.inCh:
-			if !rt.processBatch(tk, collector, batch) {
-				return
-			}
-			// Bolts emit only while processing input, so flushing here
-			// (rather than on a deadline) bounds output latency by the
-			// input batch and leaves nothing buffered while idle.
-			rt.flushOut(tk)
-			collector.flushAcks()
+			tk.ringWait.Cancel()
+		case <-tk.ringWait.C():
 		}
 	}
 }
@@ -1325,9 +1363,9 @@ func (rt *runningTopology) runTicker(tk *task) {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(tk.tickInterval)
 	defer ticker.Stop()
-	// On the ring plane the ticker goroutine is a producer in its own
-	// right, so it owns a private ring to its bolt — it must never share
-	// the executor goroutine's outRings cache.
+	// The ticker goroutine is a producer in its own right, so it owns a
+	// private ring to its bolt — it must never share the executor
+	// goroutine's outRings cache.
 	var tickRing *ring.SPSC[envBatch]
 	for {
 		select {
@@ -1338,7 +1376,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 		case <-ticker.C:
 			// The self-send rides the splice read lock like any producer:
 			// once ScaleDown marks the task dead under the write lock, no
-			// tick can slip into the queue it is about to reclaim.
+			// tick can slip into the rings it is about to reclaim.
 			rt.spliceMu.RLock()
 			if tk.dead.Load() {
 				rt.spliceMu.RUnlock()
@@ -1350,23 +1388,17 @@ func (rt *runningTopology) runTicker(tk *task) {
 			}
 			b := rt.fl.getEnvs(1)
 			b.add(&Tuple{SourceComponent: TickComponent}, rt.clock.nowNs())
-			if rt.cfg.Rings {
-				if tickRing == nil {
-					tickRing = rt.attachInRingLocked(tk)
-				}
-				if !tickRing.Push(b) {
-					// Defensive: back the reservation out (see sendBatch).
-					tk.release(1)
-					rt.spliceMu.RUnlock()
-					continue
-				}
-				rt.spliceMu.RUnlock()
-				tk.ringWait.Wake()
-			} else {
-				//dspslint:ignore lockedsend reserved tick send never blocks; the splice read lock orders it against retirement
-				tk.inCh <- b
-				rt.spliceMu.RUnlock()
+			if tickRing == nil {
+				tickRing = rt.attachInRingLocked(tk)
 			}
+			if !tickRing.Push(b) {
+				// Defensive: back the reservation out (see sendBatch).
+				tk.release(1)
+				rt.spliceMu.RUnlock()
+				continue
+			}
+			rt.spliceMu.RUnlock()
+			tk.ringWait.Wake()
 		}
 	}
 }

@@ -137,8 +137,9 @@ func FuzzHistogramQuantile(f *testing.F) {
 
 // FuzzAckerTrees is the fuzz form of TestPropertyAckerRandomTrees: XOR
 // acking over a random tuple tree in a slab slot completes the root
-// exactly when every edge has been produced and consumed, under any
-// transition order.
+// exactly when every bolt's op has been applied, in any order, and stale
+// duplicates of those ops change nothing once the root is done — not even
+// after its slot is reused.
 func FuzzAckerTrees(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(2))
 	f.Add(int64(42), uint8(0), uint8(0))
@@ -152,12 +153,14 @@ func FuzzAckerTrees(f *testing.F) {
 
 // slabModelRoot is the reference model's view of one registered root.
 type slabModelRoot struct {
-	id, anyEdge uint64
-	slot        uint32
-	pool        int
-	startNs     int64
-	edges       []uint64 // produced, not yet consumed
-	state       int      // slabLive, slabDone (completion out), slabFreed
+	id      uint64
+	slot    uint32
+	pool    int
+	startNs int64
+	avail   []uint64        // edges produced that no generated op consumes yet
+	open    map[uint64]bool // edges seen an odd number of times by the acker
+	applied []ackOp         // ops applied so far, for stale duplicates
+	state   int             // slabLive, slabDone (completion queued), slabFreed
 }
 
 const (
@@ -166,33 +169,45 @@ const (
 	slabFreed
 )
 
-// FuzzAckerSlabOps drives the slab acker with interleaved register,
-// transition, fail, sweep, free (a spout taking a slot back) and clock
-// steps from two spouts whose pools share the slab, against a map-based
-// reference model. It checks that a slot is never handed out while its
-// root is live or its completion undelivered, that every root completes
-// exactly once with the model's verdict, that ops for a finished root
-// (stragglers, also on reused slots) complete nothing, that sweeps expire
-// exactly the model's overdue roots in (start, root) order, and that
-// inFlight counts the slots not yet taken back.
+// FuzzAckerSlabOps drives the slab acker the way the engine does — two
+// spouts whose pools share the slab register roots, bolts build ops that
+// travel and arrive in any order, spouts sweep and deliver — against a
+// map-based reference model: each root's set of edges seen an odd number
+// of times, which is empty exactly when the tree is complete. Op kinds:
+// register, build an XOR op, build a fail op, sweep a spout, deliver a
+// spout's completions, step the clock, apply an op in transit, and
+// re-apply a stale duplicate of an op of a finished root. It checks that a
+// slot is never handed out while its root is live or its completion
+// undelivered, that every root completes exactly once with the model's
+// verdict and in the model's order, that stragglers (also on reused
+// slots) complete nothing, that sweeps expire exactly the model's overdue
+// roots in (start, root) order, and that inFlight counts the slots not
+// yet taken back.
 func FuzzAckerSlabOps(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 0, 0, 2, 0, 0, 5, 0, 0, 0, 0, 0, 2, 0, 1})
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 6, 200, 0, 4, 0, 0, 5, 0, 0, 0, 0, 0, 2, 0, 0, 3, 1, 0})
-	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 2, 3, 3, 0, 0, 4, 0, 0, 5, 1, 0, 0, 0, 0, 2, 1, 9})
-	// A root times out, its slot is freed and reused, then a straggler
-	// transition for the old root arrives before the new root's own.
-	f.Add([]byte{0, 0, 0, 6, 200, 0, 4, 0, 0, 5, 0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 0})
+	f.Add([]byte{0, 1, 0, 2, 0, 0, 7, 0, 0, 5, 0, 0, 0, 0, 0, 2, 0, 1, 7, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 6, 200, 0, 4, 0, 0, 5, 0, 0, 8, 0, 0, 0, 0, 0, 2, 0, 0, 3, 1, 0, 7, 1, 0})
+	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 2, 3, 3, 0, 0, 4, 0, 0, 5, 1, 0, 0, 0, 0, 2, 1, 9, 7, 3, 0, 7, 0, 0})
+	// A root times out, its slot is freed and reused, then a straggler op
+	// for the old root arrives before the new root's own.
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 6, 200, 0, 4, 0, 0, 5, 0, 0, 0, 0, 0, 2, 1, 0, 7, 0, 0, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const timeout = 50 * time.Millisecond
 		a := newAcker(timeout, 8, nil)
 		clk := fakeClock{ns: 1e9}
 		clk.install(a)
-		pools := make([]slotPool, 2)
-		for i := range pools {
-			a.grow(&pools[i])
+		pools := []*slotPool{{owner: 0}, {owner: 1}}
+		for _, p := range pools {
+			a.grow(p)
 		}
 		var roots []*slabModelRoot
 		bySlot := map[uint32]*slabModelRoot{} // live or done, not yet freed
+		queued := [2][]*slabModelRoot{}       // each spout's completions, in order
+		type transit struct {
+			op    ackOp
+			m     *slabModelRoot
+			edges []uint64 // the consumed and produced edges the op XORs
+		}
+		var inTransit []transit
 		var ids uint64
 		draw := func() uint64 {
 			ids += 0x9e3779b97f4a7c15
@@ -201,15 +216,22 @@ func FuzzAckerSlabOps(f *testing.F) {
 			z *= 0xbf58476d1ce4e5b9
 			return z ^ z>>29 | 1
 		}
-		complete := func(r ackResult, m *slabModelRoot, wantOK bool) {
-			t.Helper()
-			if m.state != slabLive {
-				t.Fatalf("root %x completed twice", m.id)
+		toggle := func(m *slabModelRoot, e uint64) {
+			if m.open[e] {
+				delete(m.open, e)
+			} else {
+				m.open[e] = true
 			}
-			if r.ok != wantOK || r.slot != m.slot || !r.hasU64 || r.msgU64 != m.id || r.spoutTID != m.pool {
-				t.Fatalf("root %x result %+v, want ok=%v slot %d spout %d", m.id, r, wantOK, m.slot, m.pool)
+		}
+		// finish marks m complete in the model and checks that d, the
+		// completion the acker queued for it, says so.
+		finish := func(m *slabModelRoot, d ackDone, ok bool) {
+			t.Helper()
+			if d.ok != ok || d.slot != m.slot || d.msgID != nil || d.msgU64 != m.id {
+				t.Fatalf("root %x completion %+v, want ok=%v slot %d", m.id, d, ok, m.slot)
 			}
 			m.state = slabDone
+			queued[m.pool] = append(queued[m.pool], m)
 		}
 		pick := func(x byte) *slabModelRoot {
 			if len(roots) == 0 {
@@ -222,68 +244,52 @@ func FuzzAckerSlabOps(f *testing.F) {
 		for len(data) >= 3 {
 			op, x, y := data[0], data[1], data[2]
 			data = data[3:]
-			switch op % 7 {
+			switch op % 9 {
 			case 0, 1: // register
 				if len(bySlot) >= 200 {
 					break
 				}
-				m := &slabModelRoot{id: draw(), pool: int(x) & 1, startNs: clk.ns}
+				m := &slabModelRoot{id: draw(), pool: int(x) & 1, startNs: clk.ns, open: map[uint64]bool{}}
 				var xor uint64
 				for range 1 + int(y)%3 {
 					e := draw()
-					m.edges = append(m.edges, e)
+					m.avail = append(m.avail, e)
+					toggle(m, e)
 					xor ^= e
 				}
-				m.anyEdge = m.edges[0]
-				m.slot = a.register(&pools[m.pool], m.id, xor, nil, m.id, m.pool)
+				m.slot = a.register(pools[m.pool], m.id, xor, nil, m.id)
 				if old := bySlot[m.slot]; old != nil {
 					t.Fatalf("slot %d handed to root %x while root %x (state %d) holds it", m.slot, m.id, old.id, old.state)
 				}
+				if a.owner(m.slot) != m.pool {
+					t.Fatalf("slot %d owned by spout %d, want %d", m.slot, a.owner(m.slot), m.pool)
+				}
 				bySlot[m.slot] = m
 				roots = append(roots, m)
-			case 2: // transition: consume one edge, produce 0..2
+			case 2: // a bolt consumes one available edge and produces 0..2
 				m := pick(x)
-				if m == nil {
+				if m == nil || len(m.avail) == 0 {
 					break
 				}
-				if m.state != slabLive {
-					if _, done := a.transition(m.slot, m.id, m.anyEdge, nil); done {
-						t.Fatalf("straggler transition for finished root %x completed slot %d", m.id, m.slot)
-					}
-					break
-				}
-				i := int(y) % len(m.edges)
-				consumed := m.edges[i]
-				m.edges = slices.Delete(m.edges, i, i+1)
+				i := int(y) % len(m.avail)
+				consumed := m.avail[i]
+				m.avail = slices.Delete(m.avail, i, i+1)
 				var produced []uint64
 				for range int(y>>4) % 3 {
 					e := draw()
 					produced = append(produced, e)
-					m.edges = append(m.edges, e)
+					m.avail = append(m.avail, e)
 				}
-				r, done := a.transition(m.slot, m.id, consumed, produced)
-				if done != (len(m.edges) == 0) {
-					t.Fatalf("root %x: done = %v with %d edges outstanding", m.id, done, len(m.edges))
+				inTransit = append(inTransit, transit{xorOp(m.id, m.slot, consumed, produced...), m, append(produced, consumed)})
+			case 3: // a bolt fails the root
+				if m := pick(x); m != nil {
+					inTransit = append(inTransit, transit{failOp(m.id, m.slot), m, nil})
 				}
-				if done {
-					complete(r, m, true)
-				}
-			case 3: // fail
-				m := pick(x)
-				if m == nil {
-					break
-				}
-				r, done := a.fail(m.slot, m.id)
-				if done != (m.state == slabLive) {
-					t.Fatalf("fail of root %x (state %d): done = %v", m.id, m.state, done)
-				}
-				if done {
-					complete(r, m, false)
-				}
-			case 4: // sweep
+			case 4: // sweep one spout
+				pi := int(x) & 1
 				var want []*slabModelRoot
 				for _, m := range roots {
-					if m.state == slabLive && m.startNs < clk.ns-int64(timeout) {
+					if m.pool == pi && m.state == slabLive && m.startNs < clk.ns-int64(timeout) {
 						want = append(want, m)
 					}
 				}
@@ -296,29 +302,71 @@ func FuzzAckerSlabOps(f *testing.F) {
 					}
 					return 1
 				})
-				got := a.sweep()
+				p := pools[pi]
+				before := p.nDone
+				a.sweep(p)
+				got := p.done[before:p.nDone]
 				if len(got) != len(want) {
 					t.Fatalf("sweep expired %d roots, model %d", len(got), len(want))
 				}
-				for i, r := range got {
-					complete(r, want[i], false)
+				for i, m := range want {
+					finish(m, got[i], false)
 				}
-			case 5: // free: a spout handles a completion
-				var done []*slabModelRoot
-				for _, m := range roots {
-					if m.state == slabDone {
-						done = append(done, m)
+			case 5: // deliver one spout's completions
+				pi := int(x) & 1
+				got := deliver(a, pools[pi])
+				if len(got) != len(queued[pi]) {
+					t.Fatalf("spout %d delivered %d, model %d", pi, len(got), len(queued[pi]))
+				}
+				for i, m := range queued[pi] {
+					if got[i].msgU64 != m.id {
+						t.Fatalf("spout %d delivery %d is root %x, model %x", pi, i, got[i].msgU64, m.id)
 					}
+					m.state = slabFreed
+					delete(bySlot, m.slot)
 				}
-				if len(done) == 0 {
-					break
-				}
-				m := done[int(x)%len(done)]
-				a.release(&pools[m.pool], m.slot)
-				m.state = slabFreed
-				delete(bySlot, m.slot)
+				queued[pi] = nil
 			case 6: // clock step, up to 2.5 timeouts
 				clk.ns += int64(x) * int64(timeout) / 100
+			case 7: // an op in transit arrives
+				if len(inTransit) == 0 {
+					break
+				}
+				i := int(x) % len(inTransit)
+				tr := inTransit[i]
+				inTransit = slices.Delete(inTransit, i, i+1)
+				m, p := tr.m, pools[tr.m.pool]
+				before := p.nDone
+				a.apply(p, tr.op)
+				if m.state != slabLive {
+					if p.nDone != before {
+						t.Fatalf("straggler op for finished root %x completed slot %d", m.id, m.slot)
+					}
+					break
+				}
+				m.applied = append(m.applied, tr.op)
+				for _, e := range tr.edges {
+					toggle(m, e)
+				}
+				complete := tr.op.fail || len(m.open) == 0
+				if p.nDone != before+btoi(complete) {
+					t.Fatalf("root %x: op queued %d completions with %d edges open (fail %v)",
+						m.id, p.nDone-before, len(m.open), tr.op.fail)
+				}
+				if complete {
+					finish(m, p.done[before], !tr.op.fail)
+				}
+			case 8: // a stale duplicate of an op of a finished root
+				m := pick(x)
+				if m == nil || m.state == slabLive || len(m.applied) == 0 {
+					break
+				}
+				p := pools[m.pool]
+				before := p.nDone
+				a.apply(p, m.applied[int(y)%len(m.applied)])
+				if p.nDone != before {
+					t.Fatalf("stale duplicate for root %x completed slot %d", m.id, m.slot)
+				}
 			}
 			if a.inFlight() != len(bySlot) {
 				t.Fatalf("inFlight = %d, model holds %d slots", a.inFlight(), len(bySlot))
@@ -327,8 +375,12 @@ func FuzzAckerSlabOps(f *testing.F) {
 		// Every root still live times out exactly once.
 		clk.ns += 2 * int64(timeout)
 		expired := map[uint64]bool{}
-		for _, r := range a.sweep() {
-			expired[r.msgU64] = true
+		for _, p := range pools {
+			before := p.nDone
+			a.sweep(p)
+			for _, d := range p.done[before:p.nDone] {
+				expired[d.msgU64] = true
+			}
 		}
 		for _, m := range roots {
 			if (m.state == slabLive) != expired[m.id] {
@@ -336,4 +388,11 @@ func FuzzAckerSlabOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -20,10 +20,14 @@ type latencyHist struct {
 	buckets [histBuckets]atomic.Int64
 }
 
+// histStage is the goroutine-local staging form of a latencyHist: plain
+// bucket counts that publish adds to the shared histogram in bulk.
+type histStage [histBuckets]int64
+
 // observe records one latency sample.
 //
 //dsps:hotpath
-func (h *latencyHist) observe(d time.Duration) {
+func (s *histStage) observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -31,7 +35,19 @@ func (h *latencyHist) observe(d time.Duration) {
 	for v := d / histBase; v > 0 && idx < histBuckets-1; v >>= 1 {
 		idx++
 	}
-	h.buckets[idx].Add(1)
+	s[idx]++
+}
+
+// publish adds the staged counts to h and zeroes them.
+//
+//dsps:hotpath
+func (s *histStage) publish(h *latencyHist) {
+	for i, n := range s {
+		if n != 0 {
+			h.buckets[i].Add(n)
+			s[i] = 0
+		}
+	}
 }
 
 // snapshot copies the current counts.

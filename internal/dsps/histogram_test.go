@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// observe records one sample straight into the shared histogram, the way
+// an executor's staged sample lands there once published.
+func (h *latencyHist) observe(d time.Duration) {
+	var s histStage
+	s.observe(d)
+	s.publish(h)
+}
+
 func TestHistObserveBuckets(t *testing.T) {
 	var h latencyHist
 	h.observe(0)                    // bucket 0

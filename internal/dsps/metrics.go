@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// taskCounters holds the per-task atomic counters the executor updates on
-// its hot path. Snapshots read them without stopping the world.
+// taskCounters holds the per-task atomic counters snapshots read without
+// stopping the world. The per-tuple ones are staged by the executor and
+// published in bulk (counterStage).
 type taskCounters struct {
 	executed   atomic.Int64 // tuples fully executed (bolts) or emitted batches (spouts)
 	emitted    atomic.Int64 // tuples emitted downstream
@@ -18,10 +19,61 @@ type taskCounters struct {
 	dropped    atomic.Int64 // tuples dropped by fault injection
 	batches    atomic.Int64 // data-plane batches sent downstream
 	bpWaits    atomic.Int64 // batches that blocked at least once on backpressure
-	ringParks  atomic.Int64 // times the ring-plane executor parked on its waiter
+	ringParks  atomic.Int64 // times the executor parked on its ring waiter
 
 	execHist     latencyHist // per-tuple execute latency distribution
 	completeHist latencyHist // complete latency distribution (spouts)
+}
+
+// counterStage holds an executor's per-tuple counter updates in plain
+// fields only its own goroutine touches. The executor publishes them when
+// the coarse clock has moved since the last publication, so a snapshot
+// lags a busy executor by at most a tick and a tuple, and before it can be
+// held up — a park, a backpressured send, a stall fault, the end of a
+// round of input batches — so an idle or blocked executor hides nothing.
+type counterStage struct {
+	pubNs int64 // coarse clock at the last publication
+
+	executed, emitted, acked, failed int64
+	execNs, queueNs, completeNs      int64
+	execHist, completeHist           histStage
+}
+
+// publish adds the staged counts to tk's shared counters (a bolt's
+// executed count to its node's too) and zeroes them.
+//
+//dsps:hotpath
+func (s *counterStage) publish(tk *task, nowNs int64) {
+	s.pubNs = nowNs
+	c := &tk.counters
+	if s.executed != 0 {
+		c.executed.Add(s.executed)
+		if tk.bolt != nil {
+			tk.worker.node.executed.Add(s.executed)
+		}
+		s.executed = 0
+		s.execHist.publish(&c.execHist)
+	}
+	if s.acked != 0 {
+		c.acked.Add(s.acked)
+		s.acked = 0
+		s.completeHist.publish(&c.completeHist)
+	}
+	publishCount(&c.emitted, &s.emitted)
+	publishCount(&c.failed, &s.failed)
+	publishCount(&c.execNanos, &s.execNs)
+	publishCount(&c.queueNanos, &s.queueNs)
+	publishCount(&c.completeNs, &s.completeNs)
+}
+
+// publishCount adds a staged count to its counter and zeroes it.
+//
+//dsps:hotpath
+func publishCount(c *atomic.Int64, staged *int64) {
+	if *staged != 0 {
+		c.Add(*staged)
+		*staged = 0
+	}
 }
 
 // TaskStats is a point-in-time snapshot of one task's counters.
@@ -61,10 +113,10 @@ type TaskStats struct {
 	// downstream queue before being delivered.
 	BackpressureWaits int64
 	// RingDepth is the instantaneous number of batches buffered across the
-	// task's input rings (ring plane only; 0 on the channel plane).
+	// task's input rings.
 	RingDepth int
-	// RingParks counts how many times the ring-plane executor found every
-	// input ring empty and parked on its waiter.
+	// RingParks counts how many times the executor found every input ring
+	// empty and parked on its waiter.
 	RingParks int64
 	// ExecHist and CompleteHist are the latency distributions in the
 	// engine's log-bucket layout (see HistogramQuantile / MergeHistograms).
@@ -168,7 +220,7 @@ type ComponentStats struct {
 	Batches           int64
 	BackpressureWaits int64
 	// RingDepth sums the live executors' buffered ring batches; RingParks
-	// sums their waiter parks (ring plane only).
+	// sums their waiter parks.
 	RingDepth int
 	RingParks int64
 	// ExecHist and CompleteHist are the merged latency distributions.

@@ -2,15 +2,13 @@ package dsps
 
 import "predstream/internal/ring"
 
-// Ring data plane (data plane v2): when ClusterConfig.Rings is set every
-// producer→bolt hand-off is a dedicated bounded SPSC ring instead of the
-// bolt's shared input channel. Producers attach a private ring to the
-// target on first send and keep pushing into it for the target's
-// lifetime; the bolt executor round-robins across its ring list and
-// parks on a waiter when every ring runs dry. Backpressure is unchanged:
-// the tuple-denominated reserve()/release() CAS bound is enforced before
-// any push, and a ring holds at least QueueSize batch slots, so a
-// reserved push never finds it full.
+// The data plane: every producer→bolt hand-off is a dedicated bounded
+// SPSC ring. Producers attach a private ring to the target on first send
+// and keep pushing into it for the target's lifetime; the bolt executor
+// round-robins across its ring list and parks on a waiter when every ring
+// runs dry. Backpressure is the tuple-denominated reserve()/release() CAS
+// bound, enforced before any push, and a ring holds at least QueueSize
+// batch slots, so a reserved push never finds it full.
 //
 // SPSC ownership discipline (enforced by dspslint's ringmisuse
 // analyzer): the push side of a data ring is owned by the producer's
@@ -105,75 +103,12 @@ func (rt *runningTopology) pruneInRings(tk *task) {
 	tk.ringMu.Unlock()
 }
 
-// ringDepth sums the buffered batches across tk's input rings — the
-// ring-plane analogue of len(inCh), exported as predstream_ring_depth.
+// ringDepth sums the buffered batches across tk's input rings, exported
+// as predstream_ring_depth.
 func (tk *task) ringDepth() int {
-	p := tk.inRings.Load()
-	if p == nil {
-		return 0
-	}
 	total := 0
-	for _, r := range *p {
+	for _, r := range *tk.inRings.Load() {
 		total += r.Len()
 	}
 	return total
-}
-
-// runBoltRing is the ring-plane bolt executor loop: drain every producer
-// ring, flush, and when every ring is dry park on the waiter at once.
-// Spinning first (yield-probing before the park) was measured and lost:
-// it bought idle latency with a busy core (DESIGN.md › Fast-path ledger).
-func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
-	for {
-		rt.maybeRebuild(tk)
-		select {
-		case <-rt.ctx.Done():
-			return
-		case <-tk.stop:
-			// Drain request from ScaleDown: everything emitted or staged
-			// goes out before the executor settles; unprocessed input stays
-			// in the rings for retireTask to reclaim.
-			rt.flushOut(tk)
-			collector.flushAcks()
-			return
-		default:
-		}
-		processed, ok := rt.drainInRings(tk, collector)
-		if !ok {
-			return
-		}
-		if processed > 0 {
-			// Bolts emit only while processing input, so flushing here
-			// (rather than on a deadline) bounds output latency by the
-			// input batch and leaves nothing buffered while idle.
-			rt.flushOut(tk)
-			collector.flushAcks()
-			continue
-		}
-		// Park. Prepare publishes the parked flag before the emptiness
-		// re-check, closing the race against a concurrent push+Wake.
-		rt.pruneInRings(tk)
-		tk.ringWait.Prepare()
-		if !rt.inRingsEmpty(tk) {
-			tk.ringWait.Cancel()
-			continue
-		}
-		tk.counters.ringParks.Add(1)
-		wake := rt.spliceWake.Load()
-		select {
-		case <-rt.ctx.Done():
-			tk.ringWait.Cancel()
-			return
-		case <-tk.stop:
-			tk.ringWait.Cancel()
-			rt.flushOut(tk)
-			collector.flushAcks()
-			return
-		case <-*wake:
-			// A splice advanced the route epoch; loop so even an idle bolt
-			// re-acks it promptly (ScaleDown waits on that convergence).
-			tk.ringWait.Cancel()
-		case <-tk.ringWait.C():
-		}
-	}
 }

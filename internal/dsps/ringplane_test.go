@@ -1,7 +1,6 @@
 package dsps
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,65 +34,32 @@ func (s *laneSpout) NextTuple() bool {
 func (s *laneSpout) AckU64(uint64)  { s.ackedU64.Add(1) }
 func (s *laneSpout) FailU64(uint64) { s.failedU64.Add(1) }
 
-// ringCfg flips a test cluster onto the SPSC ring data plane.
-func ringCfg(cfg *ClusterConfig) { cfg.Rings = true }
-
-// runSeededPlane is runSeeded with arbitrary extra cluster knobs, so the
-// determinism fingerprint can be compared across data planes.
-func runSeededPlane(t *testing.T, seed int64, opts ...func(*ClusterConfig)) map[string]string {
-	t.Helper()
-	spout := &wordSpout{words: []string{"a", "b", "c", "d", "e"}, limit: 500}
-	b := NewTopologyBuilder("det")
-	b.SetSpout("src", func() Spout { return spout }, 1, "word")
-	b.SetBolt("pass", func() Bolt { return &relayBolt{} }, 2, "word").ShuffleGrouping("src")
-	b.SetBolt("count", func() Bolt { return &wordCounter{} }, 3).FieldsGrouping("pass", "word")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append([]func(*ClusterConfig){func(cfg *ClusterConfig) { cfg.Seed = seed }}, opts...)
-	c := testCluster(all...)
-	if err := c.Submit(topo, SubmitConfig{Workers: 3}); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("did not drain")
-	}
-	snap := c.Snapshot()
-	out := map[string]string{}
-	for _, comp := range []string{"src", "pass", "count"} {
-		for _, ts := range snap.ComponentTasks(comp) {
-			key := fmt.Sprintf("%s/%d", comp, ts.TaskIndex)
-			out[key] = fmt.Sprintf("exec=%d emit=%d acked=%d failed=%d",
-				ts.Executed, ts.Emitted, ts.Acked, ts.Failed)
-		}
-	}
-	return out
+// channelPlaneFingerprint is runSeeded(42)'s per-task fingerprint as the
+// engine's former channel data plane (one shared input channel per bolt)
+// produced it, captured before that plane was deleted.
+var channelPlaneFingerprint = map[string]string{
+	"count/0": "exec=0 emit=0 acked=0 failed=0",
+	"count/1": "exec=500 emit=0 acked=0 failed=0",
+	"count/2": "exec=0 emit=0 acked=0 failed=0",
+	"pass/0":  "exec=250 emit=250 acked=0 failed=0",
+	"pass/1":  "exec=250 emit=250 acked=0 failed=0",
+	"src/0":   "exec=500 emit=500 acked=500 failed=0",
 }
 
 // TestRingPlaneDeterminismMatchesChannelPlane pins the reproducibility
-// contract across data planes: with the same seed, the ring plane must
-// land every tuple on the same task as the channel plane (routing derives
-// from the seed, never from which plane carried the batch), and two
-// rings-on runs must be byte-identical to each other.
+// contract across the deletion of the channel plane: with the same seed,
+// the ring plane lands every tuple on the same task the channel plane did
+// (routing derives from the seed, never from how a batch travels), byte
+// for byte.
 func TestRingPlaneDeterminismMatchesChannelPlane(t *testing.T) {
-	channel := runSeededPlane(t, 42)
-	ringsA := runSeededPlane(t, 42, ringCfg)
-	ringsB := runSeededPlane(t, 42, ringCfg)
-	if len(channel) != len(ringsA) {
-		t.Fatalf("task sets differ: channel %d vs rings %d", len(channel), len(ringsA))
+	got := runSeeded(t, 42)
+	if len(got) != len(channelPlaneFingerprint) {
+		t.Fatalf("task sets differ: got %d tasks, channel plane had %d", len(got), len(channelPlaneFingerprint))
 	}
-	for k, v := range channel {
-		if ringsA[k] != v {
-			t.Errorf("task %s diverged across planes: channel %q vs rings %q", k, v, ringsA[k])
+	for k, want := range channelPlaneFingerprint {
+		if got[k] != want {
+			t.Errorf("task %s: got %q, channel plane had %q", k, got[k], want)
 		}
-		if ringsB[k] != ringsA[k] {
-			t.Errorf("task %s diverged across rings-on runs: %q vs %q", k, ringsA[k], ringsB[k])
-		}
-	}
-	if channel["src/0"] != "exec=500 emit=500 acked=500 failed=0" {
-		t.Fatalf("unexpected spout tally: %q", channel["src/0"])
 	}
 }
 
@@ -108,7 +74,7 @@ func TestRingPlaneMultiStageAcking(t *testing.T) {
 	b.SetBolt("relay2", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("relay1")
 	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay2")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg)
+	c := testCluster()
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +115,6 @@ func TestRingPlaneSmallRingBackpressure(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 8
 		cfg.MaxSpoutPending = 32
-		cfg.Rings = true
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -181,7 +146,6 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 64
 		cfg.MaxSpoutPending = 256
-		cfg.Rings = true
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -243,7 +207,7 @@ func TestRingPlaneTypedLanesEndToEnd(t *testing.T) {
 		}}
 	}, 3).FieldsGrouping("src", "n")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg)
+	c := testCluster()
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}

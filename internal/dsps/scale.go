@@ -382,41 +382,26 @@ func (rt *runningTopology) awaitDone(v *task, deadline time.Time) bool {
 //dsps:ringconsumer
 func (rt *runningTopology) retireTask(v *task) int {
 	lost := 0
-	if rt.cfg.Rings {
-		// The executor goroutine has exited (awaitDone) and dead was set
-		// under the splice write lock, so no producer can push again:
-		// ownership of both ring sides has transferred to this goroutine.
-		if p := v.inRings.Load(); p != nil {
-			for _, r := range *p {
-				r.Close()
-				for {
-					b, ok := r.Pop()
-					if !ok {
-						break
-					}
-					lost += b.size()
-					rt.fl.putEnvs(b)
-				}
-			}
-		}
-		// Close this task's producer-side rings so downstream consumers
-		// prune them once drained.
-		for _, r := range v.outRings {
-			r.Close()
-		}
-		v.outRings = nil
-	} else {
+	// The executor goroutine has exited (awaitDone) and dead was set under
+	// the splice write lock, so no producer can push again: ownership of
+	// both ring sides has transferred to this goroutine.
+	for _, r := range *v.inRings.Load() {
+		r.Close()
 		for {
-			select {
-			case b := <-v.inCh:
-				lost += b.size()
-				rt.fl.putEnvs(b)
-				continue
-			default:
+			b, ok := r.Pop()
+			if !ok {
+				break
 			}
-			break
+			lost += b.size()
+			rt.fl.putEnvs(b)
 		}
 	}
+	// Close this task's producer-side rings so downstream consumers prune
+	// them once drained.
+	for _, r := range v.outRings {
+		r.Close()
+	}
+	v.outRings = nil
 	if lost > 0 {
 		v.queued.Add(int64(-lost))
 		v.counters.dropped.Add(int64(lost))
@@ -424,7 +409,7 @@ func (rt *runningTopology) retireTask(v *task) int {
 	for i := range v.outs {
 		ob := &v.outs[i]
 		if ob.envs.size() > 0 {
-			v.outPending.Add(int64(-ob.envs.size()))
+			v.outPending.Add(-1)
 			rt.fl.putEnvs(ob.envs)
 			ob.envs = envBatch{}
 		}

@@ -21,8 +21,7 @@ import (
 //     closure)
 //   - interface boxing at call sites: a concrete non-pointer-shaped
 //     value passed to an interface parameter (or converted to an
-//     interface type) escapes into a heap-allocated box — the exact
-//     regression the typed EmitInt64/EmitFloat64 lanes exist to prevent
+//     interface type) escapes into a heap-allocated box
 //
 // Designed amortized allocation points (arena refills, free-list
 // fallbacks) opt out per function with `//dsps:allocs <justification>`;

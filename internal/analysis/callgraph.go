@@ -108,7 +108,7 @@ type FuncNode struct {
 func (n *FuncNode) External() bool { return n.Decl == nil }
 
 // HotChain renders the witness path from an annotated root to n, e.g.
-// "dsps.(*spoutCollector).EmitInt64 → dsps.(*spoutCollector).emit".
+// "dsps.(*spoutCollector).Emit → dsps.(*runningTopology).routeInto".
 func (n *FuncNode) HotChain() string { return chain(n, func(m *FuncNode) *Edge { return m.HotVia }) }
 
 // DetChain renders the witness path from a deterministic package to n.
@@ -482,7 +482,7 @@ func (g *CallGraph) DOT(root string) (string, error) {
 		}
 	}
 	if len(starts) == 0 {
-		return "", fmt.Errorf("no function matches %q (try the diagnostic label, e.g. dsps.(*spoutCollector).EmitInt64, or a bare name)", root)
+		return "", fmt.Errorf("no function matches %q (try the diagnostic label, e.g. dsps.(*spoutCollector).Emit, or a bare name)", root)
 	}
 	seen := map[*FuncNode]bool{}
 	var order []*FuncNode

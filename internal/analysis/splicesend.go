@@ -5,23 +5,25 @@ import (
 	"strings"
 )
 
-// SpliceSend enforces the elastic runtime's splice discipline: a send on a
-// task input queue (a field named inCh, the grouping fan-out hand-off) must
-// happen while the topology's splice lock (a sync.RWMutex field named
-// spliceMu) is held. ScaleDown retires an executor by marking it dead under
-// the splice write lock and then reclaiming its queue; a producer that
-// hands a batch over without at least the read lock can race that sequence
-// and land tuples in a reclaimed queue, silently breaking conservation.
+// SpliceSend enforces the elastic runtime's splice discipline: a push
+// into an SPSC ring (Push or PushBatch on a ring.SPSC, the data plane's
+// only producer→bolt hand-off) must happen while the topology's splice
+// lock (a sync.RWMutex field named spliceMu) is held. ScaleDown retires an
+// executor by marking it dead under the splice write lock and then
+// reclaiming its input rings; a producer that pushes a batch without at
+// least the read lock can race that sequence and land tuples in a
+// reclaimed ring, silently breaking conservation.
 //
-// The check is naming-convention based (inCh / spliceMu are the engine's
-// canonical names) and only fires in packages that declare a spliceMu, so
-// unrelated code using an inCh field is left alone. Unlike lockedsend,
-// `defer spliceMu.Unlock()` keeps the lock held for the rest of the
-// function — here the question is "is the lock held at the send", not
-// "does the critical section stay tight".
+// Rings are matched by type (any instantiation of ring.SPSC, as in
+// ringmisuse); the lock by its canonical name. The check only fires in
+// packages that declare a spliceMu, so ring users without a splice
+// protocol are left alone. Unlike lockedsend, `defer spliceMu.Unlock()`
+// keeps the lock held for the rest of the function — here the question is
+// "is the lock held at the push", not "does the critical section stay
+// tight".
 var SpliceSend = &Analyzer{
 	Name: "splicesend",
-	Doc:  "send on a task input queue (inCh) without holding the splice lock (spliceMu)",
+	Doc:  "push into an SPSC ring without holding the splice lock (spliceMu)",
 	Run:  runSpliceSend,
 }
 
@@ -71,7 +73,7 @@ func declaresSpliceMu(files []*ast.File) bool {
 }
 
 // scanSpliceBlock walks one statement list in order, maintaining the set of
-// locks held, and flags inCh sends where no held lock is a spliceMu. Nested
+// locks held, and flags ring pushes where no held lock is a spliceMu. Nested
 // control-flow blocks inherit a copy of the held set; function literals are
 // skipped (they run later, under whatever locks their caller holds).
 func scanSpliceBlock(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
@@ -86,14 +88,14 @@ func scanSpliceBlock(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 			continue
 		}
 		// `defer mu.Unlock()` releases at function exit: for the purposes
-		// of "is the lock held at this send", it stays held.
+		// of "is the lock held at this push", it stays held.
 		reportUnspliced(pass, stmt, held)
 		for _, body := range nestedBlocks(stmt) {
 			scanSpliceBlock(pass, body, copyHeld(held))
 		}
 		// Select comm clauses are scanned statement-by-statement (the comm
 		// op first, then the body) so Lock/Unlock calls inside a case keep
-		// tracking — the ticker's locked self-send lives in this shape.
+		// tracking — the ticker's locked self-push lives in this shape.
 		if sel, ok := stmt.(*ast.SelectStmt); ok {
 			for _, c := range sel.Body.List {
 				cc, ok := c.(*ast.CommClause)
@@ -121,9 +123,9 @@ func spliceHeld(held map[string]bool) bool {
 	return false
 }
 
-// reportUnspliced flags inCh sends in stmt's own expressions (nested block
-// statements are visited by scanSpliceBlock's recursion, and function
-// literals execute outside this critical section).
+// reportUnspliced flags ring pushes in stmt's own expressions (nested
+// block statements are visited by scanSpliceBlock's recursion, and
+// function literals execute outside this critical section).
 func reportUnspliced(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 	if spliceHeld(held) {
 		return
@@ -134,11 +136,11 @@ func reportUnspliced(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 			return false
 		case *ast.SelectStmt:
 			return false // comm clauses are scanned by scanSpliceBlock
-		case *ast.SendStmt:
-			if sel, ok := n.Chan.(*ast.SelectorExpr); ok && sel.Sel.Name == "inCh" {
-				pass.Reportf(n.Pos(), "send on %s.inCh without holding the splice lock; ScaleDown may be reclaiming the queue", exprKey(sel.X))
+		case *ast.CallExpr:
+			if name, _ := spscMethod(pass, n); name == "Push" || name == "PushBatch" {
+				ring := n.Fun.(*ast.SelectorExpr).X
+				pass.Reportf(n.Pos(), "%s.%s without holding the splice lock; ScaleDown may be reclaiming the ring", exprKey(ring), name)
 			}
-			return false
 		}
 		return true
 	})

@@ -1,10 +1,16 @@
-// Package corpus is the splicesend analyzer's test corpus.
+// Package corpus is the splicesend analyzer's test corpus. It imports the
+// real ring package so the analyzer's type-identity match (a push on
+// ring.SPSC, any instantiation) is exercised, not a lookalike.
 package corpus
 
-import "sync"
+import (
+	"sync"
+
+	"predstream/internal/ring"
+)
 
 type worker struct {
-	inCh chan []int
+	in   *ring.SPSC[[]int]
 	dead bool
 }
 
@@ -12,65 +18,75 @@ type topo struct {
 	spliceMu sync.RWMutex
 	mu       sync.Mutex
 	targets  []*worker
+	acks     *ring.SPSC[int]
 }
 
-// bareSend hands a batch over with no lock at all: a concurrent retire can
-// reclaim the queue mid-send.
-func (t *topo) bareSend(w *worker, b []int) {
-	w.inCh <- b // want: splicesend
+// barePush hands a batch over with no lock at all: a concurrent retire can
+// stop draining the ring mid-push.
+func (t *topo) barePush(w *worker, b []int) {
+	w.in.Push(b) // want: splicesend
 }
 
 // wrongLock holds a lock, but not the splice lock.
 func (t *topo) wrongLock(w *worker, b []int) {
 	t.mu.Lock()
-	w.inCh <- b // want: splicesend
+	w.in.Push(b) // want: splicesend
 	t.mu.Unlock()
 }
 
-// unlockedTail releases the read lock before the send lands.
+// unlockedTail releases the read lock before the push lands.
 func (t *topo) unlockedTail(w *worker, b []int) {
 	t.spliceMu.RLock()
 	dead := w.dead
 	t.spliceMu.RUnlock()
 	if !dead {
-		w.inCh <- b // want: splicesend
+		w.in.Push(b) // want: splicesend
 	}
 }
 
-// selectSend blocks in a comm clause without the lock.
-func (t *topo) selectSend(w *worker, b []int, stop chan struct{}) {
-	select {
-	case w.inCh <- b: // want: splicesend
-	case <-stop:
+// pushInCondition pushes from an if condition, the engine's retry shape,
+// without the lock.
+func (t *topo) pushInCondition(w *worker, b []int) bool {
+	if !w.in.Push(b) { // want: splicesend
+		return false
 	}
+	return true
 }
 
-// readLockedSend is the engine's producer shape and must NOT be flagged.
-func (t *topo) readLockedSend(w *worker, b []int) {
+// batchPush covers PushBatch and a second instantiation.
+func (t *topo) batchPush(ops []int) int {
+	return t.acks.PushBatch(ops) // want: splicesend
+}
+
+// readLockedPush is the engine's producer shape and must NOT be flagged.
+func (t *topo) readLockedPush(w *worker, b []int) {
 	t.spliceMu.RLock()
 	if !w.dead {
-		w.inCh <- b
+		if !w.in.Push(b) {
+			t.spliceMu.RUnlock()
+			return
+		}
 	}
 	t.spliceMu.RUnlock()
 }
 
-// writeLockedSend holds the exclusive splice lock: also fine.
-func (t *topo) writeLockedSend(w *worker, b []int) {
+// writeLockedPush holds the exclusive splice lock: also fine.
+func (t *topo) writeLockedPush(w *worker, b []int) {
 	t.spliceMu.Lock()
-	w.inCh <- b
+	w.in.Push(b)
 	t.spliceMu.Unlock()
 }
 
-// deferredSpliceUnlock keeps the lock to function exit: the send is held.
+// deferredSpliceUnlock keeps the lock to function exit: the push is held.
 func (t *topo) deferredSpliceUnlock(w *worker, b []int) {
 	t.spliceMu.RLock()
 	defer t.spliceMu.RUnlock()
-	w.inCh <- b
+	w.in.Push(b)
 }
 
-// selectLockedSend takes the lock inside the comm body before sending —
-// the ticker's self-send shape; must NOT be flagged.
-func (t *topo) selectLockedSend(w *worker, b []int, tick chan struct{}) {
+// selectLockedPush takes the lock inside the comm body before pushing —
+// the ticker's self-push shape; must NOT be flagged.
+func (t *topo) selectLockedPush(w *worker, b []int, tick chan struct{}) {
 	for {
 		select {
 		case <-tick:
@@ -79,13 +95,17 @@ func (t *topo) selectLockedSend(w *worker, b []int, tick chan struct{}) {
 				t.spliceMu.RUnlock()
 				return
 			}
-			w.inCh <- b
+			w.in.Push(b)
 			t.spliceMu.RUnlock()
 		}
 	}
 }
 
-// otherChannel is not a fan-out queue; ordinary sends stay out of scope.
-func (t *topo) otherChannel(out chan []int, b []int) {
-	out <- b
+// readsAndPops are not pushes; they stay out of scope.
+func (t *topo) readsAndPops(w *worker, out chan []int) {
+	if w.in.Len() > 0 {
+		if b, ok := w.in.Pop(); ok {
+			out <- b
+		}
+	}
 }

@@ -1,9 +1,9 @@
 package corpus
 
-// seedQueue fills a task's queue before its executor starts, during
+// seedRing fills a task's ring before its executor starts, during
 // single-threaded topology construction: no splice can race it, so the
-// unlocked send is justified.
-func (t *topo) seedQueue(w *worker, b []int) {
+// unlocked push is justified.
+func (t *topo) seedRing(w *worker, b []int) {
 	//dspslint:ignore splicesend construction-time fill; executors and splicers have not started
-	w.inCh <- b
+	w.in.Push(b)
 }

@@ -250,15 +250,3 @@ func (f *fakeCollector) Fail() {
 		f.onFail()
 	}
 }
-
-func (f *fakeCollector) EmitInt64(v int64) {
-	if f.onEmit != nil {
-		f.onEmit(dsps.Values{v})
-	}
-}
-
-func (f *fakeCollector) EmitFloat64(v float64) {
-	if f.onEmit != nil {
-		f.onEmit(dsps.Values{v})
-	}
-}

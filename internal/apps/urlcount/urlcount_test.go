@@ -221,15 +221,3 @@ func (f *fakeCollector) Fail() {
 func makeTuple(fields []string, values ...any) *dsps.Tuple {
 	return dsps.NewTestTuple(fields, values...)
 }
-
-func (f *fakeCollector) EmitInt64(v int64) {
-	if f.onEmit != nil {
-		f.onEmit(dsps.Values{v})
-	}
-}
-
-func (f *fakeCollector) EmitFloat64(v float64) {
-	if f.onEmit != nil {
-		f.onEmit(dsps.Values{v})
-	}
-}

@@ -22,12 +22,9 @@ type ackOp struct {
 
 // ackDone is a root whose completion the spout has applied and not yet
 // delivered: the spout delivers (Ack/Fail, then release of the slot) only
-// at its loop top, never from inside NextTuple. Roots anchored through the
-// typed emit path carry their message id in msgU64 (msgID nil) so the
-// delivery back to an AckerU64 spout never boxes.
+// at its loop top, never from inside NextTuple.
 type ackDone struct {
 	msgID   any
-	msgU64  uint64
 	slot    uint32
 	ok      bool // true = fully processed, false = failed/timed out
 	latency time.Duration
@@ -84,7 +81,6 @@ type ackSlot struct {
 	id      uint64
 	val     uint64
 	msgID   any
-	msgU64  uint64
 	startNs int64
 }
 
@@ -172,12 +168,11 @@ func (a *acker) owner(i uint32) int {
 // register starts tracking a new root tuple in a slot taken from the
 // spout's pool p, growing the pool when it is empty, and returns the slot
 // for the root's tuples to carry. rootID keys the tree, edgeID is the XOR
-// of the spout's initial output edges. Exactly one of msgID (boxed
-// anchoring) and msgU64 (typed-lane anchoring) identifies the root back
+// of the spout's initial output edges, and msgID identifies the root back
 // to its spout.
 //
 //dsps:hotpath
-func (a *acker) register(p *slotPool, rootID, edgeID uint64, msgID any, msgU64 uint64) uint32 {
+func (a *acker) register(p *slotPool, rootID, edgeID uint64, msgID any) uint32 {
 	if p.n == 0 {
 		a.grow(p)
 	}
@@ -187,7 +182,6 @@ func (a *acker) register(p *slotPool, rootID, edgeID uint64, msgID any, msgU64 u
 	s.id = rootID
 	s.val = edgeID
 	s.msgID = msgID
-	s.msgU64 = msgU64
 	s.startNs = a.nowNs()
 	a.live.Add(1)
 	return i
@@ -231,7 +225,7 @@ func (a *acker) complete(p *slotPool, s *ackSlot, i uint32, ok bool) {
 		clear(p.done[n:p.nDone])
 		p.head, p.nDone = 0, n
 	}
-	p.done[p.nDone] = ackDone{msgID: s.msgID, msgU64: s.msgU64, slot: i, ok: ok, latency: lat}
+	p.done[p.nDone] = ackDone{msgID: s.msgID, slot: i, ok: ok, latency: lat}
 	p.nDone++
 	s.id = 0
 	s.msgID = nil

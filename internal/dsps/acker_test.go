@@ -50,19 +50,14 @@ func deliver(a *acker, p *slotPool) []ackDone {
 
 func TestAckerSlotLayout(t *testing.T) {
 	// No lock and no owner id: only the owning spout touches a slot.
-	if got := unsafe.Sizeof(ackSlot{}); got != 48 {
-		t.Fatalf("ackSlot is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(ackSlot{}); got != 40 {
+		t.Fatalf("ackSlot is %d bytes, want 40", got)
 	}
 	if got := unsafe.Sizeof(ackOp{}); got != 24 {
 		t.Fatalf("ackOp is %d bytes, want 24", got)
 	}
-	// The slot rides in the padding after Tuple.lane: the tuple stays at
-	// the size it had before it carried one.
-	if got := unsafe.Offsetof(Tuple{}.slot); got != unsafe.Offsetof(Tuple{}.lane)+4 {
-		t.Fatalf("Tuple.slot at offset %d, want lane's padding", got)
-	}
-	if got := unsafe.Sizeof(Tuple{}); got != 112 {
-		t.Fatalf("Tuple is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(Tuple{}); got != 96 {
+		t.Fatalf("Tuple is %d bytes, want 96", got)
 	}
 }
 
@@ -71,7 +66,7 @@ func TestAckerLinearChainCompletes(t *testing.T) {
 	// Spout emits edge e1; bolt A consumes e1 and produces e2; bolt B
 	// consumes e2 and produces nothing.
 	const root, e1, e2 = 100, 11, 22
-	s := a.register(p, root, e1, "m1", 0)
+	s := a.register(p, root, e1, "m1")
 	if a.apply(p, xorOp(root, s, e1, e2)); p.nDone != 0 {
 		t.Fatal("completed before leaf acked")
 	}
@@ -96,7 +91,7 @@ func TestAckerLinearChainCompletes(t *testing.T) {
 func TestAckerOutOfOrderTransitions(t *testing.T) {
 	a, p := testAcker(time.Minute)
 	const root, spoutEdge, parseEdge = 200, 31, 32
-	s := a.register(p, root, spoutEdge, "m", 0)
+	s := a.register(p, root, spoutEdge, "m")
 	if a.apply(p, xorOp(root, s, parseEdge)); p.nDone != 0 { // count acks first
 		t.Fatal("completed on count's op alone")
 	}
@@ -111,7 +106,7 @@ func TestAckerFanOutTree(t *testing.T) {
 	// Spout emits two copies (e1, e2); each bolt copy emits two more.
 	const root = 300
 	edges := []uint64{1, 2, 3, 4, 5, 6}
-	s := a.register(p, root, edges[0]^edges[1], "m", 0)
+	s := a.register(p, root, edges[0]^edges[1], "m")
 	a.apply(p, xorOp(root, s, edges[0], edges[2], edges[3]))
 	a.apply(p, xorOp(root, s, edges[1], edges[4], edges[5]))
 	for i, leaf := range edges[2:] {
@@ -127,7 +122,7 @@ func TestAckerFanOutTree(t *testing.T) {
 
 func TestAckerExplicitFail(t *testing.T) {
 	a, p := testAcker(time.Minute)
-	s := a.register(p, 1, 5, "m", 0)
+	s := a.register(p, 1, 5, "m")
 	a.apply(p, failOp(1, s))
 	if p.nDone != 1 || p.done[0].ok || p.done[0].slot != s || p.done[0].msgID != "m" {
 		t.Fatalf("completions = %+v", p.done[:p.nDone])
@@ -150,9 +145,9 @@ func TestAckerTimeoutSweep(t *testing.T) {
 	var clk fakeClock
 	clk.install(a)
 	clk.ns = 1e9
-	a.register(p, 1, 5, "old", 0)
+	a.register(p, 1, 5, "old")
 	clk.ns += int64(20 * time.Millisecond)
-	fresh := a.register(p, 2, 6, "fresh", 0)
+	fresh := a.register(p, 2, 6, "fresh")
 	a.sweep(p)
 	expired := deliver(a, p)
 	if len(expired) != 1 {
@@ -182,12 +177,12 @@ func TestAckerSweepOrdersByStartThenRoot(t *testing.T) {
 	a.grow(other)
 	// Register in an order unrelated to (start, root) so the slab's slot
 	// order cannot produce the expected order by accident.
-	a.register(p, 30, 1, "b", 0)
-	a.register(other, 5, 1, "other", 0)
-	a.register(p, 10, 1, "a", 0)
+	a.register(p, 30, 1, "b")
+	a.register(other, 5, 1, "other")
+	a.register(p, 10, 1, "a")
 	clk.ns -= 5
-	a.register(p, 20, 1, "first", 0)
-	done := a.register(p, 40, 7, "acked", 0)
+	a.register(p, 20, 1, "first")
+	done := a.register(p, 40, 7, "acked")
 	a.apply(p, xorOp(40, done, 7))
 	clk.ns += int64(time.Second)
 	a.sweep(p)
@@ -205,7 +200,7 @@ func TestAckerSweepOrdersByStartThenRoot(t *testing.T) {
 
 func TestAckerSweepDisabledWithoutTimeout(t *testing.T) {
 	a, p := testAcker(0)
-	a.register(p, 1, 5, "m", 0)
+	a.register(p, 1, 5, "m")
 	if a.sweep(p); p.nDone != 0 {
 		t.Fatalf("sweep with no timeout failed %d", p.nDone)
 	}
@@ -213,7 +208,7 @@ func TestAckerSweepDisabledWithoutTimeout(t *testing.T) {
 
 func TestAckerUnknownRootIgnored(t *testing.T) {
 	a, p := testAcker(time.Minute)
-	s := a.register(p, 1, 5, "m", 0)
+	s := a.register(p, 1, 5, "m")
 	a.apply(p, xorOp(999, s, 5))
 	a.apply(p, failOp(999, s))
 	if p.nDone != 0 {
@@ -234,7 +229,7 @@ func TestAckerStragglerOnReusedSlotDropped(t *testing.T) {
 	clk.install(a)
 	clk.ns = 1e9
 	const oldRoot, oldEdge = 7, 0x55
-	s := a.register(p, oldRoot, oldEdge, "old", 0)
+	s := a.register(p, oldRoot, oldEdge, "old")
 	clk.ns += int64(time.Second)
 	a.sweep(p)
 	if expired := deliver(a, p); len(expired) != 1 || expired[0].slot != s {
@@ -244,7 +239,7 @@ func TestAckerStragglerOnReusedSlotDropped(t *testing.T) {
 	// Give it the straggler's edge so that, were the op applied, it would
 	// complete the wrong root.
 	const newRoot = 8
-	if got := a.register(p, newRoot, oldEdge, "new", 0); got != s {
+	if got := a.register(p, newRoot, oldEdge, "new"); got != s {
 		t.Fatalf("new root in slot %d, want reused slot %d", got, s)
 	}
 	a.apply(p, xorOp(oldRoot, s, oldEdge))
@@ -266,11 +261,11 @@ func TestAckerSlabGrowsByWholeChunks(t *testing.T) {
 	p, other := &slotPool{owner: 7}, &slotPool{owner: 9}
 	a.grow(p)
 	a.grow(other)
-	first := a.register(p, 1, 1, "m", 0)
+	first := a.register(p, 1, 1, "m")
 	before := a.slot(first)
 	seen := map[uint32]uint64{first: 1}
 	for root := uint64(2); root <= 9; root++ {
-		s := a.register(p, root, root, "m", 0)
+		s := a.register(p, root, root, "m")
 		if _, dup := seen[s]; dup {
 			t.Fatalf("slot %d handed out twice", s)
 		}
@@ -311,8 +306,8 @@ func TestAckerLatencyMeasured(t *testing.T) {
 		stepNs += int64(10 * time.Millisecond)
 		return stepNs
 	}
-	s := a.register(p, 1, 5, "m", 0) // now = +10ms
-	a.apply(p, xorOp(1, s, 5))       // now = +20ms
+	s := a.register(p, 1, 5, "m") // now = +10ms
+	a.apply(p, xorOp(1, s, 5))    // now = +20ms
 	if d := deliver(a, p); len(d) != 1 || d[0].latency != 10*time.Millisecond {
 		t.Fatalf("completions = %+v", d)
 	}
@@ -337,7 +332,7 @@ func (s *reusingSpout) Ack(id any) {
 	if s.left > 0 {
 		s.left--
 		root := uint64(100 + s.left)
-		i := s.a.register(s.p, root, 7, s.left, 0)
+		i := s.a.register(s.p, root, 7, s.left)
 		s.a.apply(s.p, xorOp(root, i, 7))
 	}
 }
@@ -352,7 +347,7 @@ func TestDeliverDoneSurvivesCallbacksThatCompleteRoots(t *testing.T) {
 	sp := &reusingSpout{a: a, p: &tk.slots, left: 5}
 	tk.spout = sp
 	rt := &runningTopology{acker: a}
-	s := a.register(&tk.slots, 1, 3, "first", 0)
+	s := a.register(&tk.slots, 1, 3, "first")
 	a.apply(&tk.slots, xorOp(1, s, 3))
 	rt.deliverDone(tk)
 	want := []any{"first", 4, 3, 2, 1, 0}
@@ -414,7 +409,7 @@ func BenchmarkAckerRoot(b *testing.B) {
 			rb := (<-rootFree)[:k]
 			for i := range rb {
 				r := root{id: next(), e1: next(), e2: next()}
-				r.slot = a.register(p, r.id, r.e1, nil, r.id)
+				r.slot = a.register(p, r.id, r.e1, nil)
 				rb[i] = r
 			}
 			registered += k

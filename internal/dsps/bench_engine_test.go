@@ -55,32 +55,6 @@ func (s *benchSpout) NextTuple() bool {
 func (s *benchSpout) Ack(any)  { s.done.Add(1) }
 func (s *benchSpout) Fail(any) { s.done.Add(1) }
 
-// benchLaneSpout is benchSpout on the typed emit path: int64 lane
-// payloads, uint64 msgIDs, completions through AckerU64 — nothing boxed
-// end to end.
-type benchLaneSpout struct {
-	dsps.BaseSpout
-	limit int
-
-	collector dsps.SpoutCollector
-	next      int
-	done      *atomic.Int64
-}
-
-func (s *benchLaneSpout) Open(_ dsps.TopologyContext, c dsps.SpoutCollector) { s.collector = c }
-
-func (s *benchLaneSpout) NextTuple() bool {
-	if s.next >= s.limit {
-		return false
-	}
-	s.collector.EmitInt64(7, uint64(s.next)+1)
-	s.next++
-	return true
-}
-
-func (s *benchLaneSpout) AckU64(uint64)  { s.done.Add(1) }
-func (s *benchLaneSpout) FailU64(uint64) { s.done.Add(1) }
-
 // benchRelay forwards every tuple downstream.
 type benchRelay struct {
 	dsps.BaseBolt
@@ -89,18 +63,6 @@ type benchRelay struct {
 
 func (b *benchRelay) Prepare(_ dsps.TopologyContext, c dsps.OutputCollector) { b.collector = c }
 func (b *benchRelay) Execute(*dsps.Tuple)                                    { b.collector.Emit(benchValues) }
-
-// benchLaneRelay forwards the unboxed lane payload downstream.
-type benchLaneRelay struct {
-	dsps.BaseBolt
-	collector dsps.OutputCollector
-}
-
-func (b *benchLaneRelay) Prepare(_ dsps.TopologyContext, c dsps.OutputCollector) { b.collector = c }
-func (b *benchLaneRelay) Execute(t *dsps.Tuple) {
-	v, _ := t.Int64()
-	b.collector.EmitInt64(v)
-}
 
 // benchSink counts arrivals into a shared atomic.
 type benchSink struct {
@@ -175,24 +137,6 @@ func benchLinearAcked(b *testing.B, workers int) {
 func BenchmarkEngineLinearAckedW1(b *testing.B) { benchLinearAcked(b, 1) }
 func BenchmarkEngineLinearAckedW2(b *testing.B) { benchLinearAcked(b, 2) }
 func BenchmarkEngineLinearAckedW4(b *testing.B) { benchLinearAcked(b, 4) }
-
-// BenchmarkEngineLinearAckedLanesW1 is the fully unboxed headline: typed
-// int64 lanes end to end (EmitInt64/Int64/AckerU64) —
-// no Values slice, no msgID boxing, no interface dispatch on completions.
-func BenchmarkEngineLinearAckedLanesW1(b *testing.B) {
-	var done atomic.Int64
-	var seen atomic.Int64
-	spout := &benchLaneSpout{limit: b.N, done: &done}
-	tb := dsps.NewTopologyBuilder("bench-linear-lanes")
-	tb.SetSpout("src", func() dsps.Spout { return spout }, 1, "v")
-	tb.SetBolt("relay", func() dsps.Bolt { return &benchLaneRelay{} }, 2, "v").ShuffleGrouping("src")
-	tb.SetBolt("sink", func() dsps.Bolt { return &benchSink{seen: &seen} }, 2).ShuffleGrouping("relay")
-	topo, err := tb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	runEngineBench(b, benchCluster(b), topo, 1, &done, int64(b.N))
-}
 
 // BenchmarkEngineLinearAckedObservedW4 is the headline row with the
 // observability layer on: tuple tracing sampled at 1% (the documented

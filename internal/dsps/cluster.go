@@ -169,15 +169,6 @@ func (c *Cluster) Config() ClusterConfig { return c.cfg }
 // planners need without shipping the whole ClusterConfig across a wire.
 func (c *Cluster) QueueSize() int { return c.cfg.QueueSize }
 
-// NodeIDs returns the simulated machine ids.
-func (c *Cluster) NodeIDs() []string {
-	out := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.id
-	}
-	return out
-}
-
 // Submit schedules and starts a topology alongside any already running.
 // Topology names must be unique among running topologies.
 func (c *Cluster) Submit(t *Topology, sc SubmitConfig) error {
@@ -500,7 +491,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 		}
 		snap.Nodes = append(snap.Nodes, ns)
 	}
-	snap.Components = buildComponentStats(snap.Tasks)
+	snap.Components = BuildComponentStats(snap.Tasks)
 	return snap
 }
 

@@ -518,11 +518,32 @@ func TestDynamicGroupingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAllGroupingReplicates(t *testing.T) {
+// ackLogSpout is countingSpout that also counts the acks of each msgID.
+type ackLogSpout struct {
+	countingSpout
+	mu    sync.Mutex
+	byMsg map[any]int
+}
+
+func (s *ackLogSpout) Ack(id any) {
+	s.mu.Lock()
+	s.byMsg[id]++
+	s.mu.Unlock()
+	s.countingSpout.Ack(id)
+}
+
+// TestFanOutToEverySubscriber subscribes three bolts to one spout: every
+// root leaves on three edges, one per subscriber, so each bolt sees every
+// tuple and each root is acked once, after all three edges complete.
+func TestFanOutToEverySubscriber(t *testing.T) {
 	const n = 100
-	b := NewTopologyBuilder("all")
-	b.SetSpout("src", func() Spout { return &countingSpout{limit: n} }, 1, "n")
-	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 3).AllGrouping("src")
+	spout := &ackLogSpout{countingSpout: countingSpout{limit: n}, byMsg: map[any]int{}}
+	b := NewTopologyBuilder("fan-out")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n")
+	sinks := []string{"a", "b", "c"}
+	for _, name := range sinks {
+		b.SetBolt(name, func() Bolt { return &sinkBolt{} }, 2).ShuffleGrouping("src")
+	}
 	topo, _ := b.Build()
 	c := testCluster()
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
@@ -533,13 +554,27 @@ func TestAllGroupingReplicates(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	snap := c.Snapshot()
-	for _, ts := range snap.ComponentTasks("sink") {
-		if ts.Executed != n {
-			t.Fatalf("task %d executed %d, want %d (replication)", ts.TaskID, ts.Executed, n)
+	for _, name := range sinks {
+		var executed int64
+		for _, ts := range snap.ComponentTasks(name) {
+			executed += ts.Executed
+		}
+		if executed != n {
+			t.Fatalf("bolt %s executed %d tuples, want %d", name, executed, n)
 		}
 	}
 	if got := snap.TotalAcked(); got != n {
 		t.Fatalf("acked %d roots, want %d", got, n)
+	}
+	spout.mu.Lock()
+	defer spout.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if got := spout.byMsg[i]; got != 1 {
+			t.Fatalf("root %d acked %d times, want 1", i, got)
+		}
+	}
+	if spout.failed.Load() != 0 {
+		t.Fatalf("%d roots failed", spout.failed.Load())
 	}
 }
 

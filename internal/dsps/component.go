@@ -22,26 +22,6 @@ type SpoutCollector interface {
 	// Emit sends a tuple. A non-nil msgID enables reliability tracking:
 	// the spout's Ack or Fail will eventually be called with it.
 	Emit(values Values, msgID any)
-	// EmitInt64 sends a single-field int64 tuple through the typed payload
-	// lane: neither the value nor the message id is boxed into an
-	// interface, so a steady-state emit allocates nothing. A nonzero msgID
-	// anchors the tuple; completions are delivered through AckerU64 when
-	// the spout implements it, and boxed into Ack/Fail otherwise.
-	EmitInt64(v int64, msgID uint64)
-	// EmitFloat64 is EmitInt64 for a float64 payload.
-	EmitFloat64(v float64, msgID uint64)
-}
-
-// AckerU64 is an optional Spout extension: spouts that anchor tuples with
-// EmitInt64/EmitFloat64 receive their completions through it without the
-// uint64 message id being boxed into an interface. Spouts that do not
-// implement it get the id through Ack/Fail as an `any`-boxed uint64.
-type AckerU64 interface {
-	// AckU64 signals that the tuple tree rooted at msgID fully processed.
-	AckU64(msgID uint64)
-	// FailU64 signals that the tuple tree rooted at msgID failed or timed
-	// out.
-	FailU64(msgID uint64)
 }
 
 // Spout is a stream source, mirroring Storm's spout contract.
@@ -68,11 +48,6 @@ type Spout interface {
 type OutputCollector interface {
 	// Emit sends a tuple downstream, anchored to the current input.
 	Emit(values Values)
-	// EmitInt64 sends a single-field int64 tuple through the typed payload
-	// lane (no interface boxing), anchored to the current input.
-	EmitInt64(v int64)
-	// EmitFloat64 is EmitInt64 for a float64 payload.
-	EmitFloat64(v float64)
 	// Fail marks the current input tuple as failed; its root spout tuple
 	// will be failed immediately.
 	Fail()

@@ -36,7 +36,7 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	}
 	root := build(0)
 	const rootID = 42
-	slot := a.register(p, rootID, root.id, "msg", 0)
+	slot := a.register(p, rootID, root.id, "msg")
 
 	// Build every bolt's op (consumed edge XOR produced edges) and apply
 	// them in a random order — XOR acking must be order-independent.

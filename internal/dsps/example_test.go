@@ -68,7 +68,7 @@ func ExampleDynamicGrouping() {
 	}
 	counts := [2]int{}
 	for i := 0; i < 8; i++ {
-		counts[g.Select(nil, 2)[0]]++
+		counts[g.Select(nil, 2)]++
 	}
 	fmt.Printf("before update: %d/%d\n", counts[0], counts[1])
 
@@ -79,7 +79,7 @@ func ExampleDynamicGrouping() {
 	}
 	counts = [2]int{}
 	for i := 0; i < 8; i++ {
-		counts[g.Select(nil, 2)[0]]++
+		counts[g.Select(nil, 2)]++
 	}
 	fmt.Printf("after update:  %d/%d\n", counts[0], counts[1])
 	// Output:

@@ -20,9 +20,8 @@ import (
 // lock and bump the route epoch (see runningTopology.splice).
 type edge struct {
 	grouping   Grouping
-	single     singleSelector // non-nil fast path when grouping picks one target
-	source     string         // producing component
-	targetComp string         // consuming component
+	source     string // producing component
+	targetComp string // consuming component
 	targets    atomic.Pointer[[]*task]
 }
 
@@ -109,10 +108,6 @@ type task struct {
 	// Producer state, owned by the executor goroutine: the SPSC ring this
 	// task pushes through to each downstream target.
 	outRings map[*task]*ring.SPSC[envBatch]
-	// ackerU64 is the spout's AckerU64 implementation, or nil; cached so
-	// the typed-lane completion path is one nil check, not a per-ack
-	// type assertion.
-	ackerU64 AckerU64
 }
 
 // runningTopology is the live runtime of a submitted topology.
@@ -229,7 +224,6 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				rt.cancel()
 				return nil, fmt.Errorf("dsps: spout factory for %q returned nil", sd.name)
 			}
-			tk.ackerU64, _ = tk.spout.(AckerU64)
 			tk.slots.owner = tk.id
 			rt.tasks = append(rt.tasks, tk)
 			c.nextTask++
@@ -281,9 +275,6 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				targetComp: bd.name,
 			}
 			e.targets.Store(&targets)
-			if s, ok := sub.grouping.(singleSelector); ok {
-				e.single = s
-			}
 			rt.edges[sub.source] = append(rt.edges[sub.source], e)
 			rt.allEdges = append(rt.allEdges, e)
 		}
@@ -498,9 +489,8 @@ func (tk *task) nextEdgeID() uint64 {
 // --- Routing ---
 
 // routeInto computes the deliveries of a tuple emitted by tk into
-// tk.selScratch as outs indices, returning the selection count. Single-
-// target groupings go through the selectOne fast path; only AllGrouping
-// (and third-party groupings) pay the Select allocation.
+// tk.selScratch as outs indices, returning the selection count: one
+// task per outgoing edge.
 //
 //dsps:hotpath
 func (rt *runningTopology) routeInto(tk *task, tpl *Tuple) int {
@@ -514,17 +504,8 @@ func (rt *runningTopology) routeInto(tk *task, tpl *Tuple) int {
 		if nt == 0 {
 			continue
 		}
-		base := tk.edgeBase[ei]
-		if e.single != nil {
-			if idx := e.single.selectOne(tpl, nt); idx >= 0 && idx < nt {
-				sel = append(sel, base+idx) //dspslint:ignore allocfree selScratch retains capacity across emits; grows only until the fan-out stabilizes
-			}
-			continue
-		}
-		for _, idx := range e.grouping.Select(tpl, nt) {
-			if idx >= 0 && idx < nt {
-				sel = append(sel, base+idx) //dspslint:ignore allocfree selScratch retains capacity across emits; grows only until the fan-out stabilizes
-			}
+		if idx := e.grouping.Select(tpl, nt); idx >= 0 && idx < nt {
+			sel = append(sel, tk.edgeBase[ei]+idx) //dspslint:ignore allocfree selScratch retains capacity across emits; grows only until the fan-out stabilizes
 		}
 	}
 	tk.selScratch = sel
@@ -668,10 +649,8 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 				return
 			}
 			idx := 0
-			if e.single != nil {
-				if i := e.single.selectOne(envs.tuples[0], len(tl)); i >= 0 && i < len(tl) {
-					idx = i
-				}
+			if i := e.grouping.Select(envs.tuples[0], len(tl)); i >= 0 && i < len(tl) {
+				idx = i
 			}
 			target.inbound.Add(-1)
 			target = tl[idx]
@@ -732,7 +711,7 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 			recheckC = time.After(recheck)
 			if dynamic {
 				tl := *e.targets.Load()
-				if idx := dg.selectOne(envs.tuples[0], len(tl)); idx >= 0 && idx < len(tl) {
+				if idx := dg.Select(envs.tuples[0], len(tl)); idx >= 0 && idx < len(tl) {
 					target.inbound.Add(-1)
 					target = tl[idx]
 					target.inbound.Add(1)
@@ -755,49 +734,21 @@ type spoutCollector struct {
 //
 //dsps:hotpath
 func (sc *spoutCollector) Emit(values Values, msgID any) {
-	tpl := sc.tk.arena.get()
-	tpl.Values = values
-	sc.emit(tpl, msgID, 0, msgID != nil)
-}
-
-// EmitInt64 implements SpoutCollector: the payload rides the tuple's
-// int64 lane and the anchor its uint64 lane, so nothing boxes.
-//
-//dsps:hotpath
-func (sc *spoutCollector) EmitInt64(v int64, msgID uint64) {
-	tpl := sc.tk.arena.get()
-	tpl.lane = laneI64
-	tpl.i64 = v
-	sc.emit(tpl, nil, msgID, msgID != 0)
-}
-
-// EmitFloat64 implements SpoutCollector.
-//
-//dsps:hotpath
-func (sc *spoutCollector) EmitFloat64(v float64, msgID uint64) {
-	tpl := sc.tk.arena.get()
-	tpl.lane = laneF64
-	tpl.f64 = v
-	sc.emit(tpl, nil, msgID, msgID != 0)
-}
-
-// emit is the shared spout emit core: route, anchor, trace, enqueue.
-// Exactly one of msgID/msgU64 carries the anchor when anchored is true.
-//
-//dsps:hotpath
-func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bool) {
 	rt, tk := sc.rt, sc.tk
+	tpl := tk.arena.get()
+	tpl.Values = values
 	tpl.SourceComponent = tk.component
 	tpl.SourceTask = tk.id
 	tpl.fields = tk.outFields
 	nsel := rt.routeInto(tk, tpl)
 	now := rt.clock.nowNs()
 	sc.stage.emitted++
+	anchored := msgID != nil
 	if anchored && nsel == 0 {
 		// Nothing downstream: the root completes at once, and is delivered
 		// at the loop top like every other completion (no op can name it,
 		// so any non-zero root id will do).
-		i := rt.acker.register(&tk.slots, 1, 0, msgID, msgU64)
+		i := rt.acker.register(&tk.slots, 1, 0, msgID)
 		rt.acker.complete(&tk.slots, rt.acker.slot(i), i, true)
 		return
 	}
@@ -822,7 +773,7 @@ func (sc *spoutCollector) emit(tpl *Tuple, msgID any, msgU64 uint64, anchored bo
 		xor ^= id
 	}
 	tk.idScratch = ids
-	slot := rt.acker.register(&tk.slots, rootID, xor, msgID, msgU64)
+	slot := rt.acker.register(&tk.slots, rootID, xor, msgID)
 	// Record the emit span before the first enqueue so a sampled root's
 	// emit always sequences ahead of its descendants' exec spans (enqueue
 	// may flush downstream immediately).
@@ -884,24 +835,10 @@ func (rt *runningTopology) deliverDone(tk *task) {
 			st.acked++
 			st.completeNs += int64(d.latency)
 			st.completeHist.observe(d.latency)
-			switch {
-			case d.msgID != nil:
-				tk.spout.Ack(d.msgID)
-			case tk.ackerU64 != nil:
-				tk.ackerU64.AckU64(d.msgU64)
-			default:
-				tk.spout.Ack(d.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
-			}
+			tk.spout.Ack(d.msgID)
 		} else {
 			st.failed++
-			switch {
-			case d.msgID != nil:
-				tk.spout.Fail(d.msgID)
-			case tk.ackerU64 != nil:
-				tk.ackerU64.FailU64(d.msgU64)
-			default:
-				tk.spout.Fail(d.msgU64) //dspslint:ignore allocfree untyped-spout fallback boxes the id; spouts implementing AckerU64 take the box-free lane
-			}
+			tk.spout.Fail(d.msgID)
 		}
 	}
 	p.head, p.nDone = 0, 0
@@ -1047,38 +984,9 @@ type boltCollector struct {
 //
 //dsps:hotpath
 func (bc *boltCollector) Emit(values Values) {
-	tpl := bc.tk.arena.get()
-	tpl.Values = values
-	bc.emit(tpl)
-}
-
-// EmitInt64 implements OutputCollector: the payload rides the tuple's
-// int64 lane, so the emit never boxes.
-//
-//dsps:hotpath
-func (bc *boltCollector) EmitInt64(v int64) {
-	tpl := bc.tk.arena.get()
-	tpl.lane = laneI64
-	tpl.i64 = v
-	bc.emit(tpl)
-}
-
-// EmitFloat64 implements OutputCollector.
-//
-//dsps:hotpath
-func (bc *boltCollector) EmitFloat64(v float64) {
-	tpl := bc.tk.arena.get()
-	tpl.lane = laneF64
-	tpl.f64 = v
-	bc.emit(tpl)
-}
-
-// emit is the shared bolt emit core: route, anchor to the current input,
-// enqueue.
-//
-//dsps:hotpath
-func (bc *boltCollector) emit(tpl *Tuple) {
 	rt, tk := bc.rt, bc.tk
+	tpl := tk.arena.get()
+	tpl.Values = values
 	tpl.SourceComponent = tk.component
 	tpl.SourceTask = tk.id
 	tpl.fields = tk.outFields

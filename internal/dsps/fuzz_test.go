@@ -87,10 +87,10 @@ func FuzzGroupingRatios(f *testing.F) {
 		counts := make([]int, n)
 		for i := 0; i < rounds; i++ {
 			idx := g.Select(nil, n)
-			if len(idx) != 1 || idx[0] < 0 || idx[0] >= n {
-				t.Fatalf("Select returned %v for %d tasks", idx, n)
+			if idx < 0 || idx >= n {
+				t.Fatalf("Select returned %d for %d tasks", idx, n)
 			}
-			counts[idx[0]]++
+			counts[idx]++
 		}
 		for i, r := range norm {
 			if r == 0 && counts[i] != 0 {
@@ -227,7 +227,7 @@ func FuzzAckerSlabOps(f *testing.F) {
 		// completion the acker queued for it, says so.
 		finish := func(m *slabModelRoot, d ackDone, ok bool) {
 			t.Helper()
-			if d.ok != ok || d.slot != m.slot || d.msgID != nil || d.msgU64 != m.id {
+			if d.ok != ok || d.slot != m.slot || d.msgID != m.id {
 				t.Fatalf("root %x completion %+v, want ok=%v slot %d", m.id, d, ok, m.slot)
 			}
 			m.state = slabDone
@@ -257,7 +257,7 @@ func FuzzAckerSlabOps(f *testing.F) {
 					toggle(m, e)
 					xor ^= e
 				}
-				m.slot = a.register(pools[m.pool], m.id, xor, nil, m.id)
+				m.slot = a.register(pools[m.pool], m.id, xor, m.id)
 				if old := bySlot[m.slot]; old != nil {
 					t.Fatalf("slot %d handed to root %x while root %x (state %d) holds it", m.slot, m.id, old.id, old.state)
 				}
@@ -319,8 +319,8 @@ func FuzzAckerSlabOps(f *testing.F) {
 					t.Fatalf("spout %d delivered %d, model %d", pi, len(got), len(queued[pi]))
 				}
 				for i, m := range queued[pi] {
-					if got[i].msgU64 != m.id {
-						t.Fatalf("spout %d delivery %d is root %x, model %x", pi, i, got[i].msgU64, m.id)
+					if got[i].msgID != m.id {
+						t.Fatalf("spout %d delivery %d is root %v, model %x", pi, i, got[i].msgID, m.id)
 					}
 					m.state = slabFreed
 					delete(bySlot, m.slot)
@@ -379,7 +379,7 @@ func FuzzAckerSlabOps(f *testing.F) {
 			before := p.nDone
 			a.sweep(p)
 			for _, d := range p.done[before:p.nDone] {
-				expired[d.msgU64] = true
+				expired[d.msgID.(uint64)] = true
 			}
 		}
 		for _, m := range roots {

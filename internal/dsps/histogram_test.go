@@ -187,7 +187,7 @@ func TestSnapshotCarriesHistograms(t *testing.T) {
 	if execSamples != 100 {
 		t.Fatalf("exec histogram has %d samples, want 100", execSamples)
 	}
-	if sink.ExecQuantile(0.5) < 0 {
+	if HistogramQuantile(sink.ExecHist, 0.5) < 0 {
 		t.Fatal("negative quantile")
 	}
 	src := snap.ComponentTasks("src")[0]
@@ -198,7 +198,7 @@ func TestSnapshotCarriesHistograms(t *testing.T) {
 	if completeSamples != 100 {
 		t.Fatalf("complete histogram has %d samples, want 100", completeSamples)
 	}
-	if q := snap.CompleteQuantile(0.99); q <= 0 {
+	if q := HistogramQuantile(src.CompleteHist, 0.99); q <= 0 {
 		t.Fatalf("cluster complete p99 = %v", q)
 	}
 }

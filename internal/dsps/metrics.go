@@ -124,17 +124,6 @@ type TaskStats struct {
 	CompleteHist []int64
 }
 
-// ExecQuantile estimates the q-quantile of per-tuple execute latency.
-func (s TaskStats) ExecQuantile(q float64) time.Duration {
-	return HistogramQuantile(s.ExecHist, q)
-}
-
-// CompleteQuantile estimates the q-quantile of complete latency (spout
-// tasks only).
-func (s TaskStats) CompleteQuantile(q float64) time.Duration {
-	return HistogramQuantile(s.CompleteHist, q)
-}
-
 // AvgExecLatency returns the mean execute latency, or 0 with no samples.
 func (s TaskStats) AvgExecLatency() time.Duration {
 	if s.Executed == 0 {
@@ -228,18 +217,6 @@ type ComponentStats struct {
 	CompleteHist []int64
 }
 
-// ExecQuantile estimates the q-quantile of per-tuple execute latency
-// across the component's executors.
-func (s ComponentStats) ExecQuantile(q float64) time.Duration {
-	return HistogramQuantile(s.ExecHist, q)
-}
-
-// CompleteQuantile estimates the q-quantile of complete latency (spout
-// components only).
-func (s ComponentStats) CompleteQuantile(q float64) time.Duration {
-	return HistogramQuantile(s.CompleteHist, q)
-}
-
 // AvgExecLatency returns the component's mean execute latency.
 func (s ComponentStats) AvgExecLatency() time.Duration {
 	if s.Executed == 0 {
@@ -253,14 +230,9 @@ func (s ComponentStats) AvgExecLatency() time.Duration {
 // consumers that reassemble snapshots from shipped task stats — the
 // cluster wire protocol sends tasks and rebuilds the component aggregates
 // on the receiving side instead of paying for them twice on the wire.
+// Components come out in first-appearance order (deterministic: tasks are
+// snapshotted in declaration-then-spawn order per topology).
 func BuildComponentStats(tasks []TaskStats) []ComponentStats {
-	return buildComponentStats(tasks)
-}
-
-// buildComponentStats folds per-task stats into per-component aggregates,
-// in first-appearance order (deterministic: tasks are snapshotted in
-// declaration-then-spawn order per topology).
-func buildComponentStats(tasks []TaskStats) []ComponentStats {
 	idx := map[string]int{}
 	var out []ComponentStats
 	for _, ts := range tasks {
@@ -382,15 +354,6 @@ func (s *Snapshot) WorkerByID(id string) (WorkerStats, bool) {
 	return WorkerStats{}, false
 }
 
-// TotalExecuted sums executed tuples over all bolt tasks.
-func (s *Snapshot) TotalExecuted() int64 {
-	var total int64
-	for _, t := range s.Tasks {
-		total += t.Executed
-	}
-	return total
-}
-
 // TotalAcked sums completed roots over all spout tasks.
 func (s *Snapshot) TotalAcked() int64 {
 	var total int64
@@ -407,16 +370,4 @@ func (s *Snapshot) TotalFailed() int64 {
 		total += t.Failed
 	}
 	return total
-}
-
-// CompleteQuantile estimates the q-quantile of complete latency across
-// every spout task in the snapshot.
-func (s *Snapshot) CompleteQuantile(q float64) time.Duration {
-	var hists [][]int64
-	for _, t := range s.Tasks {
-		if len(t.CompleteHist) > 0 {
-			hists = append(hists, t.CompleteHist)
-		}
-	}
-	return HistogramQuantile(MergeHistograms(hists...), q)
 }

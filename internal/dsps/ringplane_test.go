@@ -2,37 +2,9 @@ package dsps
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// laneSpout emits anchored int64 payloads through the typed lane
-// (EmitInt64, no Values slice) and counts completions through the
-// unboxed AckerU64 path.
-type laneSpout struct {
-	BaseSpout
-	limit int
-
-	collector SpoutCollector
-	next      int
-	ackedU64  atomic.Int64
-	failedU64 atomic.Int64
-}
-
-func (s *laneSpout) Open(_ TopologyContext, c SpoutCollector) { s.collector = c }
-
-func (s *laneSpout) NextTuple() bool {
-	if s.next >= s.limit {
-		return false
-	}
-	s.collector.EmitInt64(int64(s.next), uint64(s.next)+1)
-	s.next++
-	return true
-}
-
-func (s *laneSpout) AckU64(uint64)  { s.ackedU64.Add(1) }
-func (s *laneSpout) FailU64(uint64) { s.failedU64.Add(1) }
 
 // channelPlaneFingerprint is runSeeded(42)'s per-task fingerprint as the
 // engine's former channel data plane (one shared input channel per bolt)
@@ -180,51 +152,5 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 	}
 	if len(snap.Scale) != 1 || snap.Scale[0].Ups != 12 || snap.Scale[0].Downs != 12 {
 		t.Fatalf("scale stats after churn = %+v, want Ups=12 Downs=12", snap.Scale)
-	}
-}
-
-// TestRingPlaneTypedLanesEndToEnd drives lane-emitted tuples (no Values
-// slice) through a fields grouping into a counting sink on the ring
-// plane, checking payloads survive the SoA batches and hash like their
-// boxed equivalents would.
-func TestRingPlaneTypedLanesEndToEnd(t *testing.T) {
-	const n = 300
-	spout := &laneSpout{limit: n}
-	var mu sync.Mutex
-	sums := map[int]int64{}
-	b := NewTopologyBuilder("lanes")
-	b.SetSpout("src", func() Spout { return spout }, 1, "n")
-	b.SetBolt("sink", func() Bolt {
-		return &BoltFunc{ExecuteFn: func(tp *Tuple, _ OutputCollector) {
-			v, ok := tp.Int64()
-			if !ok {
-				t.Error("lane payload missing")
-				return
-			}
-			mu.Lock()
-			sums[int(v)%3]++
-			mu.Unlock()
-		}}
-	}, 3).FieldsGrouping("src", "n")
-	topo, _ := b.Build()
-	c := testCluster()
-	if err := c.Submit(topo, SubmitConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("did not drain")
-	}
-	if got := spout.ackedU64.Load(); got != n {
-		t.Fatalf("AckU64 completions %d, want %d", got, n)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	total := int64(0)
-	for _, s := range sums {
-		total += s
-	}
-	if total != n {
-		t.Fatalf("sink saw %d lane tuples, want %d", total, n)
 	}
 }

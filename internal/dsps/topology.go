@@ -182,11 +182,6 @@ func (d *BoltDeclarer) GlobalGrouping(source string) *BoltDeclarer {
 	return d.subscribe(source, GlobalGrouping{})
 }
 
-// AllGrouping subscribes the bolt to source with full replication.
-func (d *BoltDeclarer) AllGrouping(source string) *BoltDeclarer {
-	return d.subscribe(source, AllGrouping{})
-}
-
 // DynamicGrouping subscribes the bolt to source with the paper's
 // split-ratio grouping and returns the grouping handle the controller uses
 // to update ratios at runtime.

@@ -23,19 +23,6 @@ import "fmt"
 // Values is a tuple payload, one entry per declared output field.
 type Values []any
 
-// laneKind tags which typed payload lane a tuple uses instead of the
-// boxed Values slice. Lane tuples are emitted through the typed collector
-// methods (EmitInt64, EmitFloat64); the generic accessors fall back to
-// boxing only when asked for an `any` view, so a lane tuple's hot path
-// never allocates.
-type laneKind uint8
-
-const (
-	laneNone laneKind = iota
-	laneI64
-	laneF64
-)
-
 // Tuple is a unit of data flowing through a topology.
 //
 // Engine-emitted tuples are allocated from a per-task arena (see
@@ -60,16 +47,8 @@ type Tuple struct {
 	// fields is the emitting component's schema, for field lookups.
 	fields []string
 
-	// lane/i64/f64 are the struct-of-arrays typed payload lanes: a tuple
-	// emitted via EmitInt64/EmitFloat64 carries its single-field payload
-	// here with Values nil, so the emit path never boxes the value into an
-	// interface. The generic accessors transparently view lane payloads.
-	lane laneKind
-	// slot is the acker slot of rootID (anchored tuples only). It sits in
-	// the padding after lane, so carrying it costs the tuple no space.
+	// slot is the acker slot of rootID (anchored tuples only).
 	slot uint32
-	i64  int64
-	f64  float64
 }
 
 // TickComponent is the SourceComponent of system tick tuples (see
@@ -89,46 +68,10 @@ func NewTestTuple(fields []string, values ...any) *Tuple {
 	return &Tuple{Values: values, fields: fields, SourceComponent: "test"}
 }
 
-// Int64 returns the tuple's int64 lane payload. The second result is
-// false when the tuple was not emitted through EmitInt64. This is the
-// allocation-free read path matching the typed emit path.
-func (t *Tuple) Int64() (int64, bool) {
-	if t.lane == laneI64 {
-		return t.i64, true
-	}
-	return 0, false
-}
-
-// Float64 returns the tuple's float64 lane payload; false when the tuple
-// was not emitted through EmitFloat64.
-func (t *Tuple) Float64() (float64, bool) {
-	if t.lane == laneF64 {
-		return t.f64, true
-	}
-	return 0, false
-}
-
-// laneValue boxes a lane payload for the generic accessors. Compat path
-// only — lane-aware readers use Int64/Float64.
-func (t *Tuple) laneValue() any {
-	switch t.lane {
-	case laneI64:
-		return t.i64
-	case laneF64:
-		return t.f64
-	}
-	return nil
-}
-
-// GetValue returns the value of the named field. Lane tuples (emitted via
-// EmitInt64/EmitFloat64) expose their payload under the component's first
-// declared field; reading one through this generic view boxes the value.
+// GetValue returns the value of the named field.
 func (t *Tuple) GetValue(field string) (any, error) {
 	for i, f := range t.fields {
 		if f == field {
-			if t.Values == nil && t.lane != laneNone && i == 0 {
-				return t.laneValue(), nil
-			}
 			if i < len(t.Values) {
 				return t.Values[i], nil
 			}
@@ -153,12 +96,8 @@ func (t *Tuple) String(field string) (string, error) {
 	return s, nil
 }
 
-// Int returns the int value of the named field. Lane tuples emitted via
-// EmitInt64 are read without boxing.
+// Int returns the int value of the named field.
 func (t *Tuple) Int(field string) (int, error) {
-	if t.lane == laneI64 && t.Values == nil && len(t.fields) > 0 && t.fields[0] == field {
-		return int(t.i64), nil
-	}
 	v, err := t.GetValue(field)
 	if err != nil {
 		return 0, err
@@ -173,12 +112,8 @@ func (t *Tuple) Int(field string) (int, error) {
 	return n, nil
 }
 
-// Float returns the float64 value of the named field. Lane tuples emitted
-// via EmitFloat64 are read without boxing.
+// Float returns the float64 value of the named field.
 func (t *Tuple) Float(field string) (float64, error) {
-	if t.lane == laneF64 && t.Values == nil && len(t.fields) > 0 && t.fields[0] == field {
-		return t.f64, nil
-	}
 	v, err := t.GetValue(field)
 	if err != nil {
 		return 0, err
@@ -188,11 +123,4 @@ func (t *Tuple) Float(field string) (float64, error) {
 		return 0, fmt.Errorf("dsps: field %q is %T, not float64", field, v)
 	}
 	return f, nil
-}
-
-// Fields returns the field names of the tuple's schema.
-func (t *Tuple) Fields() []string {
-	out := make([]string, len(t.fields))
-	copy(out, t.fields)
-	return out
 }

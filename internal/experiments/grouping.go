@@ -103,9 +103,7 @@ func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 				if n >= budget.Load() {
 					return false
 				}
-				// Typed lane emit: no Values slice, no msgID boxing. The +1
-				// keeps the first tuple anchored (msgID 0 means unanchored).
-				col.EmitInt64(n, uint64(n)+1)
+				col.Emit(dsps.Values{n}, n)
 				emitted.Store(n + 1)
 				return true
 			},

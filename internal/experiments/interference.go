@@ -184,9 +184,7 @@ func buildNeighbor(cfg InterferenceConfig) (*dsps.Topology, error) {
 		return &dsps.SpoutFunc{
 			OpenFn: func(_ dsps.TopologyContext, c dsps.SpoutCollector) { col = c },
 			NextFn: func() bool {
-				// Typed lane emit: no Values slice, no msgID boxing (msgID 0
-				// would be unanchored, hence the +1).
-				col.EmitInt64(int64(emitted), uint64(emitted)+1)
+				col.Emit(dsps.Values{emitted}, emitted)
 				emitted++
 				return true
 			},

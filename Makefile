@@ -64,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzHistogramQuantile$$' -run '^$$' -fuzztime 10s ./internal/dsps/
 	$(GO) test -fuzz='^FuzzAckerTrees$$' -run '^$$' -fuzztime 10s ./internal/dsps/
 	$(GO) test -fuzz='^FuzzAckerSlabOps$$' -run '^$$' -fuzztime 10s ./internal/dsps/
-	$(GO) test -fuzz='^FuzzRingBatchOps$$' -run '^$$' -fuzztime 10s ./internal/ring/
+	$(GO) test -fuzz='^FuzzRingOps$$' -run '^$$' -fuzztime 10s ./internal/ring/
 	$(GO) test -fuzz='^FuzzServeWireFrame$$' -run '^$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz='^FuzzClusterWireFrame$$' -run '^$$' -fuzztime 10s ./internal/cluster/
 

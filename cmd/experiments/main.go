@@ -1,11 +1,11 @@
 // Command experiments regenerates the paper's evaluation: each subcommand
 // prints the rows/series behind one reconstructed table or figure
-// (E1..E14, see DESIGN.md), and `all` runs the full suite. With -out DIR
+// (E1..E13, see DESIGN.md), and `all` runs the full suite. With -out DIR
 // each experiment's series is also written as a plot-ready CSV.
 //
 // Usage:
 //
-//	experiments <e1|…|e14|all> [flags]
+//	experiments <e1|…|e13|all> [flags]
 package main
 
 import (
@@ -182,14 +182,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				result = r
 				fmt.Fprint(stdout, r.Render())
 			}
-		case "e14":
-			var r *experiments.ServingResult
-			if r, err = experiments.RunServing(experiments.ServingConfig{
-				Steps: *steps, Epochs: *epochs, Seed: *seed, Workers: *workers,
-			}); err == nil {
-				result = r
-				fmt.Fprint(stdout, r.Render())
-			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -217,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	names := []string{cmd}
 	if cmd == "all" {
-		names = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e8", "e9", "e10", "e10r", "e11", "e12", "e13", "e14"}
+		names = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e8", "e9", "e10", "e10r", "e11", "e12", "e13"}
 	}
 	for _, n := range names {
 		if err := runOne(n); err != nil {
@@ -246,6 +238,5 @@ subcommands:
   e11   planner policy ablation (bypass vs weighted vs uniform)
   e12   cross-topology co-location interference trace
   e13   elastic vs static parallelism under diurnal and flash-crowd load
-  e14   quantized serving: int8 vs float64 accuracy delta and forward cost
   all   run the full suite`)
 }

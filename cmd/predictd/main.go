@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tcpAddr := fs.String("tcp-addr", "", "also serve the raw-TCP binary protocol on this address")
 	obsAddr := fs.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090)")
 	modelPath := fs.String("model", "", "DRNN checkpoint to serve (from predict -save); empty trains a demo model on the synthetic trace")
-	quantized := fs.Bool("quantized", false, "serve int8 fixed-point inference instead of float64")
 	maxBatch := fs.Int("batch", 16, "largest micro-batch per forward pass")
 	queue := fs.Int("queue", 256, "admission queue depth; overflow is shed with HTTP 429")
 	duration := fs.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
@@ -66,16 +65,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	inf, err := p.Inference(*quantized)
+	inf, err := p.Inference(false)
 	if err != nil {
 		return err
 	}
-	mode := "float64"
-	if *quantized {
-		mode = "int8"
-	}
-	fmt.Fprintf(stdout, "model ready: window %d, %d features, %s forward path\n",
-		inf.Window(), inf.Features(), mode)
+	fmt.Fprintf(stdout, "model ready: window %d, %d features\n", inf.Window(), inf.Features())
 
 	var reg *obs.Registry
 	if *obsAddr != "" {

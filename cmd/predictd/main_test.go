@@ -46,8 +46,8 @@ func TestRunHelp(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errOut); err != flag.ErrHelp {
 		t.Fatalf("-h error = %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(errOut.String(), "-quantized") {
-		t.Fatal("usage text missing -quantized flag")
+	if !strings.Contains(errOut.String(), "-model") {
+		t.Fatal("usage text missing -model flag")
 	}
 }
 
@@ -134,7 +134,6 @@ func TestRunServesHTTPAndTCP(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-tcp-addr", "127.0.0.1:0",
 			"-obs", "127.0.0.1:0",
-			"-quantized",
 			"-duration", "60s", // safety net; the test exits via SIGINT below
 		}, &out, &errOut)
 	}()

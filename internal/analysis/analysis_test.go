@@ -23,9 +23,10 @@ func TestAnalyzerGolden(t *testing.T) {
 			dir := filepath.Join("testdata", a.Name)
 			patterns := []string{"."}
 			if a.Name == "unused" {
-				// bench/ stays unloaded: its reference must come from the
-				// side parse of files outside the patterns.
-				patterns = []string{"./lib", "./user"}
+				// The corpus is a module of its own, so the side parse of
+				// unloaded files sees only its bench/, which stays outside
+				// the patterns.
+				patterns = []string{"./internal/..."}
 			}
 			rep, err := Analyze(Config{
 				Dir:          dir,
@@ -323,12 +324,13 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 }
 
 // TestUnusedWithoutTestFiles pins the side parse: with -tests=false the
-// other package's test file is not type-checked, yet its reference still
-// keeps the shared helper live, so the findings match the full run.
+// other package's test file is not type-checked, yet its references still
+// keep the shared helper and the shared method live, so the findings
+// match the full run.
 func TestUnusedWithoutTestFiles(t *testing.T) {
 	rep, err := Analyze(Config{
 		Dir:      filepath.Join("testdata", "unused"),
-		Patterns: []string{"./lib", "./user"},
+		Patterns: []string{"./internal/..."},
 		Enable:   []string{"unused"},
 	})
 	if err != nil {
@@ -338,7 +340,7 @@ func TestUnusedWithoutTestFiles(t *testing.T) {
 	for _, d := range rep.Findings {
 		got = append(got, d.Message[:strings.Index(d.Message, " ")])
 	}
-	if want := "lib.OnlyOwnTest lib.Uncalled lib.Countdown"; strings.Join(got, " ") != want {
+	if want := "lib.OnlyOwnTest lib.Uncalled lib.Countdown lib.T.Unreached lib.T.OwnTestMethod lib.Box.Unboxed"; strings.Join(got, " ") != want {
 		t.Fatalf("findings %v, want %s", got, want)
 	}
 }

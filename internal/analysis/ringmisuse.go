@@ -16,10 +16,9 @@ import (
 // Lamport ring's unsynchronized head/tail stores then corrupt slots
 // silently instead of failing loudly.
 //
-// Side classification: Push/PushBatch/Close are producer-side (Close is a
-// producer hand-off: the consumer drains to empty and prunes), Pop/
-// PopBatch are consumer-side, and the read-only queries (Len, Cap, Empty,
-// Closed) are free — both sides use them to decide when to park. A
+// Side classification: Push/Close are producer-side (Close is a producer
+// hand-off: the consumer drains to empty and prunes), Pop is
+// consumer-side, and the read-only queries (Len, Empty, Closed) are free — both sides use them to decide when to park. A
 // directive covers the whole declaration, function literals included;
 // handing a ring to a literal that runs on another goroutine is the
 // reviewer's to catch, not this analyzer's. The ring package itself (and
@@ -55,13 +54,13 @@ func runRingMisuse(pass *Pass) {
 					return true
 				}
 				switch name {
-				case "Push", "PushBatch", "Close":
+				case "Push", "Close":
 					if !producer {
 						pass.Reportf(call.Pos(),
 							"SPSC.%s in %s, which is not marked //dsps:ringproducer; a second producer corrupts the single-writer ring",
 							name, funcLabel(fn))
 					}
-				case "Pop", "PopBatch":
+				case "Pop":
 					if !consumer {
 						pass.Reportf(call.Pos(),
 							"SPSC.%s in %s, which is not marked //dsps:ringconsumer; a second consumer corrupts the single-reader ring",

@@ -6,7 +6,7 @@ import (
 )
 
 // SpliceSend enforces the elastic runtime's splice discipline: a push
-// into an SPSC ring (Push or PushBatch on a ring.SPSC, the data plane's
+// into an SPSC ring (Push on a ring.SPSC, the data plane's
 // only producer→bolt hand-off) must happen while the topology's splice
 // lock (a sync.RWMutex field named spliceMu) is held. ScaleDown retires an
 // executor by marking it dead under the splice write lock and then
@@ -137,7 +137,7 @@ func reportUnspliced(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 		case *ast.SelectStmt:
 			return false // comm clauses are scanned by scanSpliceBlock
 		case *ast.CallExpr:
-			if name, _ := spscMethod(pass, n); name == "Push" || name == "PushBatch" {
+			if name, _ := spscMethod(pass, n); name == "Push" {
 				ring := n.Fun.(*ast.SelectorExpr).X
 				pass.Reportf(n.Pos(), "%s.%s without holding the splice lock; ScaleDown may be reclaiming the ring", exprKey(ring), name)
 			}

@@ -18,9 +18,9 @@ func (p *plane) strayPush(b batch) {
 	p.in.Push(b) // want: ringmisuse
 }
 
-// strayPushBatch covers the batch variant and a second instantiation.
-func (p *plane) strayPushBatch(ops []*[]int) {
-	p.ack.PushBatch(ops) // want: ringmisuse
+// strayPushAck covers a second instantiation.
+func (p *plane) strayPushAck(op *[]int) {
+	p.ack.Push(op) // want: ringmisuse
 }
 
 // strayClose: Close is producer-side — the consumer drains and prunes,
@@ -32,11 +32,6 @@ func (p *plane) strayClose() {
 // strayPop is the consumer-side mirror.
 func (p *plane) strayPop() (batch, bool) {
 	return p.in.Pop() // want: ringmisuse
-}
-
-// strayPopBatch covers the batch variant.
-func (p *plane) strayPopBatch(dst []batch) int {
-	return p.in.PopBatch(dst) // want: ringmisuse
 }
 
 // wrongSide holds the consumer directive but pushes: still a violation.
@@ -60,8 +55,8 @@ func (p *plane) annotatedProducer(b batch) bool {
 // annotatedConsumer is the engine's consumer shape; must NOT be flagged.
 //
 //dsps:ringconsumer
-func (p *plane) annotatedConsumer(dst []batch) int {
-	return p.in.PopBatch(dst)
+func (p *plane) annotatedConsumer() (batch, bool) {
+	return p.in.Pop()
 }
 
 // retire carries both directives — the ownership-transfer shape where a
@@ -82,6 +77,6 @@ func (p *plane) retire() int {
 }
 
 // queries are free from any goroutine: both sides use them to park.
-func (p *plane) queries() (int, int, bool, bool) {
-	return p.in.Len(), p.in.Cap(), p.in.Empty(), p.in.Closed()
+func (p *plane) queries() (int, bool, bool) {
+	return p.in.Len(), p.in.Empty(), p.in.Closed()
 }

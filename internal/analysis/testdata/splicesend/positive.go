@@ -53,9 +53,9 @@ func (t *topo) pushInCondition(w *worker, b []int) bool {
 	return true
 }
 
-// batchPush covers PushBatch and a second instantiation.
-func (t *topo) batchPush(ops []int) int {
-	return t.acks.PushBatch(ops) // want: splicesend
+// ackPush covers a second instantiation.
+func (t *topo) ackPush(op int) bool {
+	return t.acks.Push(op) // want: splicesend
 }
 
 // readLockedPush is the engine's producer shape and must NOT be flagged.

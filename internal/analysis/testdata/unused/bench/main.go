@@ -5,7 +5,10 @@ package main
 import (
 	"fmt"
 
-	corpus "predstream/internal/analysis/testdata/unused/lib"
+	corpus "unusedcorpus/internal/lib"
 )
 
-func main() { fmt.Println(corpus.UsedByBench()) }
+func main() {
+	var t corpus.T
+	fmt.Println(corpus.UsedByBench(), t.Benched())
+}

@@ -3,7 +3,7 @@ package lib_test
 import (
 	"testing"
 
-	"predstream/internal/analysis/testdata/unused/lib"
+	"unusedcorpus/internal/lib"
 )
 
 // An external test package is still the package's own test.

@@ -3,7 +3,8 @@ package lib
 import "testing"
 
 func TestOwn(t *testing.T) {
-	if OnlyOwnTest()+Countdown(2)+Reserved() == 0 {
+	var x T
+	if OnlyOwnTest()+Countdown(2)+Reserved()+x.OwnTestMethod() == 0 {
 		t.Fatal("unreachable")
 	}
 }

@@ -4,3 +4,8 @@ package lib
 //
 //dspslint:ignore unused the planned replay tool calls it
 func Reserved() int { return 8 }
+
+// Planned is a method the same work item will call.
+//
+//dspslint:ignore unused the planned replay tool calls it too
+func (T) Planned() int { return 12 }

@@ -3,11 +3,12 @@ package user
 import (
 	"testing"
 
-	"predstream/internal/analysis/testdata/unused/lib"
+	"unusedcorpus/internal/lib"
 )
 
 func TestShared(t *testing.T) {
-	if lib.UsedByOtherTest() == 0 {
+	var x lib.T
+	if lib.UsedByOtherTest()+x.SharedMethod() == 0 {
 		t.Fatal("unreachable")
 	}
 }

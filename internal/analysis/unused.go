@@ -10,12 +10,13 @@ import (
 	"strings"
 )
 
-// Unused reports dead API: a package-level function under internal/
-// that nothing outside its own package's _test.go files refers to.
-// Nothing outside the module can import internal/, so such a function
-// has no caller at all once its own tests go; keeping it alive costs
-// review and maintenance for no behaviour. A reference implementation
-// that tests compare against belongs in a _test.go file instead.
+// Unused reports dead API: a package-level function or a method under
+// internal/ that nothing outside its own package's _test.go files refers
+// to. Nothing outside the module can import internal/, so such a
+// function has no caller at all once its own tests go; keeping it alive
+// costs review and maintenance for no behaviour. A reference
+// implementation that tests compare against belongs in a _test.go file
+// instead.
 //
 // Live references are read from types.Info.Uses, not from call-graph
 // reachability: the graph has no edge for an interface or func-value
@@ -23,25 +24,38 @@ import (
 // stored in a table or passed as a callback. A reference counts as live
 // when it comes from a non-test file anywhere in the module, or from a
 // test file of another package (shared test helpers). A function's
-// references to itself do not count.
+// references to itself do not count. A use of a generic type's method
+// is mapped to its declaration through (*types.Func).Origin.
+//
+// A method is also live when some module type with it in its method set
+// (promoted through embedding included) implements an interface that
+// declares it: a named interface of the module or of any package the
+// module imports, or the predeclared error. Such a method is called
+// through the interface, where no selector names it — fmt calling
+// String, gob calling GobDecode.
 //
 // Files the loader did not type-check — another Go module nested in
 // the tree (bench/), packages outside the requested patterns, test
-// files under -tests=false — are parsed on the side and contribute
-// their `pkg.Name` selectors on module imports as references.
+// files under -tests=false — are parsed on the side if they import a
+// module package. Their `pkg.Name` selectors on module imports count as
+// references to that function, and, with no types to resolve the
+// receiver, any `.Name` selector counts as a reference to every method
+// of that name.
 var Unused = &Analyzer{
 	Name:      "unused",
-	Doc:       "package-level function under internal/ referenced only by its own package's tests",
+	Doc:       "function or method under internal/ referenced only by its own package's tests",
 	RunModule: runUnused,
 }
 
 func runUnused(pass *Pass) {
 	mod := pass.Mod
 	type candidate struct {
-		pkg  string // declaring package's import path
-		decl *ast.FuncDecl
+		pkg   string // declaring package's import path
+		decl  *ast.FuncDecl
+		label string // pkg.Func or pkg.Type.Method
 	}
 	cands := map[string]*candidate{}
+	methods := map[string][]string{} // method name → candidate keys
 	internal := mod.Path + "/internal/"
 	for _, pkg := range mod.Packages {
 		if !strings.HasPrefix(pkg.ImportPath, internal) || strings.HasSuffix(pkg.ImportPath, "_test") {
@@ -53,17 +67,31 @@ func runUnused(pass *Pass) {
 			}
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || fn.Name.Name == "init" || fn.Name.Name == "_" {
+				if !ok || (fn.Recv == nil && fn.Name.Name == "init") || fn.Name.Name == "_" {
 					continue
 				}
-				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
-					cands[funcObjKey(obj)] = &candidate{pkg: pkg.ImportPath, decl: fn}
+				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
+				if !ok {
+					continue
 				}
+				key := funcObjKey(obj)
+				label := pkgBase(pkg.ImportPath) + "."
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+					t := recv.Type()
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					if named, ok := t.(*types.Named); ok {
+						label += named.Obj().Name() + "."
+					}
+					methods[fn.Name.Name] = append(methods[fn.Name.Name], key)
+				}
+				cands[key] = &candidate{pkg: pkg.ImportPath, decl: fn, label: label + fn.Name.Name}
 			}
 		}
 	}
 
-	live := map[string]bool{}
+	live := interfaceMethods(mod)
 	use := func(key, fromPkg string, fromTest bool, pos token.Pos) {
 		c := cands[key]
 		if c == nil || (fromTest && fromPkg == c.pkg) || (pos >= c.decl.Pos() && pos < c.decl.End()) {
@@ -86,32 +114,121 @@ func runUnused(pass *Pass) {
 		}
 	}
 	for _, ref := range unloadedRefs(mod, loaded) {
-		use(ref.key, ref.from, ref.test, token.NoPos)
+		if ref.pkg != "" {
+			use(ref.pkg+"."+ref.name, ref.from, ref.test, token.NoPos)
+		}
+		for _, key := range methods[ref.name] {
+			use(key, ref.from, ref.test, token.NoPos)
+		}
 	}
 
 	// Analyze sorts every diagnostic by position, so map order is moot.
 	for key, c := range cands {
 		if !live[key] {
 			pass.Reportf(c.decl.Name.Pos(),
-				"%s.%s has no reference outside its own package's tests; delete it, or move it into a _test.go file",
-				pkgBase(c.pkg), c.decl.Name.Name)
+				"%s has no reference outside its own package's tests; delete it, or move it into a _test.go file",
+				c.label)
 		}
 	}
 }
 
-// A syntacticRef is a `pkg.Name` selector on a module import, found in
-// a file the loader did not type-check.
+// interfaceMethods returns the keys of the methods that some module type
+// needs to implement an interface: for every type declared in a loaded
+// package whose pointer implements an interface — one named in the scope
+// of the module or of any package it imports, one written in module code
+// (a local declaration, a literal), or error — the methods the interface
+// declares, as found in that type's method set. Generic types and
+// interfaces are skipped; go/types leaves Implements unspecified for
+// uninstantiated ones.
+func interfaceMethods(mod *Module) map[string]bool {
+	// Index interfaces by their first method: a type can implement only
+	// those whose first method it has.
+	byFirst := map[string][]*types.Interface{}
+	seenIface := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if named, ok := t.(*types.Named); ok && named.TypeParams() != nil {
+			return
+		}
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seenIface[it] || !it.IsMethodSet() || it.NumMethods() == 0 {
+			return
+		}
+		seenIface[it] = true
+		name := it.Method(0).Name()
+		byFirst[name] = append(byFirst[name], it)
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seenPkg := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seenPkg[p] {
+			return
+		}
+		seenPkg[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range mod.Packages {
+		visit(pkg.Types)
+		for _, tv := range pkg.Info.Types {
+			if tv.IsType() {
+				addIface(tv.Type)
+			}
+		}
+	}
+
+	live := map[string]bool{}
+	for _, pkg := range mod.Packages {
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams() != nil || types.IsInterface(named) {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			mset := types.NewMethodSet(ptr)
+			for i := 0; i < mset.Len(); i++ {
+				for _, it := range byFirst[mset.At(i).Obj().Name()] {
+					if !types.Implements(ptr, it) {
+						continue
+					}
+					for j := 0; j < it.NumMethods(); j++ {
+						m := it.Method(j)
+						if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+							live[funcObjKey(sel.Obj().(*types.Func))] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return live
+}
+
+// A syntacticRef is a selector found in a file the loader did not
+// type-check.
 type syntacticRef struct {
-	key  string // importPath.Name, the same form as funcObjKey
+	pkg  string // module import path when the selector is `pkg.Name`
+	name string // the selected name
 	from string // import path of the referring file's directory
 	test bool
 }
 
 // unloadedRefs parses every .go file under the module root that is not
-// in loaded and returns its selectors on module imports. The walk prunes
-// the directories the loader prunes (testdata, vendor, hidden, _-prefixed),
-// except on the way down to the working directory, so a corpus under
-// testdata sees its own files.
+// in loaded and imports a module package, and returns its selectors. The
+// walk prunes the directories
+// the loader prunes (testdata, vendor, hidden, _-prefixed), except on
+// the way down to the working directory, so a corpus under testdata sees
+// its own files.
 func unloadedRefs(mod *Module, loaded map[string]bool) []syntacticRef {
 	var refs []syntacticRef
 	fset := token.NewFileSet()
@@ -156,9 +273,11 @@ func unloadedRefs(mod *Module, loaded map[string]bool) []syntacticRef {
 		test := strings.HasSuffix(name, "_test.go")
 		ast.Inspect(f, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					refs = append(refs, syntacticRef{imports[x.Name] + "." + sel.Sel.Name, from, test})
+				ref := syntacticRef{name: sel.Sel.Name, from: from, test: test}
+				if x, ok := sel.X.(*ast.Ident); ok {
+					ref.pkg = imports[x.Name]
 				}
+				refs = append(refs, ref)
 			}
 			return true
 		})

@@ -39,18 +39,6 @@ func (r *Registry) Add(q Query) error {
 	return nil
 }
 
-// Remove deletes a standing query by id, reporting whether it existed.
-func (r *Registry) Remove(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.queries[id]; !ok {
-		return false
-	}
-	delete(r.queries, id)
-	r.version++
-	return true
-}
-
 // List returns the current queries sorted by ID.
 func (r *Registry) List() []Query {
 	r.mu.RLock()

@@ -180,3 +180,15 @@ func TestBuildWithEmptyRegistry(t *testing.T) {
 		t.Fatal("empty registry accepted")
 	}
 }
+
+// Remove deletes a standing query by id, reporting whether it existed.
+func (r *Registry) Remove(id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.queries[id]; !ok {
+		return false
+	}
+	delete(r.queries, id)
+	r.version++
+	return true
+}

@@ -251,8 +251,3 @@ func (m *Model) Predict(recent *timeseries.Series, horizon int) (float64, error)
 	}
 	return fc[horizon-1], nil
 }
-
-// Coefficients returns the fitted intercept, AR and MA coefficients.
-func (m *Model) Coefficients() (intercept float64, phi, theta []float64) {
-	return m.intercept, mat.CloneVec(m.phi), mat.CloneVec(m.theta)
-}

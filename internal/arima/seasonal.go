@@ -247,8 +247,3 @@ func (m *SeasonalModel) Predict(recent *timeseries.Series, horizon int) (float64
 	}
 	return fc[horizon-1], nil
 }
-
-// Coefficients returns the fitted intercept and coefficient groups.
-func (m *SeasonalModel) Coefficients() (intercept float64, phi, seasonalPhi, theta []float64) {
-	return m.intercept, mat.CloneVec(m.phi), mat.CloneVec(m.sphi), mat.CloneVec(m.theta)
-}

@@ -343,3 +343,15 @@ func TestScaleFloorSkipped(t *testing.T) {
 		t.Fatalf("floor rejection must not violate invariants:\n%s", rep)
 	}
 }
+
+// Horizon returns the time of the last event (the scripted portion of the
+// run; the runner appends a final drain-and-check phase after it).
+func (s Script) Horizon() time.Duration {
+	var max time.Duration
+	for _, e := range s.Events {
+		if e.At > max {
+			max = e.At
+		}
+	}
+	return max
+}

@@ -9,8 +9,9 @@ import (
 )
 
 // ProcController abstracts a set of real worker OS processes a proc
-// script can disrupt. internal/cluster's ProcSet implements it; tests may
-// substitute fakes to exercise the runner without spawning processes.
+// script can disrupt. internal/cluster's end-to-end tests implement it
+// over real processes (ProcSet); other tests may substitute fakes to
+// exercise the runner without spawning processes.
 type ProcController interface {
 	// Procs returns the managed worker names; ProcEvent.Proc indexes it.
 	Procs() []string
@@ -77,17 +78,6 @@ func (e ProcEvent) String() string {
 type ProcScript struct {
 	Seed   int64
 	Events []ProcEvent
-}
-
-// Horizon returns the time of the last event.
-func (s ProcScript) Horizon() time.Duration {
-	var max time.Duration
-	for _, e := range s.Events {
-		if e.At > max {
-			max = e.At
-		}
-	}
-	return max
 }
 
 // sorted returns the events in stable firing order.

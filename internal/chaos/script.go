@@ -156,18 +156,6 @@ type Script struct {
 	Events []Event
 }
 
-// Horizon returns the time of the last event (the scripted portion of the
-// run; the runner appends a final drain-and-check phase after it).
-func (s Script) Horizon() time.Duration {
-	var max time.Duration
-	for _, e := range s.Events {
-		if e.At > max {
-			max = e.At
-		}
-	}
-	return max
-}
-
 // sorted returns the events in stable firing order.
 func (s Script) sorted() []Event {
 	evs := make([]Event, len(s.Events))

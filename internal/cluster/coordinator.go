@@ -553,13 +553,6 @@ func (c *Coordinator) Stats() FleetStats {
 	return st
 }
 
-// Generation returns how many times a worker name has joined (0 = never).
-func (c *Coordinator) Generation(name string) uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens[name]
-}
-
 // WaitForWorkers blocks until at least n workers are live or the timeout
 // elapses.
 func (c *Coordinator) WaitForWorkers(n int, timeout time.Duration) error {
@@ -672,33 +665,6 @@ func (c *Coordinator) CheckInvariants(name string, drainTimeout time.Duration, r
 		return false, nil, fmt.Errorf("cluster: check %s: status %d: %s", name, res.Status, res.Detail)
 	}
 	return res.Drained, res.Violations, nil
-}
-
-// DrainAll pauses nothing but asks every live worker to drain, bounded by
-// timeout each, and reports whether all drained.
-func (c *Coordinator) DrainAll(timeout time.Duration) bool {
-	all := true
-	for _, s := range c.liveSessions() {
-		res, err := s.call(Command{Op: OpDrain, Timeout: timeout}, commandTimeout+timeout)
-		if err != nil || res.Status != StatusOK || !res.Drained {
-			all = false
-		}
-	}
-	return all
-}
-
-// PauseAll / ResumeAll toggle spout emission on every live worker.
-func (c *Coordinator) PauseAll() {
-	for _, s := range c.liveSessions() {
-		s.call(Command{Op: OpPauseSpouts}, commandTimeout)
-	}
-}
-
-// ResumeAll re-enables spout emission on every live worker.
-func (c *Coordinator) ResumeAll() {
-	for _, s := range c.liveSessions() {
-		s.call(Command{Op: OpResumeSpouts}, commandTimeout)
-	}
 }
 
 // ShutdownWorkers asks every live worker process to exit gracefully.

@@ -239,3 +239,10 @@ func TestProcScriptDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Generation returns how many times a worker name has joined (0 = never).
+func (c *Coordinator) Generation(name string) uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gens[name]
+}

@@ -49,9 +49,6 @@ func (e *RemoteEngine) call(cmd Command, extra time.Duration) (Result, error) {
 	return res, nil
 }
 
-// Name returns the worker name this engine is bound to.
-func (e *RemoteEngine) Name() string { return e.name }
-
 // Snapshot fetches a fresh engine snapshot over the wire. If the worker
 // is unreachable it falls back to the last snapshot the worker shipped,
 // and failing that returns an empty snapshot — never nil, because the
@@ -103,28 +100,6 @@ func (e *RemoteEngine) InjectFault(worker string, f dsps.Fault) error {
 func (e *RemoteEngine) ClearFault(worker string) error {
 	_, err := e.call(Command{Op: OpClearFault, Worker: worker}, 0)
 	return err
-}
-
-// PauseSpouts stops emission on the remote engine.
-func (e *RemoteEngine) PauseSpouts() error {
-	_, err := e.call(Command{Op: OpPauseSpouts}, 0)
-	return err
-}
-
-// ResumeSpouts restarts emission on the remote engine.
-func (e *RemoteEngine) ResumeSpouts() error {
-	_, err := e.call(Command{Op: OpResumeSpouts}, 0)
-	return err
-}
-
-// Drain waits worker-side (up to timeout) for in-flight tuples to clear
-// and reports whether the engine fully drained.
-func (e *RemoteEngine) Drain(timeout time.Duration) (bool, error) {
-	res, err := e.call(Command{Op: OpDrain, Timeout: timeout}, timeout)
-	if err != nil {
-		return false, err
-	}
-	return res.Drained, nil
 }
 
 // RemoteGrouping actuates one component's dynamic-grouping ratios on a

@@ -59,11 +59,6 @@ type WorkerConfig struct {
 // SIGSTOP longer than the dead-after window).
 type Worker struct {
 	cfg WorkerConfig
-
-	mu         sync.Mutex
-	generation uint32
-	workerID   string
-	joins      int
 }
 
 // NewWorker validates cfg and returns an unstarted worker; call Run.
@@ -90,28 +85,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("cluster: invalid version range %d-%d", cfg.MinVersion, cfg.MaxVersion)
 	}
 	return &Worker{cfg: cfg}, nil
-}
-
-// Generation returns the generation assigned by the most recent Welcome
-// (0 before the first join).
-func (w *Worker) Generation() uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.generation
-}
-
-// WorkerID returns the session id assigned by the most recent Welcome.
-func (w *Worker) WorkerID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.workerID
-}
-
-// Joins returns how many times this worker has completed a handshake.
-func (w *Worker) Joins() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.joins
 }
 
 func (w *Worker) emit(level int, msg string, kv ...string) {
@@ -183,11 +156,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 		conn.Close()
 		return err
 	}
-	w.mu.Lock()
-	w.generation = welcome.Generation
-	w.workerID = welcome.WorkerID
-	w.joins++
-	w.mu.Unlock()
 	w.emit(dsps.EventInfo, "worker joined coordinator",
 		"worker", w.cfg.Name, "id", welcome.WorkerID,
 		"generation", strconv.Itoa(int(welcome.Generation)),

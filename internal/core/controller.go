@@ -254,13 +254,6 @@ func NewController(cluster Engine, targets []ControlTarget, cfg Config) (*Contro
 	return ctl, nil
 }
 
-// Fitted reports whether per-worker predictors have been trained.
-func (c *Controller) Fitted() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fitted
-}
-
 // historyCap bounds the step reports a controller retains: a loop that runs
 // for days must not grow, and pay to copy, one report per step forever.
 const historyCap = 4096

@@ -357,3 +357,10 @@ func TestControllerRunLoopAndCancel(t *testing.T) {
 		t.Fatalf("run loop recorded %d steps", len(c.History()))
 	}
 }
+
+// Fitted reports whether per-worker predictors have been trained.
+func (c *Controller) Fitted() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fitted
+}

@@ -133,9 +133,6 @@ func NewScalePlanner(cfg ScaleConfig) *ScalePlanner {
 	return &ScalePlanner{cfg: cfg.withDefaults()}
 }
 
-// Config returns the planner's effective (defaulted) configuration.
-func (p *ScalePlanner) Config() ScaleConfig { return p.cfg }
-
 // Decide consumes one window of signals and returns the parallelism delta
 // to apply now (0 = hold) plus the rationale.
 func (p *ScalePlanner) Decide(now time.Time, sig ScaleSignals) (delta int, reason string) {

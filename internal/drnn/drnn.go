@@ -106,9 +106,6 @@ func (p *Predictor) Name() string { return "DRNN" }
 // MinContext implements timeseries.Predictor.
 func (p *Predictor) MinContext() int { return p.cfg.Window }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // LossHistory returns the per-epoch mean training loss of the last Fit,
 // the series experiment E8 plots.
 func (p *Predictor) LossHistory() []float64 {

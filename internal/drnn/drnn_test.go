@@ -303,3 +303,6 @@ func BenchmarkPredict(b *testing.B) {
 		}
 	}
 }
+
+// Config returns the effective (defaulted) configuration.
+func (p *Predictor) Config() Config { return p.cfg }

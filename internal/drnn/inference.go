@@ -1,6 +1,7 @@
 package drnn
 
 import (
+	"errors"
 	"fmt"
 
 	"predstream/internal/nn"
@@ -9,49 +10,40 @@ import (
 )
 
 // Inference is a concurrent-safe batched serving handle over a fitted
-// Predictor. It owns a pooled batched forward path (float64 GEMM or int8
-// quantized), applies the model's feature standardization during the input
-// gather, and de-standardizes predictions back to metric units. Many
-// goroutines may call PredictBatch concurrently; the handle never mutates
-// the underlying Predictor.
+// Predictor. It owns a pooled batched float64 forward path, applies the
+// model's feature standardization during the input gather, and
+// de-standardizes predictions back to metric units. Many goroutines may
+// call PredictBatch concurrently; the handle never mutates the
+// underlying Predictor.
 type Inference struct {
-	window      int
-	features    int
-	quantized   bool
-	weightBytes int
-	tgt         stats.StandardScaler
-	forward     func(seqs [][][]float64, dst [][]float64) error
+	window   int
+	features int
+	tgt      stats.StandardScaler
+	runner   *nn.BatchRunner
 }
 
-// Inference builds a serving handle from the fitted model. With quantized
-// set, weights are converted to int8 (symmetric per-tensor scales) and the
-// forward path runs fixed-point; otherwise it runs the exact float64 path,
-// bitwise identical to Predict.
+// Inference builds a serving handle from the fitted model. Its forward
+// path is bitwise identical to Predict. quantized must be false; true
+// returns an error. The argument survives only because the benchmark's
+// serve workload passes it, and goes in the next change to the benchmark.
 func (p *Predictor) Inference(quantized bool) (*Inference, error) {
+	if quantized {
+		return nil, errors.New("drnn: int8 inference is not supported; the forward path is float64 only")
+	}
 	if !p.fitted {
 		return nil, timeseries.ErrNotFitted
 	}
 	scalers := p.featScalers
-	opts := nn.BatchOptions{PreScale: func(dst, src []float64) {
-		for d, v := range src {
-			dst[d] = scalers[d].Transform(v)
-		}
-	}}
-	inf := &Inference{
-		window:    p.cfg.Window,
-		features:  len(scalers),
-		quantized: quantized,
-		tgt:       p.tgtScaler,
-	}
-	if quantized {
-		qnet := nn.Quantize(p.net)
-		inf.weightBytes = qnet.WeightBytes()
-		inf.forward = qnet.NewRunner(opts).Forward
-	} else {
-		inf.weightBytes = 8 * p.net.NumParams()
-		inf.forward = nn.NewBatchRunner(p.net, opts).Forward
-	}
-	return inf, nil
+	return &Inference{
+		window:   p.cfg.Window,
+		features: len(scalers),
+		tgt:      p.tgtScaler,
+		runner: nn.NewBatchRunner(p.net, nn.BatchOptions{PreScale: func(dst, src []float64) {
+			for d, v := range src {
+				dst[d] = scalers[d].Transform(v)
+			}
+		}}),
+	}, nil
 }
 
 // Window returns the input window length each request must supply.
@@ -59,14 +51,6 @@ func (inf *Inference) Window() int { return inf.window }
 
 // Features returns the per-timestep feature count each request must supply.
 func (inf *Inference) Features() int { return inf.features }
-
-// Quantized reports whether the forward path runs int8 fixed-point.
-func (inf *Inference) Quantized() bool { return inf.quantized }
-
-// WeightBytes returns the in-memory footprint of the forward path's
-// parameters: 8 bytes per float64 parameter, or the packed size (1 byte
-// per weight, biases kept in float) when quantized.
-func (inf *Inference) WeightBytes() int { return inf.weightBytes }
 
 // PredictBatch evaluates a micro-batch of raw (unscaled) feature windows in
 // one batched forward pass and writes the prediction for windows[i], in
@@ -85,7 +69,7 @@ func (inf *Inference) PredictBatch(windows [][][]float64, out []float64) error {
 	for i := range rows {
 		rows[i] = backing[i : i+1]
 	}
-	if err := inf.forward(windows, rows); err != nil {
+	if err := inf.runner.Forward(windows, rows); err != nil {
 		return err
 	}
 	for i, v := range backing {

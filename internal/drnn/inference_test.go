@@ -2,7 +2,6 @@ package drnn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,13 +11,6 @@ import (
 	"predstream/internal/trace"
 	"predstream/internal/workload"
 )
-
-// quantGoldenMaxDelta pins the end-to-end accuracy cost of int8 inference
-// on the seed corpus: the max |float − int8| prediction gap, in target
-// metric units (ms of processing time), observed over every held-out
-// window. Regenerate deliberately if the quantization scheme changes; a
-// creep upward means the fixed-point path lost precision.
-const quantGoldenMaxDelta = 0.01
 
 // fitSeedCorpus trains a small predictor on the synthetic seed corpus and
 // returns it with the held-out raw windows and a target-scale reference.
@@ -54,9 +46,8 @@ func TestInferenceMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inf.Window() != 10 || inf.Features() != 9 || inf.Quantized() {
-		t.Fatalf("unexpected handle shape: window %d features %d quantized %v",
-			inf.Window(), inf.Features(), inf.Quantized())
+	if inf.Window() != 10 || inf.Features() != 9 {
+		t.Fatalf("unexpected handle shape: window %d features %d", inf.Window(), inf.Features())
 	}
 	out := make([]float64, len(windows))
 	if err := inf.PredictBatch(windows, out); err != nil {
@@ -77,96 +68,58 @@ func TestInferenceMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestInferenceQuantizedGolden is the golden-pinned end-to-end quantization
-// test from the issue: on seed-corpus windows, max |float − int8| must stay
-// within quantGoldenMaxDelta of the float predictions, and both paths must
-// produce finite, same-scale outputs.
-func TestInferenceQuantizedGolden(t *testing.T) {
-	p, windows := fitSeedCorpus(t)
-	float, err := p.Inference(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quant, err := p.Inference(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !quant.Quantized() {
-		t.Fatal("quantized handle reports Quantized() == false")
-	}
-	fOut := make([]float64, len(windows))
-	qOut := make([]float64, len(windows))
-	if err := float.PredictBatch(windows, fOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := quant.PredictBatch(windows, qOut); err != nil {
-		t.Fatal(err)
-	}
-	maxDelta := 0.0
-	for i := range fOut {
-		if math.IsNaN(qOut[i]) || math.IsInf(qOut[i], 0) {
-			t.Fatalf("window %d: non-finite quantized prediction %v", i, qOut[i])
-		}
-		if d := math.Abs(fOut[i] - qOut[i]); d > maxDelta {
-			maxDelta = d
-		}
-	}
-	t.Logf("seed corpus max |float-int8| = %.6f over %d windows", maxDelta, len(windows))
-	if maxDelta > quantGoldenMaxDelta {
-		t.Fatalf("max |float-int8| = %v exceeds golden bound %v", maxDelta, quantGoldenMaxDelta)
-	}
-}
-
-// TestInferenceConcurrent hammers one float and one quantized handle from
-// many goroutines (run under -race): results must match the serial answers
-// exactly, pinning the pooled-workspace isolation at the serving boundary.
+// TestInferenceConcurrent hammers one handle from many goroutines (run
+// under -race): results must match the serial answers exactly, pinning
+// the pooled-workspace isolation at the serving boundary.
 func TestInferenceConcurrent(t *testing.T) {
 	p, windows := fitSeedCorpus(t)
 	if len(windows) > 8 {
 		windows = windows[:8]
 	}
-	for _, quantized := range []bool{false, true} {
-		inf, err := p.Inference(quantized)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float64, len(windows))
-		if err := inf.PredictBatch(windows, want); err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 15; i++ {
-					got, err := inf.PredictOne(windows[w%len(windows)])
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got != want[w%len(windows)] {
-						errs <- fmt.Errorf("worker %d: got %v want %v", w, got, want[w%len(windows)])
-						return
-					}
+	inf, err := p.Inference(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(windows))
+	if err := inf.PredictBatch(windows, want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				got, err := inf.PredictOne(windows[w%len(windows)])
+				if err != nil {
+					errs <- err
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("quantized=%v: %v", quantized, err)
-		}
+				if got != want[w%len(windows)] {
+					errs <- fmt.Errorf("worker %d: got %v want %v", w, got, want[w%len(windows)])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
-// TestInferenceValidation covers unfitted models and shape errors.
+// TestInferenceValidation covers unfitted models, the removed int8
+// selector and shape errors.
 func TestInferenceValidation(t *testing.T) {
 	if _, err := New(Config{}).Inference(false); err != timeseries.ErrNotFitted {
 		t.Fatalf("unfitted Inference error = %v, want ErrNotFitted", err)
 	}
 	p, windows := fitSeedCorpus(t)
+	if inf, err := p.Inference(true); err == nil || inf != nil {
+		t.Fatalf("Inference(true) = %v, %v; want the int8 path rejected", inf, err)
+	}
 	inf, err := p.Inference(false)
 	if err != nil {
 		t.Fatal(err)

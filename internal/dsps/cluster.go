@@ -241,22 +241,6 @@ func (c *Cluster) WorkerIDs() []string {
 	return out
 }
 
-// TopologyWorkerIDs returns one topology's worker ids, or nil if it is
-// not running.
-func (c *Cluster) TopologyWorkerIDs(name string) []string {
-	for _, rt := range c.snapshotTops() {
-		if rt.topo.Name != name {
-			continue
-		}
-		out := make([]string, len(rt.workers))
-		for i, w := range rt.workers {
-			out[i] = w.id
-		}
-		return out
-	}
-	return nil
-}
-
 // InjectFault applies a fault to a worker at runtime.
 func (c *Cluster) InjectFault(workerID string, f Fault) error {
 	if !c.workerExists(workerID) {

@@ -640,10 +640,6 @@ func TestSnapshotHelpers(t *testing.T) {
 	if _, ok := snap.WorkerByID("ghost"); ok {
 		t.Fatal("phantom worker found")
 	}
-	ts, _ := snap.TaskByID(1)
-	if ts.AvgExecLatency() < 0 {
-		t.Fatal("negative latency")
-	}
 	spoutStats := snap.ComponentTasks("src")[0]
 	if spoutStats.Acked != 10 {
 		t.Fatalf("spout acked = %d", spoutStats.Acked)
@@ -744,4 +740,14 @@ func TestSpoutWithNoSubscribersAcksImmediately(t *testing.T) {
 	if got := spout.acked.Load(); got != 20 {
 		t.Fatalf("subscriber-less spout acked %d, want 20", got)
 	}
+}
+
+// WorkerByID returns the stats of one worker, or a zero value and false.
+func (s *Snapshot) WorkerByID(id string) (WorkerStats, bool) {
+	for _, w := range s.Workers {
+		if w.WorkerID == id {
+			return w, true
+		}
+	}
+	return WorkerStats{}, false
 }

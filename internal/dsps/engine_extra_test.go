@@ -324,3 +324,14 @@ func TestSpoutParallelismSplitsSources(t *testing.T) {
 		t.Fatalf("acked %d, want 150", acked)
 	}
 }
+
+// WithExecCost sets the simulated per-tuple service cost of the spout's
+// emission path (used by the interference model). Negative values clamp
+// to zero (no simulated cost).
+func (d *SpoutDeclarer) WithExecCost(cost time.Duration) *SpoutDeclarer {
+	if cost < 0 {
+		cost = 0
+	}
+	d.decl.execCost = cost
+	return d
+}

@@ -217,14 +217,6 @@ type ComponentStats struct {
 	CompleteHist []int64
 }
 
-// AvgExecLatency returns the component's mean execute latency.
-func (s ComponentStats) AvgExecLatency() time.Duration {
-	if s.Executed == 0 {
-		return 0
-	}
-	return s.ExecLatency / time.Duration(s.Executed)
-}
-
 // BuildComponentStats folds per-task stats into per-component aggregates,
 // exactly as Cluster.Snapshot does for its own tasks. It exists for
 // consumers that reassemble snapshots from shipped task stats — the
@@ -331,27 +323,6 @@ func (s *Snapshot) ComponentTasks(component string) []TaskStats {
 		}
 	}
 	return out
-}
-
-// ComponentByName returns the aggregate stats of one component, or a zero
-// value and false.
-func (s *Snapshot) ComponentByName(topology, component string) (ComponentStats, bool) {
-	for _, cs := range s.Components {
-		if cs.Topology == topology && cs.Component == component {
-			return cs, true
-		}
-	}
-	return ComponentStats{}, false
-}
-
-// WorkerByID returns the stats of one worker, or a zero value and false.
-func (s *Snapshot) WorkerByID(id string) (WorkerStats, bool) {
-	for _, w := range s.Workers {
-		if w.WorkerID == id {
-			return w, true
-		}
-	}
-	return WorkerStats{}, false
 }
 
 // TotalAcked sums completed roots over all spout tasks.

@@ -176,3 +176,19 @@ func TestCrossTopologyInterferenceVisible(t *testing.T) {
 		t.Fatalf("cross-topology interference invisible: alone %v vs crowded %v", before, after)
 	}
 }
+
+// TopologyWorkerIDs returns one topology's worker ids, or nil if it is
+// not running.
+func (c *Cluster) TopologyWorkerIDs(name string) []string {
+	for _, rt := range c.snapshotTops() {
+		if rt.topo.Name != name {
+			continue
+		}
+		out := make([]string, len(rt.workers))
+		for i, w := range rt.workers {
+			out[i] = w.id
+		}
+		return out
+	}
+	return nil
+}

@@ -296,3 +296,14 @@ func TestScaleChurnConserves(t *testing.T) {
 		t.Fatalf("scale stats after churn = %+v, want Ups=12 Downs=12", snap.Scale)
 	}
 }
+
+// ComponentByName returns the aggregate stats of one component, or a zero
+// value and false.
+func (s *Snapshot) ComponentByName(topology, component string) (ComponentStats, bool) {
+	for _, cs := range s.Components {
+		if cs.Topology == topology && cs.Component == component {
+			return cs, true
+		}
+	}
+	return ComponentStats{}, false
+}

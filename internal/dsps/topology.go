@@ -96,17 +96,6 @@ func (b *TopologyBuilder) SetSpout(name string, factory func() Spout, parallelis
 	return &SpoutDeclarer{b: b, decl: decl}
 }
 
-// WithExecCost sets the simulated per-tuple service cost of the spout's
-// emission path (used by the interference model). Negative values clamp
-// to zero (no simulated cost).
-func (d *SpoutDeclarer) WithExecCost(cost time.Duration) *SpoutDeclarer {
-	if cost < 0 {
-		cost = 0
-	}
-	d.decl.execCost = cost
-	return d
-}
-
 // BoltDeclarer configures a registered bolt and its subscriptions.
 type BoltDeclarer struct {
 	b    *TopologyBuilder
@@ -289,20 +278,4 @@ func (t *Topology) Spouts() []string {
 		out = append(out, s.name)
 	}
 	return out
-}
-
-// Parallelism returns the declared parallelism of a component, or 0 if
-// unknown.
-func (t *Topology) Parallelism(component string) int {
-	for _, s := range t.spouts {
-		if s.name == component {
-			return s.parallelism
-		}
-	}
-	for _, b := range t.bolts {
-		if b.name == component {
-			return b.parallelism
-		}
-	}
-	return 0
 }

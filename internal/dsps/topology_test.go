@@ -115,3 +115,19 @@ func TestDynamicGroupingDeclarerReturnsHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Parallelism returns the declared parallelism of a component, or 0 if
+// unknown.
+func (t *Topology) Parallelism(component string) int {
+	for _, s := range t.spouts {
+		if s.name == component {
+			return s.parallelism
+		}
+	}
+	for _, b := range t.bolts {
+		if b.name == component {
+			return b.parallelism
+		}
+	}
+	return 0
+}

@@ -165,12 +165,6 @@ func (t *Trace) record(s TraceSpan) {
 	t.mu.Unlock()
 }
 
-// SampleRate returns the configured sampling rate in [0, 1].
-func (t *Trace) SampleRate() float64 { return t.rate }
-
-// Cap returns the ring capacity in spans.
-func (t *Trace) Cap() int { return cap(t.ring) }
-
 // Len returns the number of spans currently held.
 func (t *Trace) Len() int {
 	t.mu.Lock()
@@ -206,16 +200,4 @@ func (t *Trace) Spans() []TraceSpan {
 		out = append(out, t.ring...)
 	}
 	return out
-}
-
-// Reset drops all buffered spans and zeroes the sequence and drop
-// counters; the sampling rate is unchanged.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.wrapped = false
-	t.seq = 0
-	t.dropped = 0
 }

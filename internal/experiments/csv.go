@@ -122,23 +122,6 @@ func (r *PolicyAblationResult) CSV() [][]string {
 	return rows
 }
 
-// CSV returns the quantized-serving table (E14) in long form; the
-// accuracy columns repeat per row so each path's cells are self-contained.
-func (r *ServingResult) CSV() [][]string {
-	rows := [][]string{{"path", "batch", "ns_per_window", "weight_bytes", "rmse", "mape_pct", "max_abs_delta", "mean_abs_delta"}}
-	for _, c := range r.Cells {
-		rep, bytes := r.FloatReport, r.FloatBytes
-		if c.Path == "int8" {
-			rep, bytes = r.QuantReport, r.QuantBytes
-		}
-		rows = append(rows, []string{
-			c.Path, strconv.Itoa(c.Batch), f(c.NsPerWindow), strconv.Itoa(bytes),
-			f(rep.RMSE), f(rep.MAPE), f(r.MaxAbsDelta), f(r.MeanAbsDelta),
-		})
-	}
-	return rows
-}
-
 // WriteCSV writes rows produced by any result's CSV method.
 func WriteCSV(w io.Writer, rows [][]string) error {
 	cw := csv.NewWriter(w)

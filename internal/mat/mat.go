@@ -1,15 +1,14 @@
 // Package mat provides dense float64 vector and matrix primitives used by
 // the neural-network, ARIMA and SVR packages. It is deliberately small:
-// row-major dense storage, explicit dimension checks, and a parallel
-// matrix-multiply path for the sizes the DRNN training loop produces.
+// row-major dense storage, explicit dimension checks, and the
+// register-blocked GEMV/GEMM kernels the DRNN's forward and backward
+// passes run.
 package mat
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Dense is a row-major dense matrix of float64.
@@ -26,17 +25,6 @@ func New(rows, cols int) *Dense {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromSlice returns a rows×cols matrix backed by a copy of data, which must
-// have exactly rows*cols elements in row-major order.
-func FromSlice(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: FromSlice got %d elements for %dx%d", len(data), rows, cols))
-	}
-	m := New(rows, cols)
-	copy(m.data, data)
-	return m
 }
 
 // Wrap returns a rows×cols matrix backed directly by data (no copy), which
@@ -85,24 +73,6 @@ func (m *Dense) check(i, j int) {
 // mutates the matrix; callers that need isolation should Copy first.
 func (m *Dense) Data() []float64 { return m.data }
 
-// Row returns row i as a freshly allocated slice.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// SetRow copies v into row i. len(v) must equal Cols.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow got %d elements for %d columns", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // Copy returns a deep copy of m.
 func (m *Dense) Copy() *Dense {
 	out := New(m.rows, m.cols)
@@ -124,16 +94,6 @@ func (m *Dense) Fill(v float64) {
 	}
 }
 
-// Add returns m + n. Dimensions must match.
-func (m *Dense) Add(n *Dense) *Dense {
-	m.sameDims(n, "Add")
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = v + n.data[i]
-	}
-	return out
-}
-
 // AddInPlace adds n into m and returns m.
 func (m *Dense) AddInPlace(n *Dense) *Dense {
 	m.sameDims(n, "AddInPlace")
@@ -143,56 +103,10 @@ func (m *Dense) AddInPlace(n *Dense) *Dense {
 	return m
 }
 
-// Sub returns m - n. Dimensions must match.
-func (m *Dense) Sub(n *Dense) *Dense {
-	m.sameDims(n, "Sub")
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = v - n.data[i]
-	}
-	return out
-}
-
-// Scale returns c*m.
-func (m *Dense) Scale(c float64) *Dense {
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = c * v
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of m by c and returns m.
 func (m *Dense) ScaleInPlace(c float64) *Dense {
 	for i := range m.data {
 		m.data[i] *= c
-	}
-	return m
-}
-
-// MulElem returns the Hadamard (element-wise) product m ∘ n.
-func (m *Dense) MulElem(n *Dense) *Dense {
-	m.sameDims(n, "MulElem")
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = v * n.data[i]
-	}
-	return out
-}
-
-// Apply returns a new matrix with f applied to every element.
-func (m *Dense) Apply(f func(float64) float64) *Dense {
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// ApplyInPlace applies f to every element of m and returns m.
-func (m *Dense) ApplyInPlace(f func(float64) float64) *Dense {
-	for i, v := range m.data {
-		m.data[i] = f(v)
 	}
 	return m
 }
@@ -215,47 +129,14 @@ func (m *Dense) sameDims(n *Dense, op string) {
 	}
 }
 
-// parallelThreshold is the number of multiply-adds above which MatMul
-// splits rows across goroutines. Chosen so small DRNN-sized multiplies stay
-// single-threaded (goroutine overhead dominates below ~64k flops).
-const parallelThreshold = 1 << 16
-
-// MatMul returns m × n. m.Cols must equal n.Rows.
+// MatMul returns m × n. m.Cols must equal n.Rows. The ikj loop order
+// streams both n and out rows sequentially in the inner loop.
 func (m *Dense) MatMul(n *Dense) *Dense {
 	if m.cols != n.rows {
 		panic(fmt.Sprintf("mat: MatMul dimension mismatch %dx%d × %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
 	out := New(m.rows, n.cols)
-	work := m.rows * m.cols * n.cols
-	if work < parallelThreshold {
-		matMulRange(out, m, n, 0, m.rows)
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.rows {
-		workers = m.rows
-	}
-	chunk := (m.rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < m.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > m.rows {
-			hi = m.rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(out, m, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// matMulRange computes rows [lo,hi) of out = m × n using an ikj loop order
-// so the inner loop streams both n and out rows sequentially.
-func matMulRange(out, m, n *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.rows; i++ {
 		outRow := out.data[i*out.cols : (i+1)*out.cols]
 		mRow := m.data[i*m.cols : (i+1)*m.cols]
 		for k, mv := range mRow {
@@ -268,6 +149,7 @@ func matMulRange(out, m, n *Dense, lo, hi int) {
 			}
 		}
 	}
+	return out
 }
 
 // MulVec returns m × v as a new vector. len(v) must equal m.Cols.
@@ -362,40 +244,6 @@ func (m *Dense) Norm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the sum of all elements of m.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value of m.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// EqualApprox reports whether m and n have identical dimensions and all
-// elements within tol of each other.
-func (m *Dense) EqualApprox(n *Dense, tol float64) bool {
-	if m.rows != n.rows || m.cols != n.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-n.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders m for debugging.

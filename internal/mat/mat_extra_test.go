@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -131,4 +133,123 @@ func TestSolveZeroPivotAfterElimination(t *testing.T) {
 	if _, err := Solve(a, []float64{1, 2, 3}); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
+}
+
+// Row returns row i as a freshly allocated slice.
+func (m *Dense) Row(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mat: row %d out of range for %dx%d", i, m.rows, m.cols))
+	}
+	out := make([]float64, m.cols)
+	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	return out
+}
+
+// SetRow copies v into row i. len(v) must equal Cols.
+func (m *Dense) SetRow(i int, v []float64) {
+	if len(v) != m.cols {
+		panic(fmt.Sprintf("mat: SetRow got %d elements for %d columns", len(v), m.cols))
+	}
+	copy(m.data[i*m.cols:(i+1)*m.cols], v)
+}
+
+// Add returns m + n. Dimensions must match.
+func (m *Dense) Add(n *Dense) *Dense {
+	m.sameDims(n, "Add")
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = v + n.data[i]
+	}
+	return out
+}
+
+// Sub returns m - n. Dimensions must match.
+func (m *Dense) Sub(n *Dense) *Dense {
+	m.sameDims(n, "Sub")
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = v - n.data[i]
+	}
+	return out
+}
+
+// Scale returns c*m.
+func (m *Dense) Scale(c float64) *Dense {
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = c * v
+	}
+	return out
+}
+
+// MulElem returns the Hadamard (element-wise) product m ∘ n.
+func (m *Dense) MulElem(n *Dense) *Dense {
+	m.sameDims(n, "MulElem")
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = v * n.data[i]
+	}
+	return out
+}
+
+// Apply returns a new matrix with f applied to every element.
+func (m *Dense) Apply(f func(float64) float64) *Dense {
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = f(v)
+	}
+	return out
+}
+
+// ApplyInPlace applies f to every element of m and returns m.
+func (m *Dense) ApplyInPlace(f func(float64) float64) *Dense {
+	for i, v := range m.data {
+		m.data[i] = f(v)
+	}
+	return m
+}
+
+// Sum returns the sum of all elements of m.
+func (m *Dense) Sum() float64 {
+	var s float64
+	for _, v := range m.data {
+		s += v
+	}
+	return s
+}
+
+// MaxAbs returns the largest absolute element value of m.
+func (m *Dense) MaxAbs() float64 {
+	var mx float64
+	for _, v := range m.data {
+		if a := math.Abs(v); a > mx {
+			mx = a
+		}
+	}
+	return mx
+}
+
+// EqualApprox reports whether m and n have identical dimensions and all
+// elements within tol of each other.
+func (m *Dense) EqualApprox(n *Dense, tol float64) bool {
+	if m.rows != n.rows || m.cols != n.cols {
+		return false
+	}
+	for i, v := range m.data {
+		if math.Abs(v-n.data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// FromSlice returns a rows×cols matrix backed by a copy of data, which must
+// have exactly rows*cols elements in row-major order.
+func FromSlice(rows, cols int, data []float64) *Dense {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("mat: FromSlice got %d elements for %dx%d", len(data), rows, cols))
+	}
+	m := New(rows, cols)
+	copy(m.data, data)
+	return m
 }

@@ -165,3 +165,22 @@ func TestGobRoundTrip(t *testing.T) {
 		t.Fatal("garbage gob should error")
 	}
 }
+
+// BenchmarkLeastSquaresARIMAShape times the normal-equations solve at the
+// shape ARIMA(3,0,1)'s long-AR stage fits on the benchmark's train_fit
+// trace: 1390 rows by 9 regressors, so XᵀX is about 112k multiply-adds.
+func BenchmarkLeastSquaresARIMAShape(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := New(1390, 9).RandUniform(rng, 1)
+	y := make([]float64, x.Rows())
+	for i := range y {
+		y[i] = rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LeastSquares(x, y, 1e-6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

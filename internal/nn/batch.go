@@ -175,11 +175,6 @@ func (r *BatchRunner) Forward(seqs [][][]float64, dst [][]float64) error {
 	return nil
 }
 
-// ForwardOne is Forward for a single sequence.
-func (r *BatchRunner) ForwardOne(seq [][]float64, dst []float64) error {
-	return r.Forward([][][]float64{seq}, [][]float64{dst})
-}
-
 // lstmForwardBatch runs one LSTM layer over the batched sequence in bank
 // cur, leaving the per-timestep hidden states in bank next.
 //

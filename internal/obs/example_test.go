@@ -45,7 +45,7 @@ func ExampleLogger() {
 	logger := obs.NewLogger(sink, obs.LevelInfo).
 		WithClock(func() int64 { return 1700000000000000000 })
 
-	logger.Debug("filtered out")
+	logger.Log(obs.LevelDebug, "filtered out")
 	logger.Info("rebalance", obs.String("topology", "wordcount"), obs.String("workers", "4"))
 	// The same logger doubles as the engine's dsps.EventSink.
 	logger.Event(dsps.EventWarn, "fault injected", "worker", "worker-1")

@@ -84,19 +84,6 @@ func NewLogger(h Handler, min Level) *Logger {
 	return &Logger{handler: h, min: min, nowNs: func() int64 { return time.Now().UnixNano() }}
 }
 
-// WithClock returns a copy of the logger stamping records with nowNs
-// instead of the wall clock — the determinism hook for tests and seeded
-// replays. A nil nowNs stamps every record with zero.
-func (l *Logger) WithClock(nowNs func() int64) *Logger {
-	if l == nil {
-		return nil
-	}
-	if nowNs == nil {
-		nowNs = func() int64 { return 0 }
-	}
-	return &Logger{handler: l.handler, min: l.min, nowNs: nowNs}
-}
-
 // Log emits one record if level clears the logger's threshold.
 func (l *Logger) Log(level Level, msg string, attrs ...Attr) {
 	if l == nil || l.handler == nil || level < l.min {
@@ -105,17 +92,8 @@ func (l *Logger) Log(level Level, msg string, attrs ...Attr) {
 	l.handler.Handle(Record{TimeNs: l.nowNs(), Level: level, Msg: msg, Attrs: attrs})
 }
 
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, attrs ...Attr) { l.Log(LevelDebug, msg, attrs...) }
-
 // Info logs at LevelInfo.
 func (l *Logger) Info(msg string, attrs ...Attr) { l.Log(LevelInfo, msg, attrs...) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, attrs ...Attr) { l.Log(LevelWarn, msg, attrs...) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, attrs ...Attr) { l.Log(LevelError, msg, attrs...) }
 
 // Event adapts the flat key/value form of dsps.EventSink, so a *Logger
 // can be passed directly as dsps.ClusterConfig.Events (and to the chaos
@@ -170,18 +148,4 @@ func (s *MemorySink) Records() []Record {
 	out := make([]Record, len(s.records))
 	copy(out, s.records)
 	return out
-}
-
-// Len returns the number of buffered records.
-func (s *MemorySink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.records)
-}
-
-// Reset drops all buffered records.
-func (s *MemorySink) Reset() {
-	s.mu.Lock()
-	s.records = nil
-	s.mu.Unlock()
 }

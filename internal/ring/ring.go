@@ -6,9 +6,9 @@
 // (internal/dsps): each producer→consumer edge gets its own SPSC so
 // neither side ever takes a lock or contends a CAS on the common path.
 // The discipline is strict: exactly one goroutine may call the push
-// side (Push/PushBatch/Close) and exactly one goroutine the pop side
-// (Pop/PopBatch) over the ring's lifetime. `dspslint`'s ringmisuse
-// analyzer enforces the ownership annotations in internal/dsps.
+// side (Push/Close) and exactly one goroutine the pop side (Pop) over the
+// ring's lifetime. `dspslint`'s ringmisuse analyzer enforces the
+// ownership annotations in internal/dsps.
 //
 // Layout follows the classic Lamport queue: a power-of-two slot array
 // indexed by free-running head/tail counters masked into the buffer.
@@ -66,9 +66,6 @@ func New[T any](capacity int) (*SPSC[T], bool) {
 	return &SPSC[T]{buf: make([]T, n), mask: n - 1}, true
 }
 
-// Cap returns the ring's capacity (the rounded power of two).
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
-
 // Len returns the number of buffered elements. It is exact when called
 // from either owning goroutine and a point-in-time estimate otherwise.
 func (r *SPSC[T]) Len() int {
@@ -105,31 +102,6 @@ func (r *SPSC[T]) Push(v T) bool {
 	return true
 }
 
-// PushBatch appends as many elements of vs as fit and returns how many
-// were pushed. Producer-side only.
-func (r *SPSC[T]) PushBatch(vs []T) int {
-	if r.closed.Load() || len(vs) == 0 {
-		return 0
-	}
-	t := r.tail.Load()
-	free := uint64(len(r.buf)) - (t - r.cachedHead)
-	if free < uint64(len(vs)) {
-		r.cachedHead = r.head.Load()
-		free = uint64(len(r.buf)) - (t - r.cachedHead)
-	}
-	n := uint64(len(vs))
-	if n > free {
-		n = free
-	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(t+i)&r.mask] = vs[i]
-	}
-	if n > 0 {
-		r.tail.Store(t + n)
-	}
-	return int(n)
-}
-
 // Pop removes and returns the oldest element. The second result is
 // false when the ring is empty. Consumer-side only.
 func (r *SPSC[T]) Pop() (T, bool) {
@@ -145,32 +117,4 @@ func (r *SPSC[T]) Pop() (T, bool) {
 	r.buf[h&r.mask] = zero // release references for GC
 	r.head.Store(h + 1)
 	return v, true
-}
-
-// PopBatch removes up to len(dst) elements into dst and returns how
-// many were popped. Consumer-side only.
-func (r *SPSC[T]) PopBatch(dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	var zero T
-	h := r.head.Load()
-	avail := r.cachedTail - h
-	if avail < uint64(len(dst)) {
-		r.cachedTail = r.tail.Load()
-		avail = r.cachedTail - h
-		if avail == 0 {
-			return 0
-		}
-	}
-	n := uint64(len(dst))
-	if n > avail {
-		n = avail
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = r.buf[(h+i)&r.mask]
-		r.buf[(h+i)&r.mask] = zero
-	}
-	r.head.Store(h + n)
-	return int(n)
 }

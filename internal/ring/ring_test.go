@@ -22,8 +22,8 @@ func TestCapacityRoundsToPowerOfTwo(t *testing.T) {
 		if !ok {
 			t.Fatalf("New(%d) rejected", in)
 		}
-		if r.Cap() != want {
-			t.Fatalf("New(%d).Cap() = %d, want %d", in, r.Cap(), want)
+		if len(r.buf) != want {
+			t.Fatalf("New(%d) capacity = %d, want %d", in, len(r.buf), want)
 		}
 	}
 }
@@ -33,11 +33,12 @@ func TestCapacityRoundsToPowerOfTwo(t *testing.T) {
 // across the wrap boundary, checking FIFO order and exact full/empty
 // behavior at capacity.
 func TestWrapAround(t *testing.T) {
-	r, _ := New[int](8)
+	const capacity = 8
+	r, _ := New[int](capacity)
 	next, got := 0, 0
 	for round := 0; round < 1000; round++ {
 		// Fill to capacity; the next push must fail.
-		for i := 0; i < r.Cap(); i++ {
+		for i := 0; i < capacity; i++ {
 			if !r.Push(next) {
 				t.Fatalf("round %d: push %d failed below capacity", round, i)
 			}
@@ -46,11 +47,11 @@ func TestWrapAround(t *testing.T) {
 		if r.Push(-1) {
 			t.Fatalf("round %d: push succeeded at capacity", round)
 		}
-		if r.Len() != r.Cap() {
-			t.Fatalf("round %d: Len = %d at capacity %d", round, r.Len(), r.Cap())
+		if r.Len() != capacity {
+			t.Fatalf("round %d: Len = %d at capacity %d", round, r.Len(), capacity)
 		}
 		// Drain fully in FIFO order; the next pop must fail.
-		for i := 0; i < r.Cap(); i++ {
+		for i := 0; i < capacity; i++ {
 			v, ok := r.Pop()
 			if !ok || v != got {
 				t.Fatalf("round %d: pop = (%d, %v), want (%d, true)", round, v, ok, got)
@@ -66,27 +67,33 @@ func TestWrapAround(t *testing.T) {
 	}
 }
 
+// TestBatchWrapAround interleaves bursts of up to five pushes with
+// bursts of up to three pops, so the ring keeps running into its full
+// boundary at a different slot each lap; no element may be lost or
+// reordered.
 func TestBatchWrapAround(t *testing.T) {
 	r, _ := New[int](8)
-	src := make([]int, 5)
-	dst := make([]int, 5)
 	next, got := 0, 0
 	for round := 0; round < 2000; round++ {
-		for i := range src {
-			src[i] = next + i
-		}
-		n := r.PushBatch(src)
-		next += n
-		if free := r.Cap() - r.Len(); n != 5 && n != 5-(5-free)-0 && r.Len() != r.Cap() {
-			t.Fatalf("round %d: partial push %d with ring not full", round, n)
-		}
-		m := r.PopBatch(dst[:3])
-		for i := 0; i < m; i++ {
-			if dst[i] != got+i {
-				t.Fatalf("round %d: popped %d, want %d", round, dst[i], got+i)
+		for i := 0; i < 5; i++ {
+			if !r.Push(next) {
+				if r.Len() != len(r.buf) {
+					t.Fatalf("round %d: push failed with ring not full", round)
+				}
+				break
 			}
+			next++
 		}
-		got += m
+		for i := 0; i < 3; i++ {
+			v, ok := r.Pop()
+			if !ok {
+				break
+			}
+			if v != got {
+				t.Fatalf("round %d: popped %d, want %d", round, v, got)
+			}
+			got++
+		}
 	}
 	// Drain the remainder and confirm no element was lost or reordered.
 	for {
@@ -114,9 +121,6 @@ func TestCloseStopsPushNotPop(t *testing.T) {
 	}
 	if r.Push(3) {
 		t.Fatal("push succeeded on closed ring")
-	}
-	if r.PushBatch([]int{3, 4}) != 0 {
-		t.Fatal("batch push succeeded on closed ring")
 	}
 	for want := 1; want <= 2; want++ {
 		if v, ok := r.Pop(); !ok || v != want {
@@ -187,10 +191,9 @@ func TestConcurrentSPSC(t *testing.T) {
 	go func() { // consumer
 		defer wg.Done()
 		want := uint64(0)
-		buf := make([]uint64, 8)
 		for want < total {
-			n := r.PopBatch(buf)
-			if n == 0 {
+			v, ok := r.Pop()
+			if !ok {
 				w.Prepare()
 				if r.Empty() {
 					select {
@@ -205,13 +208,11 @@ func TestConcurrentSPSC(t *testing.T) {
 				}
 				continue
 			}
-			for i := 0; i < n; i++ {
-				if buf[i] != want {
-					t.Errorf("got %d, want %d", buf[i], want)
-					return
-				}
-				want++
+			if v != want {
+				t.Errorf("got %d, want %d", v, want)
+				return
 			}
+			want++
 		}
 	}()
 	for i := uint64(0); i < total; {
@@ -247,16 +248,5 @@ func BenchmarkPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Push(uint64(i))
 		r.Pop()
-	}
-}
-
-func BenchmarkBatch64(b *testing.B) {
-	r, _ := New[uint64](1024)
-	src := make([]uint64, 64)
-	dst := make([]uint64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.PushBatch(src)
-		r.PopBatch(dst)
 	}
 }

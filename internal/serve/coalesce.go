@@ -80,9 +80,6 @@ func NewCoalescer(backend Backend, opts Options, m *Metrics) *Coalescer {
 	return c
 }
 
-// Options returns the effective (defaulted) options.
-func (c *Coalescer) Options() Options { return c.opts }
-
 // Predict submits one raw feature window and blocks until its batch is
 // evaluated, the context is done, or the request is shed. The window must
 // be backend.Window() steps of backend.Features() values.

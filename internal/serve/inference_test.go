@@ -15,9 +15,9 @@ import (
 )
 
 // TestCoalescerOverFittedInference runs every dispatcher over a real
-// fitted model, float64 and int8, with 64 concurrent callers (run it under
-// -race): each reply must equal PredictOne of the caller's own window,
-// whichever batch and whichever dispatcher evaluated it.
+// fitted model with 64 concurrent callers (run it under -race): each
+// reply must equal PredictOne of the caller's own window, whichever batch
+// and whichever dispatcher evaluated it.
 func TestCoalescerOverFittedInference(t *testing.T) {
 	traces := trace.Synthetic(trace.SyntheticConfig{
 		Workers: 2, Nodes: 1, Cores: 4, BaseMs: 1,
@@ -35,42 +35,40 @@ func TestCoalescerOverFittedInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	const callers, perCaller = 64, 4
-	for _, quantized := range []bool{false, true} {
-		inf, err := p.Inference(quantized)
-		if err != nil {
+	inf, err := p.Inference(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(windows))
+	for i, w := range windows {
+		if want[i], err = inf.PredictOne(w); err != nil {
 			t.Fatal(err)
 		}
-		want := make([]float64, len(windows))
-		for i, w := range windows {
-			if want[i], err = inf.PredictOne(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := NewCoalescer(inf, Options{MaxBatch: 16, QueueDepth: callers}, nil)
-		var wg sync.WaitGroup
-		errs := make(chan error, callers)
-		for cl := 0; cl < callers; cl++ {
-			wg.Add(1)
-			go func(cl int) {
-				defer wg.Done()
-				for k := 0; k < perCaller; k++ {
-					i := (cl*perCaller + k) % len(windows)
-					got, err := c.Predict(context.Background(), windows[i])
-					if err == nil && got != want[i] {
-						err = fmt.Errorf("window %d: got %v, PredictOne %v", i, got, want[i])
-					}
-					if err != nil {
-						errs <- fmt.Errorf("quantized=%v caller %d: %w", quantized, cl, err)
-						return
-					}
+	}
+	c := NewCoalescer(inf, Options{MaxBatch: 16, QueueDepth: callers}, nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for cl := 0; cl < callers; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for k := 0; k < perCaller; k++ {
+				i := (cl*perCaller + k) % len(windows)
+				got, err := c.Predict(context.Background(), windows[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("window %d: got %v, PredictOne %v", i, got, want[i])
 				}
-			}(cl)
-		}
-		wg.Wait()
-		c.Close()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
+				if err != nil {
+					errs <- fmt.Errorf("caller %d: %w", cl, err)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	c.Close()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -269,3 +269,21 @@ func TestIsFiniteSeries(t *testing.T) {
 		t.Fatal("Inf not detected")
 	}
 }
+
+// TransformAll returns the z-scores of xs.
+func (s StandardScaler) TransformAll(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = s.Transform(x)
+	}
+	return out
+}
+
+// InverseAll maps z-scores back to the original space.
+func (s StandardScaler) InverseAll(zs []float64) []float64 {
+	out := make([]float64, len(zs))
+	for i, z := range zs {
+		out[i] = s.Inverse(z)
+	}
+	return out
+}

@@ -61,24 +61,6 @@ func (s StandardScaler) Transform(x float64) float64 { return (x - s.Mean) / s.S
 // Inverse maps a z-score back to the original space.
 func (s StandardScaler) Inverse(z float64) float64 { return z*s.Std + s.Mean }
 
-// TransformAll returns the z-scores of xs.
-func (s StandardScaler) TransformAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = s.Transform(x)
-	}
-	return out
-}
-
-// InverseAll maps z-scores back to the original space.
-func (s StandardScaler) InverseAll(zs []float64) []float64 {
-	out := make([]float64, len(zs))
-	for i, z := range zs {
-		out[i] = s.Inverse(z)
-	}
-	return out
-}
-
 // IsFiniteSeries reports whether every element of xs is finite.
 func IsFiniteSeries(xs []float64) bool {
 	for _, x := range xs {

@@ -172,10 +172,3 @@ func (s *SVR) PredictXY(x []float64) float64 {
 	}
 	return out
 }
-
-// NumSupportVectors returns the number of support vectors kept after
-// training.
-func (s *SVR) NumSupportVectors() int { return len(s.x) }
-
-// Sweeps returns the number of coordinate sweeps the last fit used.
-func (s *SVR) Sweeps() int { return s.iters }

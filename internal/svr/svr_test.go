@@ -78,10 +78,10 @@ func TestRBFSVRFitsNonlinear(t *testing.T) {
 	if maxErr > 0.15 {
 		t.Fatalf("max training error %v too high for sine fit", maxErr)
 	}
-	if s.NumSupportVectors() == 0 {
+	if len(s.x) == 0 {
 		t.Fatal("no support vectors")
 	}
-	if s.NumSupportVectors() > len(x) {
+	if len(s.x) > len(x) {
 		t.Fatal("more SVs than points")
 	}
 }
@@ -100,7 +100,7 @@ func TestEpsilonTubeSparsifies(t *testing.T) {
 	if err := s.FitXY(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NumSupportVectors(); got != 0 {
+	if got := len(s.x); got != 0 {
 		t.Fatalf("wide tube kept %d support vectors", got)
 	}
 }
@@ -131,8 +131,8 @@ func TestConvergenceStopsEarly(t *testing.T) {
 	if err := s.FitXY(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if s.Sweeps() >= 10000 {
-		t.Fatalf("solver used all %d sweeps without converging", s.Sweeps())
+	if s.iters >= 10000 {
+		t.Fatalf("solver used all %d sweeps without converging", s.iters)
 	}
 }
 

@@ -230,21 +230,6 @@ func (s *Sampler) Series(workerID string) []WindowStats {
 	return out
 }
 
-// Len returns the number of windows recorded for a worker.
-func (s *Sampler) Len(workerID string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.series[workerID])
-}
-
-// Reset drops all windows and the baseline snapshot.
-func (s *Sampler) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.prev = nil
-	s.series = make(map[string][]WindowStats)
-}
-
 // TargetMetric selects which performance metric the predictor forecasts.
 type TargetMetric int
 

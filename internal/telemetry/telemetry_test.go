@@ -81,7 +81,7 @@ func TestSamplerMaxLenTrims(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Sample(snapAt(t0.Add(time.Duration(i)*time.Second), int64(i*10), 0, 0))
 	}
-	if got := s.Len("w0"); got != 2 {
+	if got := len(s.series["w0"]); got != 2 {
 		t.Fatalf("retained %d windows, want 2", got)
 	}
 	// The retained windows are the most recent ones.
@@ -221,4 +221,12 @@ func TestSamplerEndToEndWithEngine(t *testing.T) {
 	if !sawWork {
 		t.Fatal("no window recorded any work")
 	}
+}
+
+// Reset drops all windows and the baseline snapshot.
+func (s *Sampler) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.prev = nil
+	s.series = make(map[string][]WindowStats)
 }

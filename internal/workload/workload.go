@@ -36,9 +36,6 @@ func (g *URLGenerator) Next() string {
 	return fmt.Sprintf("http://site-%04d.example.com/page", g.zipf.Uint64())
 }
 
-// NumURLs returns the size of the URL universe.
-func (g *URLGenerator) NumURLs() int { return g.n }
-
 // Record is one event for the Continuous Queries application: an ad-click
 // style record with a category, a user, and a numeric value, mirroring the
 // "continuous queries over a stream of structured records" workload class

@@ -24,8 +24,8 @@ func TestURLGeneratorZipfSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumURLs() != 100 {
-		t.Fatalf("NumURLs = %d", g.NumURLs())
+	if g.n != 100 {
+		t.Fatalf("URL universe = %d", g.n)
 	}
 	counts := map[string]int{}
 	const n = 20000

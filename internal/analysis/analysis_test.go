@@ -325,8 +325,9 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 
 // TestUnusedWithoutTestFiles pins the side parse: with -tests=false the
 // other package's test file is not type-checked, yet its references still
-// keep the shared helper and the shared method live, so the findings
-// match the full run.
+// keep the shared helper, the shared method and the field it keys live,
+// while the own package's test still keeps nothing live, so the findings
+// match the full run. The suppressed knob stays suppressed.
 func TestUnusedWithoutTestFiles(t *testing.T) {
 	rep, err := Analyze(Config{
 		Dir:      filepath.Join("testdata", "unused"),
@@ -340,7 +341,14 @@ func TestUnusedWithoutTestFiles(t *testing.T) {
 	for _, d := range rep.Findings {
 		got = append(got, d.Message[:strings.Index(d.Message, " ")])
 	}
-	if want := "lib.OnlyOwnTest lib.Uncalled lib.Countdown lib.T.Unreached lib.T.OwnTestMethod lib.Box.Unboxed"; strings.Join(got, " ") != want {
+	if want := "lib.Config.Dead lib.Config.OwnTest lib.Config.Defaulted lib.OnlyOwnTest lib.Uncalled lib.Countdown lib.T.Unreached lib.T.OwnTestMethod lib.Box.Unboxed"; strings.Join(got, " ") != want {
 		t.Fatalf("findings %v, want %s", got, want)
+	}
+	var suppressed []string
+	for _, d := range rep.Suppressed {
+		suppressed = append(suppressed, d.Message[:strings.Index(d.Message, " ")])
+	}
+	if want := "lib.Reserved lib.T.Planned lib.ReplayOptions.Speed"; strings.Join(suppressed, " ") != want {
+		t.Fatalf("suppressed %v, want %s", suppressed, want)
 	}
 }

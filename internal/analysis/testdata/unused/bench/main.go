@@ -10,5 +10,5 @@ import (
 
 func main() {
 	var t corpus.T
-	fmt.Println(corpus.UsedByBench(), t.Benched())
+	fmt.Println(corpus.UsedByBench(), t.Benched(), corpus.Config{Benched: 1})
 }

@@ -9,3 +9,9 @@ func Reserved() int { return 8 }
 //
 //dspslint:ignore unused the planned replay tool calls it too
 func (T) Planned() int { return 12 }
+
+// ReplayOptions configures the planned replay tool.
+type ReplayOptions struct {
+	//dspslint:ignore unused the planned replay tool sets it
+	Speed int
+}

@@ -8,7 +8,7 @@ import (
 
 func TestShared(t *testing.T) {
 	var x lib.T
-	if lib.UsedByOtherTest()+x.SharedMethod() == 0 {
+	if lib.UsedByOtherTest()+x.SharedMethod()+lib.Apply(lib.Config{Shared: 1}, lib.RunOptions{}) == 0 {
 		t.Fatal("unreachable")
 	}
 }

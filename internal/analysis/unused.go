@@ -41,9 +41,12 @@ import (
 // references to that function, and, with no types to resolve the
 // receiver, any `.Name` selector counts as a reference to every method
 // of that name.
+//
+// The same analyzer applies the knob rule to the exported fields of
+// *Config and *Options structs; see unusedFields.
 var Unused = &Analyzer{
 	Name:      "unused",
-	Doc:       "function or method under internal/ referenced only by its own package's tests",
+	Doc:       "function or method under internal/ used only by its own package's tests, or *Config/*Options field nothing outside its package writes",
 	RunModule: runUnused,
 }
 
@@ -113,7 +116,11 @@ func runUnused(pass *Pass) {
 			use(funcObjKey(fn), from, strings.HasSuffix(mod.Fset.Position(id.Pos()).Filename, "_test.go"), id.Pos())
 		}
 	}
-	for _, ref := range unloadedRefs(mod, loaded) {
+	refs := unloadedRefs(mod, loaded)
+	for _, ref := range refs {
+		if ref.key {
+			continue
+		}
 		if ref.pkg != "" {
 			use(ref.pkg+"."+ref.name, ref.from, ref.test, token.NoPos)
 		}
@@ -130,6 +137,137 @@ func runUnused(pass *Pass) {
 				c.label)
 		}
 	}
+	unusedFields(pass, refs)
+}
+
+// unusedFields applies the knob rule: an exported field of a struct
+// named *Config or *Options, declared in a non-test file under
+// internal/, is dead when no file outside the declaring package writes
+// it — as a composite-literal key, an unkeyed literal element, an
+// assignment or ++/-- target, or an &-operand (flag.IntVar(&cfg.N, …)).
+// Writes from another package's tests count, as their calls do for
+// functions; the declaring package's own writes, its defaults included,
+// do not. Unloaded files (bench/) count by field name.
+func unusedFields(pass *Pass, refs []syntacticRef) {
+	mod := pass.Mod
+	type candidate struct {
+		pkg   string
+		id    *ast.Ident
+		label string
+	}
+	cands := map[*types.Var]*candidate{}
+	byName := map[string][]*types.Var{}
+	internal := mod.Path + "/internal/"
+	for _, pkg := range mod.Packages {
+		if !strings.HasPrefix(pkg.ImportPath, internal) || strings.HasSuffix(pkg.ImportPath, "_test") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(mod.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							v, ok := pkg.Info.Defs[id].(*types.Var)
+							if !ok || !id.IsExported() {
+								continue
+							}
+							cands[v] = &candidate{pkg: pkg.ImportPath, id: id, label: pkgBase(pkg.ImportPath) + "." + ts.Name.Name + "." + id.Name}
+							byName[id.Name] = append(byName[id.Name], v)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	live := map[*types.Var]bool{}
+	write := func(v *types.Var, fromPkg string) {
+		if c := cands[v.Origin()]; c != nil && fromPkg != c.pkg {
+			live[v.Origin()] = true
+		}
+	}
+	for _, pkg := range mod.Packages {
+		from := strings.TrimSuffix(pkg.ImportPath, "_test")
+		for _, f := range pkg.Files {
+			target := func(e ast.Expr) {
+				writtenSelectors(e, func(sel *ast.SelectorExpr) {
+					if v, ok := pkg.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+						write(v, from)
+					}
+				})
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := typeUnder(pkg.Info.TypeOf(n)).(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+									write(v, from)
+								}
+							}
+						} else if i < st.NumFields() {
+							write(st.Field(i), from)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, ref := range refs {
+		if ref.key || ref.assigned {
+			for _, v := range byName[ref.name] {
+				write(v, ref.from)
+			}
+		}
+	}
+
+	for v, c := range cands {
+		if !live[v] {
+			pass.Reportf(c.id.Pos(),
+				"%s is written by nothing outside its own package; make it a constant, or delete it with the behaviour it selects",
+				c.label)
+		}
+	}
+}
+
+// typeUnder returns the underlying type of t, looking through one
+// pointer (the &T{…} literal form).
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem().Underlying()
+	}
+	return t.Underlying()
 }
 
 // interfaceMethods returns the keys of the methods that some module type
@@ -214,13 +352,36 @@ func interfaceMethods(mod *Module) map[string]bool {
 	return live
 }
 
+// writtenSelectors calls mark for every selector on the path a write
+// goes through: cfg.Sub.X = … writes X and Sub, and cfg.List[i] = …
+// writes List.
+func writtenSelectors(e ast.Expr, mark func(*ast.SelectorExpr)) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			mark(x)
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
 // A syntacticRef is a selector found in a file the loader did not
 // type-check.
 type syntacticRef struct {
-	pkg  string // module import path when the selector is `pkg.Name`
-	name string // the selected name
-	from string // import path of the referring file's directory
-	test bool
+	pkg      string // module import path when the selector is `pkg.Name`
+	name     string // the selected name, or the literal key
+	from     string // import path of the referring file's directory
+	test     bool
+	key      bool // a composite-literal key, not a selector
+	assigned bool // the selector is written: assigned, ++/--, or &-taken
 }
 
 // unloadedRefs parses every .go file under the module root that is not
@@ -271,10 +432,31 @@ func unloadedRefs(mod *Module, loaded map[string]bool) []syntacticRef {
 			from += "/" + filepath.ToSlash(rel)
 		}
 		test := strings.HasSuffix(name, "_test.go")
+		written := map[*ast.SelectorExpr]bool{}
+		mark := func(sel *ast.SelectorExpr) { written[sel] = true }
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				ref := syntacticRef{name: sel.Sel.Name, from: from, test: test}
-				if x, ok := sel.X.(*ast.Ident); ok {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					writtenSelectors(lhs, mark)
+				}
+			case *ast.IncDecStmt:
+				writtenSelectors(n.X, mark)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					writtenSelectors(n.X, mark)
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							refs = append(refs, syntacticRef{name: id.Name, from: from, test: test, key: true})
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				ref := syntacticRef{name: n.Sel.Name, from: from, test: test, assigned: written[n]}
+				if x, ok := n.X.(*ast.Ident); ok {
 					ref.pkg = imports[x.Name]
 				}
 				refs = append(refs, ref)

@@ -222,14 +222,6 @@ func (b *QueryBolt) Prepare(_ dsps.TopologyContext, c dsps.OutputCollector) {
 		b.now = time.Now
 	}
 	b.registry = b.cfg.Registry
-	if b.registry == nil {
-		// Static configuration: wrap the fixed query list.
-		reg, err := NewRegistry(b.cfg.Queries...)
-		if err != nil {
-			panic(fmt.Sprintf("contquery: %v", err))
-		}
-		b.registry = reg
-	}
 	b.states = map[string]*queryState{}
 	b.order = nil
 	b.seenVer = b.registry.Version() - 1 // force the first sync
@@ -352,25 +344,29 @@ func (s *Sink) Latest() map[string]map[string]float64 {
 	return out
 }
 
+// queryTasks is the query stage parallelism.
+const queryTasks = 4
+
+// defaultQueries is the standing-query set a Config without a Registry
+// runs: per-category click count and overall high-value average.
+var defaultQueries = []Query{
+	{ID: "clicks-by-category", Op: Count, Window: 4 * time.Second, Slide: time.Second},
+	{ID: "high-value-avg", MinValue: 50, Op: Avg, Window: 4 * time.Second, Slide: time.Second},
+}
+
 // Config assembles the topology.
 type Config struct {
 	// Categories and Users define the record universe; defaults are five
 	// ad categories and 10000 users.
 	Categories []string
 	Users      int
-	// Queries is the initial standing-query set; default: per-category
-	// click count and overall high-value average.
-	Queries []Query
 	// Registry optionally supplies a shared mutable registry: queries
 	// added or removed through it take effect at runtime across every
-	// query task. When set, Queries is ignored (seed the registry
-	// instead). The tick interval is derived from the *initial* registry
-	// contents.
+	// query task. Nil runs defaultQueries. The tick interval is derived
+	// from the *initial* registry contents.
 	Registry *Registry
 	// Shape paces the spout; nil emits at maximum speed.
 	Shape workload.RateShape
-	// QueryTasks sets the query stage parallelism; default 4.
-	QueryTasks int
 	// QueryCost is the simulated per-record evaluation cost; default
 	// 300µs (the query stage is the heavy stage in this application).
 	// Negative means no simulated cost.
@@ -388,20 +384,14 @@ func (c Config) withDefaults() Config {
 	if c.Users <= 0 {
 		c.Users = 10000
 	}
-	if len(c.Queries) == 0 {
-		c.Queries = []Query{
-			{ID: "clicks-by-category", Op: Count, Window: 4 * time.Second, Slide: time.Second},
-			{ID: "high-value-avg", MinValue: 50, Op: Avg, Window: 4 * time.Second, Slide: time.Second},
-		}
-	}
-	if c.QueryTasks <= 0 {
-		c.QueryTasks = 4
-	}
 	if c.QueryCost == 0 {
 		c.QueryCost = 300 * time.Microsecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Registry == nil {
+		c.Registry, _ = NewRegistry(defaultQueries...) // valid by construction
 	}
 	return c
 }
@@ -411,17 +401,9 @@ func (c Config) withDefaults() Config {
 // cfg.Dynamic (nil otherwise).
 func Build(cfg Config) (*dsps.Topology, *Sink, *dsps.DynamicGrouping, error) {
 	cfg = cfg.withDefaults()
-	initial := cfg.Queries
-	if cfg.Registry != nil {
-		initial = cfg.Registry.List()
-		if len(initial) == 0 {
-			return nil, nil, nil, fmt.Errorf("contquery: registry has no queries")
-		}
-	}
-	for _, q := range initial {
-		if err := q.validate(); err != nil {
-			return nil, nil, nil, err
-		}
+	initial := cfg.Registry.List()
+	if len(initial) == 0 {
+		return nil, nil, nil, fmt.Errorf("contquery: registry has no queries")
 	}
 	sink := &Sink{}
 	b := dsps.NewTopologyBuilder("continuous-queries")
@@ -433,7 +415,7 @@ func Build(cfg Config) (*dsps.Topology, *Sink, *dsps.DynamicGrouping, error) {
 			minSlide = q.Slide
 		}
 	}
-	query := b.SetBolt("query", func() dsps.Bolt { return &QueryBolt{cfg: cfg} }, cfg.QueryTasks,
+	query := b.SetBolt("query", func() dsps.Bolt { return &QueryBolt{cfg: cfg} }, queryTasks,
 		"query", "key", "value").
 		WithExecCost(cfg.QueryCost).
 		WithTickInterval(minSlide)

@@ -105,12 +105,14 @@ func TestWindowAggSlidingExpiry(t *testing.T) {
 }
 
 func TestQueryBoltEvaluatesRegistry(t *testing.T) {
-	cfg := Config{
-		Queries: []Query{
-			{ID: "cnt", Op: Count, Window: 2 * time.Second, Slide: time.Second},
-			{ID: "hi-avg", MinValue: 50, Op: Avg, Window: 2 * time.Second, Slide: time.Second},
-		},
-	}.withDefaults()
+	reg, err := NewRegistry(
+		Query{ID: "cnt", Op: Count, Window: 2 * time.Second, Slide: time.Second},
+		Query{ID: "hi-avg", MinValue: 50, Op: Avg, Window: 2 * time.Second, Slide: time.Second},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Registry: reg}.withDefaults()
 	var rows []dsps.Values
 	collector := &fakeCollector{onEmit: func(v dsps.Values) { rows = append(rows, v) }}
 	now := time.Unix(0, 0)
@@ -182,9 +184,9 @@ func TestSinkCollectsAndSummarizes(t *testing.T) {
 	}
 }
 
+// Queries reach Build only through a Registry, which validates them.
 func TestBuildValidatesQueries(t *testing.T) {
-	_, _, _, err := Build(Config{Queries: []Query{{ID: "", Window: time.Second, Slide: time.Second}}})
-	if err == nil {
+	if _, err := NewRegistry(Query{ID: "", Window: time.Second, Slide: time.Second}); err == nil {
 		t.Fatal("invalid query accepted")
 	}
 }
@@ -203,13 +205,14 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestEndToEndOnEngine(t *testing.T) {
+	reg, err := NewRegistry(Query{ID: "cnt", Op: Count, Window: 400 * time.Millisecond, Slide: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo, sink, _, err := Build(Config{
-		Shape: workload.ConstantRate{TPS: 3000},
-		Queries: []Query{
-			{ID: "cnt", Op: Count, Window: 400 * time.Millisecond, Slide: 100 * time.Millisecond},
-		},
-		QueryCost:  10 * time.Microsecond,
-		QueryTasks: 2,
+		Registry:  reg,
+		Shape:     workload.ConstantRate{TPS: 3000},
+		QueryCost: 10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

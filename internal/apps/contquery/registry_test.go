@@ -138,10 +138,9 @@ func TestEndToEndRuntimeQueryAddition(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo, sink, _, err := Build(Config{
-		Registry:   reg,
-		Shape:      workload.ConstantRate{TPS: 3000},
-		QueryCost:  -1,
-		QueryTasks: 2,
+		Registry:  reg,
+		Shape:     workload.ConstantRate{TPS: 3000},
+		QueryCost: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

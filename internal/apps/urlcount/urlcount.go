@@ -228,6 +228,9 @@ func (r *Report) Top(n int) []HostCount {
 	return rows
 }
 
+// countTasks is the count stage parallelism.
+const countTasks = 4
+
 // Config assembles the topology.
 type Config struct {
 	// URLs is the URL universe size; default 1000.
@@ -238,8 +241,9 @@ type Config struct {
 	Shape workload.RateShape
 	// Window and Slide define the sliding count window; defaults 10s / 2s.
 	Window, Slide time.Duration
-	// ParseTasks and CountTasks set stage parallelism; defaults 4 / 4.
-	ParseTasks, CountTasks int
+	// ParseTasks sets the parse stage parallelism; default 4. The count
+	// stage runs countTasks.
+	ParseTasks int
 	// ParseCost and CountCost are the simulated per-tuple service costs;
 	// defaults 200µs / 100µs. Negative values mean no simulated cost.
 	ParseCost, CountCost time.Duration
@@ -265,9 +269,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ParseTasks <= 0 {
 		c.ParseTasks = 4
-	}
-	if c.CountTasks <= 0 {
-		c.CountTasks = 4
 	}
 	if c.ParseCost == 0 {
 		c.ParseCost = 200 * time.Microsecond
@@ -297,7 +298,7 @@ func Build(cfg Config) (*dsps.Topology, *Report, *dsps.DynamicGrouping, error) {
 	} else {
 		parse.ShuffleGrouping("urls")
 	}
-	b.SetBolt("count", func() dsps.Bolt { return &CountBolt{cfg: cfg} }, cfg.CountTasks, "host", "count").
+	b.SetBolt("count", func() dsps.Bolt { return &CountBolt{cfg: cfg} }, countTasks, "host", "count").
 		FieldsGrouping("parse", "host").
 		WithExecCost(cfg.CountCost).
 		WithTickInterval(cfg.Slide)

@@ -170,7 +170,6 @@ func TestEndToEndOnEngine(t *testing.T) {
 		ParseCost:  10 * time.Microsecond,
 		CountCost:  5 * time.Microsecond,
 		ParseTasks: 2,
-		CountTasks: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

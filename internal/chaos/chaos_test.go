@@ -53,7 +53,7 @@ func soakCluster() *dsps.Cluster {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{Events: 20, Horizon: time.Second, Workers: 4, Stall: true, Rebalance: true, Kill: true, Checkpoint: true, Pause: true}
+	cfg := GenConfig{Events: 20, Horizon: time.Second, Workers: 4, Stall: true, Rebalance: true, Checkpoint: true, Pause: true}
 	a := Generate(99, cfg)
 	b := Generate(99, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -165,6 +165,32 @@ func TestUnknownWorkerEventSkipped(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("skipped events must not violate invariants:\n%s", rep)
+	}
+}
+
+// TestScriptedKillFires shuts the live topology down mid-run: the kill
+// is applied, and the quiescent checks still hold with the stream ended
+// early.
+func TestScriptedKillFires(t *testing.T) {
+	topo, _ := soakTopology(t, "killed")
+	c := soakCluster()
+	if err := c.Submit(topo, dsps.SubmitConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	script := Script{Seed: 5, Events: []Event{
+		{At: 20 * time.Millisecond, Kind: KindInject, WorkerIndex: 0, Fault: dsps.Fault{Slowdown: 2}},
+		{At: 60 * time.Millisecond, Kind: KindKill, Topology: "killed"},
+	}}
+	rep, err := Run(c, script, Options{SpoutComponents: topo.Spouts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fired != 2 || rep.Skipped != 0 {
+		t.Fatalf("fired=%d skipped=%d, want 2/0", rep.Fired, rep.Skipped)
+	}
+	if !rep.OK() {
+		t.Fatalf("invariants violated after a kill:\n%s", rep)
 	}
 }
 

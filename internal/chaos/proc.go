@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -100,10 +99,6 @@ type ProcGenConfig struct {
 	Procs int
 	// Freeze permits SIGSTOP/SIGCONT events alongside kill/restart.
 	Freeze bool
-	// MinGap is the minimum spacing enforced between consecutive events,
-	// so a kill has time to be observed before the restart; default
-	// Horizon / (4 × Events).
-	MinGap time.Duration
 }
 
 func (c ProcGenConfig) withDefaults() ProcGenConfig {
@@ -115,9 +110,6 @@ func (c ProcGenConfig) withDefaults() ProcGenConfig {
 	}
 	if c.Procs <= 0 {
 		c.Procs = 2
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = c.Horizon / time.Duration(4*c.Events)
 	}
 	return c
 }
@@ -141,8 +133,11 @@ func GenerateProc(seed int64, cfg ProcGenConfig) ProcScript {
 	)
 	state := make([]int, cfg.Procs)
 
+	// minGap spaces consecutive events so a kill has time to be
+	// observed before the restart.
+	minGap := cfg.Horizon / time.Duration(4*cfg.Events)
 	var evs []ProcEvent
-	at := cfg.MinGap
+	at := minGap
 	for len(evs) < cfg.Events && at < cfg.Horizon {
 		p := rng.Intn(cfg.Procs)
 		var kind ProcKind
@@ -159,7 +154,7 @@ func GenerateProc(seed int64, cfg ProcGenConfig) ProcScript {
 			kind, state[p] = ProcThaw, stUp
 		}
 		evs = append(evs, ProcEvent{At: at, Kind: kind, Proc: p})
-		at += cfg.MinGap + time.Duration(rng.Int63n(int64(cfg.Horizon/time.Duration(cfg.Events))))
+		at += minGap + time.Duration(rng.Int63n(int64(cfg.Horizon/time.Duration(cfg.Events))))
 	}
 	// Restore the fleet: every process must end the schedule up.
 	for p := 0; p < cfg.Procs; p++ {
@@ -173,16 +168,6 @@ func GenerateProc(seed int64, cfg ProcGenConfig) ProcScript {
 	s := ProcScript{Seed: seed, Events: evs}
 	s.Events = s.sorted()
 	return s
-}
-
-// ProcRunOptions configures RunProc. Zero fields take the noted defaults.
-type ProcRunOptions struct {
-	// Log, when set, receives one line per fired or skipped event.
-	Log io.Writer
-	// Settle is how long the runner waits after the last event before
-	// returning, giving restarted/thawed processes time to rejoin;
-	// default 0 (callers usually wait on coordinator membership instead).
-	Settle time.Duration
 }
 
 // ProcReport is the outcome of a process-chaos run.
@@ -203,14 +188,10 @@ type ProcReport struct {
 // earlier event) are skipped rather than mis-fired, mirroring how the
 // in-engine runner treats events invalidated by churn. The caller asserts
 // fleet invariants afterwards — typically coordinator membership
-// accounting plus a per-worker OpCheckInvariants sweep.
-func RunProc(ctrl ProcController, script ProcScript, opts ProcRunOptions) ProcReport {
+// accounting plus a per-worker OpCheckInvariants sweep, once
+// coordinator membership shows the fleet back up.
+func RunProc(ctrl ProcController, script ProcScript) ProcReport {
 	rep := ProcReport{Seed: script.Seed, Events: len(script.Events)}
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, format+"\n", args...)
-		}
-	}
 
 	const (
 		stUp = iota
@@ -227,13 +208,11 @@ func RunProc(ctrl ProcController, script ProcScript, opts ProcRunOptions) ProcRe
 		}
 		if ev.Proc < 0 || ev.Proc >= n {
 			rep.Skipped++
-			logf("chaos: skip %s (no such process)", ev)
 			continue
 		}
 		valid, next := procTransition(state[ev.Proc], ev.Kind)
 		if !valid {
 			rep.Skipped++
-			logf("chaos: skip %s (state %d)", ev, state[ev.Proc])
 			continue
 		}
 		var err error
@@ -250,15 +229,10 @@ func RunProc(ctrl ProcController, script ProcScript, opts ProcRunOptions) ProcRe
 		if err != nil {
 			rep.Skipped++
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", ev, err))
-			logf("chaos: error %s: %v", ev, err)
 			continue
 		}
 		state[ev.Proc] = next
 		rep.Fired++
-		logf("chaos: %s", ev)
-	}
-	if opts.Settle > 0 {
-		time.Sleep(opts.Settle)
 	}
 	return rep
 }

@@ -44,23 +44,22 @@ type ControlledEdge struct {
 	MaxStalledShare float64
 }
 
+// maxViolations caps the report size.
+const maxViolations = 32
+
 // Options configures a chaos run. Zero fields take the noted defaults.
 type Options struct {
 	// CheckEvery is the cadence of continuous invariant checks between
 	// events; default 20ms.
+	//
+	//dspslint:ignore unused FuzzChaosSchedule samples the continuous invariants every 10ms
 	CheckEvery time.Duration
-	// DrainTimeout bounds each quiescence drain (checkpoints and the
-	// final phase). Dropped tuples only fail via the ack-timeout sweep,
-	// so the default is 2×AckTimeout + 1s.
-	DrainTimeout time.Duration
 	// SpoutComponents names the components whose emissions are anchored
 	// roots (see Topology.Spouts); required for the conservation check,
 	// which is skipped when empty.
 	SpoutComponents []string
 	// Controlled lists dynamic-grouping edges whose plans are audited.
 	Controlled []ControlledEdge
-	// MaxViolations caps the report size; default 32.
-	MaxViolations int
 	// Log, when set, receives one line per fired event.
 	Log io.Writer
 	// Metrics, when set, is updated live as the run progresses (fired/
@@ -88,7 +87,7 @@ type Report struct {
 	// Violations are the invariant breaches (empty = clean run).
 	Violations []Violation
 	// ViolationsTruncated reports that more violations occurred than
-	// MaxViolations.
+	// maxViolations.
 	ViolationsTruncated bool
 }
 
@@ -131,14 +130,11 @@ func Run(c *dsps.Cluster, s Script, opts Options) (*Report, error) {
 	if c == nil {
 		return nil, fmt.Errorf("chaos: nil cluster")
 	}
+	// drainTimeout bounds each quiescence drain (checkpoints and the
+	// final phase). Dropped tuples only fail via the ack-timeout sweep.
+	drainTimeout := 2*c.Config().AckTimeout + time.Second
 	if opts.CheckEvery <= 0 {
 		opts.CheckEvery = 20 * time.Millisecond
-	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 2*c.Config().AckTimeout + time.Second
-	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 32
 	}
 	for i := range opts.Controlled {
 		e := &opts.Controlled[i]
@@ -165,7 +161,7 @@ func Run(c *dsps.Cluster, s Script, opts Options) (*Report, error) {
 	}
 	// Queue occupancy is producer-reserved before each batch hand-off, so
 	// the configured bound holds exactly regardless of batch sizes.
-	ck := newChecker(c.Config().QueueSize, opts.MaxViolations)
+	ck := newChecker(c.Config().QueueSize, maxViolations)
 	spouts := make(map[string]bool, len(opts.SpoutComponents))
 	for _, sc := range opts.SpoutComponents {
 		spouts[sc] = true
@@ -220,10 +216,10 @@ func Run(c *dsps.Cluster, s Script, opts Options) (*Report, error) {
 			delete(stallSince, w)
 		}
 		c.PauseSpouts()
-		drained := c.Drain(opts.DrainTimeout)
+		drained := c.Drain(drainTimeout)
 		if !drained {
 			ck.violate("drain", "cluster failed to quiesce within %v of clearing all faults (in flight: %d)",
-				opts.DrainTimeout, c.InFlight())
+				drainTimeout, c.InFlight())
 		}
 		snap := c.Snapshot()
 		ck.continuous(snap)

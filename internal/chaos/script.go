@@ -168,29 +168,18 @@ func (s Script) sorted() []Event {
 // the boolean event classes are opt-in so the zero value produces a plain
 // inject/clear schedule that any topology survives.
 type GenConfig struct {
-	// Events is the number of inject/clear/rebalance/kill events; default
-	// 12.
+	// Events is the number of inject/clear/rebalance/scale events;
+	// default 12.
 	Events int
 	// Horizon spreads the events over [0, Horizon); default 2s.
 	Horizon time.Duration
 	// Workers is the worker-index space events target; default 4.
 	Workers int
-	// MaxSlowdown bounds generated slowdown faults (drawn from
-	// [1, MaxSlowdown]); default 8.
-	MaxSlowdown float64
-	// MaxDropProb / MaxFailProb bound generated probabilistic faults;
-	// default 0.5 each.
-	MaxDropProb float64
-	MaxFailProb float64
 	// Stall permits full-hang faults.
 	Stall bool
-	// Rebalance permits stop-and-resubmit events.
+	// Rebalance permits stop-and-resubmit events onto 1 to Workers+2
+	// workers.
 	Rebalance bool
-	// MaxWorkersOnRebalance bounds the new worker count; default
-	// Workers+2.
-	MaxWorkersOnRebalance int
-	// Kill permits topology shutdown events (the stream ends early).
-	Kill bool
 	// Checkpoint inserts one mid-run quiescence checkpoint at Horizon/2.
 	Checkpoint bool
 	// Pause inserts one pause/resume pair.
@@ -204,9 +193,19 @@ type GenConfig struct {
 	// ScaleComponents names the bolts scale events may target; required
 	// when Scale is set (Scale is ignored while it is empty).
 	ScaleComponents []string
-	// MaxScaleStep bounds the executor delta of one scale event; default 2.
-	MaxScaleStep int
 }
+
+// Bounds of generated events.
+const (
+	// maxSlowdown bounds generated slowdown faults, drawn from
+	// [1, maxSlowdown].
+	maxSlowdown = 8.0
+	// maxDropProb and maxFailProb bound generated probabilistic faults.
+	maxDropProb = 0.5
+	maxFailProb = 0.5
+	// maxScaleStep bounds the executor delta of one scale event.
+	maxScaleStep = 2
+)
 
 func (c GenConfig) withDefaults() GenConfig {
 	if c.Events <= 0 {
@@ -217,21 +216,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.MaxSlowdown < 1 {
-		c.MaxSlowdown = 8
-	}
-	if c.MaxDropProb <= 0 || c.MaxDropProb > 1 {
-		c.MaxDropProb = 0.5
-	}
-	if c.MaxFailProb <= 0 || c.MaxFailProb > 1 {
-		c.MaxFailProb = 0.5
-	}
-	if c.MaxWorkersOnRebalance <= 0 {
-		c.MaxWorkersOnRebalance = c.Workers + 2
-	}
-	if c.MaxScaleStep <= 0 {
-		c.MaxScaleStep = 2
 	}
 	if len(c.ScaleComponents) == 0 {
 		c.Scale = false
@@ -253,9 +237,6 @@ func Generate(seed int64, cfg GenConfig) Script {
 	if cfg.Rebalance {
 		kinds = append(kinds, KindRebalance)
 	}
-	if cfg.Kill {
-		kinds = append(kinds, KindKill)
-	}
 	if cfg.Scale {
 		kinds = append(kinds, KindScaleUp, KindScaleDown)
 	}
@@ -264,7 +245,7 @@ func Generate(seed int64, cfg GenConfig) Script {
 			At:           at,
 			Kind:         kind,
 			Component:    cfg.ScaleComponents[rng.Intn(len(cfg.ScaleComponents))],
-			Tasks:        1 + rng.Intn(cfg.MaxScaleStep),
+			Tasks:        1 + rng.Intn(maxScaleStep),
 			DrainTimeout: 100 * time.Millisecond,
 		}
 	}
@@ -276,7 +257,7 @@ func Generate(seed int64, cfg GenConfig) Script {
 		case KindInject:
 			ev.Fault = randFault(rng, cfg)
 		case KindRebalance:
-			ev.Workers = 1 + rng.Intn(cfg.MaxWorkersOnRebalance)
+			ev.Workers = 1 + rng.Intn(cfg.Workers+2)
 			ev.Strategy = dsps.PlaceRoundRobin
 			if rng.Intn(2) == 1 {
 				ev.Strategy = dsps.PlaceBlocked
@@ -315,11 +296,11 @@ func randFault(rng *rand.Rand, cfg GenConfig) dsps.Fault {
 	}
 	switch rng.Intn(n) {
 	case 0:
-		return dsps.Fault{Slowdown: 1 + rng.Float64()*(cfg.MaxSlowdown-1)}
+		return dsps.Fault{Slowdown: 1 + rng.Float64()*(maxSlowdown-1)}
 	case 1:
-		return dsps.Fault{DropProb: rng.Float64() * cfg.MaxDropProb}
+		return dsps.Fault{DropProb: rng.Float64() * maxDropProb}
 	case 2:
-		return dsps.Fault{FailProb: rng.Float64() * cfg.MaxFailProb}
+		return dsps.Fault{FailProb: rng.Float64() * maxFailProb}
 	default:
 		return dsps.Fault{Stall: true}
 	}

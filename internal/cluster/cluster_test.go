@@ -113,14 +113,29 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatalf("stats = %+v", coord.Stats())
 	}
 
-	// A Worker configured with an incompatible range must give up rather
-	// than retry forever.
+	// A Worker whose range the coordinator rejects must give up rather
+	// than retry forever. A fake coordinator answers every Hello with
+	// RejectVersion, as one speaking only a future version would.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := ReadFrame(c); err == nil {
+				WriteFrame(c, MsgReject, AppendReject(nil, Reject{Code: RejectVersion, Detail: "speaks 7-9 only"}))
+			}
+			c.Close()
+		}
+	}()
 	eng, _ := testEngine(t)
 	defer eng.Shutdown()
-	w, err := NewWorker(WorkerConfig{
-		Name: "future", Coordinator: coord.Addr().String(), Engine: eng,
-		MinVersion: 7, MaxVersion: 9,
-	})
+	w, err := NewWorker(WorkerConfig{Name: "future", Coordinator: ln.Addr().String(), Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,5 +374,66 @@ func TestWorkerCleanLeaveOnCancel(t *testing.T) {
 	}
 	if st := coord.Stats(); st.CleanLeaves != 1 {
 		t.Fatalf("stats = %+v, want one clean leave", st)
+	}
+}
+
+// TestWorkerAnswersRetiredOpUnsupported drives the worker's unknown-op
+// path: a fake coordinator welcomes the worker, then sends a command
+// with the retired op 0x08, which must come back StatusUnsupported under
+// the command's own ReqID.
+func TestWorkerAnswersRetiredOpUnsupported(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	eng, _ := testEngine(t)
+	defer eng.Shutdown()
+	w, err := NewWorker(WorkerConfig{Name: "old", Coordinator: ln.Addr().String(), Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if msgType, _, err := ReadFrame(conn); err != nil || msgType != MsgHello {
+		t.Fatalf("first frame %#x, %v; want MsgHello", msgType, err)
+	}
+	welcome := Welcome{Version: 1, WorkerID: "w1", Generation: 1,
+		HeartbeatEvery: time.Second, DeadAfter: 4 * time.Second, MetricsEvery: time.Second}
+	if err := WriteFrame(conn, MsgWelcome, AppendWelcome(nil, welcome)); err != nil {
+		t.Fatal(err)
+	}
+	const reqID = 0xbeef
+	if err := WriteFrame(conn, MsgCommand, AppendCommand(nil, Command{ReqID: reqID, Op: 0x08})); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		msgType, payload, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgType != MsgResult {
+			continue // heartbeats and metrics
+		}
+		res, err := DecodeResult(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ReqID != reqID || res.Status != StatusUnsupported {
+			t.Fatalf("result %+v, want ReqID %#x with StatusUnsupported", res, reqID)
+		}
+		return
 	}
 }

@@ -27,10 +27,6 @@ type CoordinatorConfig struct {
 	// MetricsEvery is the snapshot-shipping cadence contracted to
 	// workers; default 1s.
 	MetricsEvery time.Duration
-	// MinVersion and MaxVersion override the advertised protocol range
-	// (tests use this to force negotiation failures); defaults are the
-	// package constants.
-	MinVersion, MaxVersion uint8
 	// Events receives structured membership events (joins, leaves,
 	// rejects, heartbeat expiries); nil disables emission.
 	Events dsps.EventSink
@@ -45,12 +41,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.MetricsEvery <= 0 {
 		c.MetricsEvery = time.Second
-	}
-	if c.MinVersion == 0 {
-		c.MinVersion = MinVersion
-	}
-	if c.MaxVersion == 0 {
-		c.MaxVersion = MaxVersion
 	}
 	return c
 }
@@ -149,9 +139,6 @@ type Coordinator struct {
 // "127.0.0.1:0").
 func NewCoordinator(addr string, cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.MaxVersion < cfg.MinVersion {
-		return nil, fmt.Errorf("cluster: invalid version range %d-%d", cfg.MinVersion, cfg.MaxVersion)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
@@ -208,10 +195,6 @@ func (c *Coordinator) acceptLoop() {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			select {
-			case <-c.done:
-			default:
-			}
 			return
 		}
 		c.wg.Add(1)
@@ -247,7 +230,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		reject(RejectBadHello, "empty worker name")
 		return
 	}
-	version, err := NegotiateVersion(c.cfg.MinVersion, c.cfg.MaxVersion, hello.MinVersion, hello.MaxVersion)
+	version, err := NegotiateVersion(MinVersion, MaxVersion, hello.MinVersion, hello.MaxVersion)
 	if err != nil {
 		reject(RejectVersion, err.Error())
 		return

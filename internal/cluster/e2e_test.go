@@ -144,7 +144,7 @@ func TestProcessCrashAndRejoin(t *testing.T) {
 	if kinds[chaos.ProcKill] == 0 || kinds[chaos.ProcFreeze] == 0 || kinds[chaos.ProcRestart] == 0 {
 		t.Fatalf("schedule does not cover kill+restart+freeze: %v", script.Events)
 	}
-	rep := chaos.RunProc(ps, script, chaos.ProcRunOptions{})
+	rep := chaos.RunProc(ps, script)
 	if rep.Fired == 0 {
 		t.Fatalf("no events fired: %+v", rep)
 	}

@@ -119,13 +119,8 @@ const (
 	OpInjectFault uint8 = 0x06
 	// OpClearFault removes any fault from an engine-level worker.
 	OpClearFault uint8 = 0x07
-	// OpPauseSpouts stops the worker's spouts from emitting.
-	OpPauseSpouts uint8 = 0x08
-	// OpResumeSpouts re-enables spout emission.
-	OpResumeSpouts uint8 = 0x09
-	// OpDrain waits for engine quiescence, bounded by Timeout; the result
-	// carries the drained flag.
-	OpDrain uint8 = 0x0A
+	// 0x08–0x0A are retired (pause, resume, drain); a worker answers
+	// them StatusUnsupported like any unknown op.
 	// OpCheckInvariants clears faults, pauses spouts, drains, and runs
 	// the engine invariants (tuple conservation, acker quiescence, empty
 	// queues); the result carries the drained flag and any violations.
@@ -271,7 +266,7 @@ type Command struct {
 	Worker string
 	// N is the executor delta of scale ops.
 	N int
-	// Timeout bounds drains (scale-down, drain, check-invariants).
+	// Timeout bounds drains (scale-down, check-invariants).
 	Timeout time.Duration
 	// Resume re-enables spout emission after OpCheckInvariants.
 	Resume bool
@@ -289,7 +284,7 @@ type Result struct {
 	Status uint8
 	// Detail explains a non-OK status.
 	Detail string
-	// Drained reports drain completion (OpDrain, OpCheckInvariants).
+	// Drained reports OpCheckInvariants' drain completion.
 	Drained bool
 	// Violations holds rendered invariant breaches (OpCheckInvariants).
 	Violations []string

@@ -311,14 +311,20 @@ func TestWireSpecCovers(t *testing.T) {
 		"MsgHello", "MsgWelcome", "MsgReject", "MsgHeartbeat",
 		"MsgMetrics", "MsgCommand", "MsgResult", "MsgGoodbye",
 		"OpPing", "OpSnapshot", "OpSetRatios", "OpScaleUp", "OpScaleDown",
-		"OpInjectFault", "OpClearFault", "OpPauseSpouts", "OpResumeSpouts",
-		"OpDrain", "OpCheckInvariants", "OpShutdown",
+		"OpInjectFault", "OpClearFault", "OpCheckInvariants", "OpShutdown",
 		"RejectVersion", "RejectDuplicate", "RejectShuttingDown", "RejectBadHello",
 		"StatusOK", "StatusError", "StatusUnsupported",
 	}
 	for _, name := range names {
 		if !strings.Contains(text, name) {
 			t.Errorf("docs/WIRE_PROTOCOL.md does not mention %s", name)
+		}
+	}
+	// Retired op values stay reserved in the spec so no new op reuses
+	// them.
+	for _, v := range []string{"0x08", "0x09", "0x0A"} {
+		if !strings.Contains(text, "| retired | `"+v+"` |") {
+			t.Errorf("docs/WIRE_PROTOCOL.md does not mark op %s retired", v)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -43,12 +42,6 @@ type WorkerConfig struct {
 	Spouts []string
 	// DialTimeout bounds one connection attempt; default 2s.
 	DialTimeout time.Duration
-	// MinVersion and MaxVersion override the advertised protocol range
-	// (tests use this to force negotiation failures); defaults are the
-	// package constants.
-	MinVersion, MaxVersion uint8
-	// Events receives structured connection events; nil disables.
-	Events dsps.EventSink
 }
 
 // Worker is the worker-side runtime: it dials the coordinator, performs
@@ -75,22 +68,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.MinVersion == 0 {
-		cfg.MinVersion = MinVersion
-	}
-	if cfg.MaxVersion == 0 {
-		cfg.MaxVersion = MaxVersion
-	}
-	if cfg.MaxVersion < cfg.MinVersion {
-		return nil, fmt.Errorf("cluster: invalid version range %d-%d", cfg.MinVersion, cfg.MaxVersion)
-	}
 	return &Worker{cfg: cfg}, nil
-}
-
-func (w *Worker) emit(level int, msg string, kv ...string) {
-	if w.cfg.Events != nil {
-		w.cfg.Events.Event(level, msg, kv...)
-	}
 }
 
 // Run joins the coordinator and serves until ctx is cancelled (returns
@@ -115,8 +93,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		case isPermanentReject(err):
 			return err
 		}
-		w.emit(dsps.EventWarn, "worker reconnecting",
-			"worker", w.cfg.Name, "backoff", backoff.String(), "cause", err.Error())
 		timer := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():
@@ -156,11 +132,6 @@ func (w *Worker) runOnce(ctx context.Context) error {
 		conn.Close()
 		return err
 	}
-	w.emit(dsps.EventInfo, "worker joined coordinator",
-		"worker", w.cfg.Name, "id", welcome.WorkerID,
-		"generation", strconv.Itoa(int(welcome.Generation)),
-		"version", strconv.Itoa(int(welcome.Version)))
-
 	s := &workerSession{w: w, conn: conn, welcome: welcome}
 	return s.serve(ctx)
 }
@@ -173,8 +144,8 @@ func (w *Worker) handshake(conn net.Conn) (Welcome, error) {
 		controlled = append(controlled, name)
 	}
 	hello := Hello{
-		MinVersion: w.cfg.MinVersion,
-		MaxVersion: w.cfg.MaxVersion,
+		MinVersion: MinVersion,
+		MaxVersion: MaxVersion,
 		Name:       w.cfg.Name,
 		Topology:   w.cfg.Topology,
 		QueueSize:  uint32(w.cfg.Engine.QueueSize()),
@@ -363,15 +334,6 @@ func (s *workerSession) execute(cmd Command) (Result, bool) {
 		return res, false
 	case OpClearFault:
 		cfg.Engine.ClearFault(cmd.Worker)
-		return res, false
-	case OpPauseSpouts:
-		cfg.Engine.PauseSpouts()
-		return res, false
-	case OpResumeSpouts:
-		cfg.Engine.ResumeSpouts()
-		return res, false
-	case OpDrain:
-		res.Drained = cfg.Engine.Drain(cmd.Timeout)
 		return res, false
 	case OpCheckInvariants:
 		drained, violations := chaos.Quiesce(cfg.Engine, cfg.Spouts, cmd.Timeout, cmd.Resume)

@@ -88,13 +88,23 @@ type ControlTarget struct {
 	Topology string
 }
 
+// features are the predictor inputs. The controller forecasts each
+// worker's processing time (telemetry.TargetProcTime) from windows over
+// the controlled components' tasks only, so unrelated co-hosted tasks
+// don't dilute the prediction signal.
+var features = telemetry.FeatureConfig{Interference: true}
+
+const (
+	// historyLimit bounds retained windows per worker.
+	historyLimit = 10000
+	// stallRateFrac is the stall channel's rate gate: see
+	// Config.StallQueueMin.
+	stallRateFrac = 0.1
+)
+
 // Config parameterizes the controller. Zero fields take the noted
 // defaults.
 type Config struct {
-	// Metric is what the predictors forecast; default TargetProcTime.
-	Metric telemetry.TargetMetric
-	// Features selects predictor inputs; default includes interference.
-	Features *telemetry.FeatureConfig
 	// NewPredictor builds one predictor per worker. Required for
 	// prediction; when nil the controller runs reactively on the last
 	// observation.
@@ -112,23 +122,14 @@ type Config struct {
 	ProbeRatio float64
 	// Basis selects what drives detection and planning; default BasisMax.
 	Basis DetectBasis
-	// StallQueueMin and StallRateFrac gate the stall-detection channel: a
-	// worker is also flagged misbehaving when it has a backlog above
-	// StallQueueMin yet an execute rate below StallRateFrac × the median
-	// rate. This catches *stalled* workers, which execute nothing and
-	// therefore look healthy to every time-based signal (there are no
-	// observations to carry), and stays meaningful even when backpressure
-	// saturates every queue. Defaults 16 and 0.1; StallQueueMin < 0
-	// disables the channel.
+	// StallQueueMin gates the stall-detection channel: a worker is also
+	// flagged misbehaving when it has a backlog above StallQueueMin yet
+	// an execute rate below stallRateFrac × the median rate. This catches
+	// *stalled* workers, which execute nothing and therefore look healthy
+	// to every time-based signal (there are no observations to carry),
+	// and stays meaningful even when backpressure saturates every queue.
+	// Default 16; StallQueueMin < 0 disables the channel.
 	StallQueueMin float64
-	StallRateFrac float64
-	// HistoryLimit bounds retained windows per worker; default 10000.
-	HistoryLimit int
-	// Components restricts which components' tasks contribute to worker
-	// statistics; default: the controlled components (the stages being
-	// steered), so unrelated co-hosted tasks don't dilute the prediction
-	// signal. Pass ["*"] to sample every component.
-	Components []string
 	// Events, when set, receives one structured event per applied control
 	// plan and per detected misbehaving worker (obs.Logger satisfies the
 	// interface); nil disables event emission.
@@ -144,23 +145,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Features == nil {
-		c.Features = &telemetry.FeatureConfig{Interference: true}
-	}
 	if c.MinHistory <= 0 {
 		c.MinHistory = 30
 	}
 	if c.Detector == nil {
 		c.Detector = &RelativeDetector{Factor: 2}
 	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 10000
-	}
 	if c.StallQueueMin == 0 {
 		c.StallQueueMin = 16
-	}
-	if c.StallRateFrac <= 0 {
-		c.StallRateFrac = 0.1
 	}
 	return c
 }
@@ -230,19 +222,15 @@ func NewController(cluster Engine, targets []ControlTarget, cfg Config) (*Contro
 		sc := cfg.Scale.withDefaults()
 		cfg.Scale = &sc
 	}
-	components := cfg.Components
-	if len(components) == 0 {
-		for _, t := range targets {
-			components = append(components, t.Component)
-		}
-	} else if len(components) == 1 && components[0] == "*" {
-		components = nil
+	components := make([]string, len(targets))
+	for i, t := range targets {
+		components[i] = t.Component
 	}
 	ctl := &Controller{
 		cfg:        cfg,
 		cluster:    cluster,
 		targets:    targets,
-		sampler:    telemetry.NewSamplerFiltered(cfg.HistoryLimit, components...),
+		sampler:    telemetry.NewSamplerFiltered(historyLimit, components...),
 		predictors: make(map[string]timeseries.Predictor),
 	}
 	if cfg.Scale != nil {
@@ -314,7 +302,7 @@ func (c *Controller) FitPredictors() error {
 		if len(wins) < c.cfg.MinHistory {
 			return fmt.Errorf("core: worker %s has %d windows, need %d", id, len(wins), c.cfg.MinHistory)
 		}
-		series := telemetry.ToSeries(wins, c.cfg.Metric, *c.cfg.Features)
+		series := telemetry.ToSeries(wins, telemetry.TargetProcTime, features)
 		p := c.cfg.NewPredictor()
 		if err := p.Fit(series); err != nil {
 			return fmt.Errorf("core: fit %s for %s: %w", p.Name(), id, err)
@@ -351,12 +339,12 @@ func (c *Controller) Step() (StepReport, error) {
 	for _, id := range workers {
 		wins := c.sampler.Series(id)
 		last := wins[len(wins)-1]
-		obs := telemetry.Target(last, c.cfg.Metric)
+		obs := telemetry.Target(last, telemetry.TargetProcTime)
 		report.Observed[id] = obs
 		pred := obs
 		if c.fitted {
 			p := c.predictors[id]
-			series := telemetry.ToSeries(wins, c.cfg.Metric, *c.cfg.Features)
+			series := telemetry.ToSeries(wins, telemetry.TargetProcTime, features)
 			if series.Len() >= p.MinContext() {
 				if v, err := p.Predict(series, 1); err == nil {
 					pred = v
@@ -366,25 +354,14 @@ func (c *Controller) Step() (StepReport, error) {
 		}
 		report.Predicted[id] = pred
 		// The detector and planner treat the basis as time-like (higher =
-		// worse). Throughput is inverted into its time-like reciprocal so
-		// a slow worker (low throughput) reads as a high basis value.
-		toBasis := func(v float64) float64 {
-			if c.cfg.Metric == telemetry.TargetThroughput {
-				const floor = 1e-9
-				if v < floor {
-					v = floor
-				}
-				return 1 / v
-			}
-			return v
-		}
-		basis := toBasis(pred)
+		// worse), which processing time is.
+		basis := pred
 		switch c.cfg.Basis {
 		case BasisObserved:
-			basis = toBasis(obs)
+			basis = obs
 		case BasisMax:
-			if b := toBasis(obs); b > basis {
-				basis = b
+			if obs > basis {
+				basis = obs
 			}
 		}
 		report.Basis[id] = basis
@@ -405,7 +382,7 @@ func (c *Controller) Step() (StepReport, error) {
 		}
 		medRate := stats.Median(rates)
 		for id, o := range obs {
-			if o.queue > c.cfg.StallQueueMin && o.rate <= c.cfg.StallRateFrac*medRate {
+			if o.queue > c.cfg.StallQueueMin && o.rate <= stallRateFrac*medRate {
 				report.Misbehaving[id] = true
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"predstream/internal/dsps"
-	"predstream/internal/telemetry"
 	"predstream/internal/timeseries"
 )
 
@@ -292,49 +291,6 @@ func TestControllerQueueChannelCatchesStalledWorker(t *testing.T) {
 	}
 	if got := last.Applied["work"][victimIdx]; got != 0 {
 		t.Fatalf("stalled worker kept ratio %v", got)
-	}
-}
-
-func TestControllerThroughputMetricDetectsSlowWorker(t *testing.T) {
-	// With TargetThroughput, a slow worker shows a LOW value; the
-	// controller must still flag and bypass it via the inverted basis.
-	cl, targets, shutdown := newControlledTopology(t, 0)
-	defer shutdown()
-	c, err := NewController(cl, targets, Config{
-		Policy: PolicyBypass,
-		Metric: telemetry.TargetThroughput,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := func(steps int) StepReport {
-		var last StepReport
-		for i := 0; i < steps; i++ {
-			time.Sleep(80 * time.Millisecond)
-			r, err := c.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			last = r
-		}
-		return last
-	}
-	warm(5)
-	victim := "worker-2"
-	if err := cl.InjectFault(victim, dsps.Fault{Slowdown: 12}); err != nil {
-		t.Fatal(err)
-	}
-	last := warm(8)
-	if !last.Misbehaving[victim] {
-		t.Fatalf("throughput-metric controller missed the slow worker: basis=%v observed=%v",
-			last.Basis, last.Observed)
-	}
-	// Throughput observations are rates (higher = healthy); basis must be
-	// inverted (victim has the largest basis).
-	for id, b := range last.Basis {
-		if id != victim && b >= last.Basis[victim] {
-			t.Fatalf("basis inversion wrong: %s=%v vs victim %v", id, b, last.Basis[victim])
-		}
 	}
 }
 

@@ -184,10 +184,7 @@ func TestPlanPolicyStrings(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Features == nil || !cfg.Features.Interference {
-		t.Fatal("default features should include interference")
-	}
-	if cfg.MinHistory != 30 || cfg.HistoryLimit != 10000 {
+	if cfg.MinHistory != 30 || cfg.StallQueueMin != 16 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Detector == nil {

@@ -31,8 +31,19 @@ type Plan struct {
 	Actions []Action
 }
 
+const (
+	// downOccupancy is the occupancy below which a window counts toward
+	// scaling down.
+	downOccupancy = 0.05
+	// upBasisFactor corroborates occupancy with the forecast channel: a
+	// window also counts toward scaling up when the mean basis (predicted
+	// processing time) reaches this multiple of the planner's calm
+	// baseline while occupancy is at least UpOccupancy/2.
+	upBasisFactor = 1.5
+)
+
 // ScaleConfig parameterizes the elastic scale planner. Zero fields take
-// the noted defaults.
+// the noted defaults. One action adds or drains one executor.
 type ScaleConfig struct {
 	// MinParallelism and MaxParallelism clamp the live executor count;
 	// defaults 1 and 8.
@@ -41,15 +52,6 @@ type ScaleConfig struct {
 	// UpOccupancy is the mean queue-occupancy fraction (0..1) above which
 	// a window counts toward scaling up; default 0.5.
 	UpOccupancy float64
-	// DownOccupancy is the occupancy below which a window counts toward
-	// scaling down; default 0.05.
-	DownOccupancy float64
-	// UpBasisFactor corroborates occupancy with the forecast channel: a
-	// window also counts toward scaling up when the mean basis (predicted
-	// processing time) exceeds this multiple of the planner's calm
-	// baseline while occupancy is at least UpOccupancy/2. Default 1.5;
-	// negative disables the channel.
-	UpBasisFactor float64
 	// UpWindows and DownWindows are the hysteresis streaks: consecutive
 	// overloaded (resp. idle) windows required before acting. Defaults 2
 	// and 6.
@@ -58,10 +60,6 @@ type ScaleConfig struct {
 	// Cooldown is the minimum time between scale actions on one
 	// component; default 2s.
 	Cooldown time.Duration
-	// StepUp and StepDown bound how many executors one action adds or
-	// drains; defaults 1 and 1.
-	StepUp   int
-	StepDown int
 	// DrainTimeout bounds each scale-down's cooperative drain; default 2s.
 	DrainTimeout time.Duration
 }
@@ -76,12 +74,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.UpOccupancy <= 0 {
 		c.UpOccupancy = 0.5
 	}
-	if c.DownOccupancy <= 0 {
-		c.DownOccupancy = 0.05
-	}
-	if c.UpBasisFactor == 0 {
-		c.UpBasisFactor = 1.5
-	}
 	if c.UpWindows <= 0 {
 		c.UpWindows = 2
 	}
@@ -90,12 +82,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
-	}
-	if c.StepUp <= 0 {
-		c.StepUp = 1
-	}
-	if c.StepDown <= 0 {
-		c.StepDown = 1
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 2 * time.Second
@@ -148,10 +134,10 @@ func (p *ScalePlanner) Decide(now time.Time, sig ScaleSignals) (delta int, reaso
 		}
 	}
 	overloaded := sig.Occupancy >= cfg.UpOccupancy
-	forecastHot := cfg.UpBasisFactor > 0 && p.baseline > 0 &&
-		sig.Basis >= cfg.UpBasisFactor*p.baseline &&
+	forecastHot := p.baseline > 0 &&
+		sig.Basis >= upBasisFactor*p.baseline &&
 		sig.Occupancy >= cfg.UpOccupancy/2
-	idle := sig.Occupancy <= cfg.DownOccupancy && !forecastHot
+	idle := sig.Occupancy <= downOccupancy && !forecastHot
 
 	switch {
 	case overloaded || forecastHot:
@@ -167,27 +153,19 @@ func (p *ScalePlanner) Decide(now time.Time, sig ScaleSignals) (delta int, reaso
 
 	cooled := p.lastAction.IsZero() || now.Sub(p.lastAction) >= cfg.Cooldown
 	if p.upStreak >= cfg.UpWindows && cooled && sig.Parallelism < cfg.MaxParallelism {
-		delta = cfg.StepUp
-		if sig.Parallelism+delta > cfg.MaxParallelism {
-			delta = cfg.MaxParallelism - sig.Parallelism
-		}
 		p.lastAction = now
 		p.upStreak = 0
 		why := "occupancy"
 		if !overloaded {
 			why = "forecast"
 		}
-		return delta, fmt.Sprintf("%s over threshold for %d windows (occ %.2f, basis %.3g vs baseline %.3g)",
+		return 1, fmt.Sprintf("%s over threshold for %d windows (occ %.2f, basis %.3g vs baseline %.3g)",
 			why, cfg.UpWindows, sig.Occupancy, sig.Basis, p.baseline)
 	}
 	if p.downStreak >= cfg.DownWindows && cooled && sig.Parallelism > cfg.MinParallelism {
-		delta = -cfg.StepDown
-		if sig.Parallelism+delta < cfg.MinParallelism {
-			delta = cfg.MinParallelism - sig.Parallelism
-		}
 		p.lastAction = now
 		p.downStreak = 0
-		return delta, fmt.Sprintf("idle for %d windows (occ %.2f)", cfg.DownWindows, sig.Occupancy)
+		return -1, fmt.Sprintf("idle for %d windows (occ %.2f)", cfg.DownWindows, sig.Occupancy)
 	}
 	return 0, ""
 }

@@ -22,6 +22,9 @@ import (
 	"predstream/internal/timeseries"
 )
 
+// clipNorm clips training gradients by global norm.
+const clipNorm = 5
+
 // Config describes a DRNN predictor. Zero values take the paper-regime
 // defaults noted per field.
 type Config struct {
@@ -34,15 +37,9 @@ type Config struct {
 
 	Epochs    int     // training epochs; default 60
 	LR        float64 // Adam learning rate; default 1e-3
-	ClipNorm  float64 // gradient clipping by global norm; default 5
 	BatchSize int     // mini-batch size; default 1 (pure SGD)
-	Dropout   float64 // dropout on the recurrent output in [0,0.9]; default 0
-	// ValFraction holds out this trailing fraction of training windows as
-	// a validation set: early stopping tracks validation loss and the
-	// best-epoch weights are restored. 0 (default) disables.
-	ValFraction float64
-	Patience    int   // early-stopping patience in epochs; default 8; <0 disables
-	Seed        int64 // rng seed for init and shuffling; default 1
+	Patience  int     // early-stopping patience in epochs; default 8; <0 disables
+	Seed      int64   // rng seed for init and shuffling; default 1
 	// Workers is the number of concurrent workers evaluating each training
 	// mini-batch; 0 (default) uses all CPUs, 1 forces serial. The fitted
 	// model is bitwise-identical for any value (see DESIGN.md, "Training
@@ -68,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LR <= 0 {
 		c.LR = 1e-3
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
 	}
 	if c.Patience == 0 {
 		c.Patience = 8
@@ -128,12 +122,6 @@ func (p *Predictor) Fit(train *timeseries.Series) error {
 	if c := p.cfg.Cell; c != "" && c != "lstm" && c != "gru" {
 		return fmt.Errorf("drnn: unknown recurrent cell %q", c)
 	}
-	if p.cfg.Dropout < 0 || p.cfg.Dropout > 0.9 {
-		return fmt.Errorf("drnn: dropout %v out of [0, 0.9]", p.cfg.Dropout)
-	}
-	if p.cfg.ValFraction < 0 || p.cfg.ValFraction >= 0.9 {
-		return fmt.Errorf("drnn: validation fraction %v out of [0, 0.9)", p.cfg.ValFraction)
-	}
 	inputs, targets, err := timeseries.Window(train, p.cfg.Window, p.cfg.Horizon)
 	if err != nil {
 		return err
@@ -169,29 +157,18 @@ func (p *Predictor) Fit(train *timeseries.Series) error {
 		DenseHidden: p.cfg.DenseHidden,
 		Out:         1,
 		Cell:        p.cfg.Cell,
-		Dropout:     p.cfg.Dropout,
 	}, rng)
-	trainCfg := nn.TrainConfig{
+	losses, err := nn.Train(p.net, data, nn.TrainConfig{
 		Epochs:    p.cfg.Epochs,
 		Optimizer: nn.NewAdam(p.cfg.LR),
 		Loss:      nn.MSE{},
-		ClipNorm:  p.cfg.ClipNorm,
+		ClipNorm:  clipNorm,
 		BatchSize: p.cfg.BatchSize,
 		Shuffle:   true,
 		Rng:       rng,
 		Patience:  p.cfg.Patience,
 		Workers:   p.cfg.Workers,
-	}
-	if p.cfg.ValFraction > 0 {
-		// Hold out the trailing windows (the most recent — time-series
-		// order) for early stopping and best-weight restoration.
-		trainPart, valPart := data.Split(1 - p.cfg.ValFraction)
-		if valPart.Len() > 0 && trainPart.Len() > 1 {
-			data = trainPart
-			trainCfg.ValData = &valPart
-		}
-	}
-	losses, err := nn.Train(p.net, data, trainCfg)
+	})
 	if err != nil {
 		return fmt.Errorf("drnn: train: %w", err)
 	}

@@ -54,7 +54,7 @@ func TestConfigDefaults(t *testing.T) {
 	if len(cfg.Hidden) != 2 || cfg.Hidden[0] != 32 {
 		t.Fatalf("hidden defaults = %v", cfg.Hidden)
 	}
-	if cfg.Epochs != 60 || cfg.LR != 1e-3 || cfg.ClipNorm != 5 || cfg.Patience != 8 {
+	if cfg.Epochs != 60 || cfg.LR != 1e-3 || cfg.Patience != 8 {
 		t.Fatalf("training defaults = %+v", cfg)
 	}
 	// Negative patience disables early stopping.
@@ -230,32 +230,6 @@ func TestUnknownCellRejected(t *testing.T) {
 	p := New(Config{Window: 5, Cell: "elman"})
 	if err := p.Fit(sineSeries(100, 0, 17)); err == nil {
 		t.Fatal("unknown cell accepted")
-	}
-}
-
-func TestDropoutAndValidationVariant(t *testing.T) {
-	series := sineSeries(400, 0.03, 20)
-	p := New(Config{
-		Window: 8, Hidden: []int{12}, Epochs: 40, LR: 5e-3,
-		Dropout: 0.2, ValFraction: 0.15, Patience: 8, Seed: 21,
-	})
-	res, err := timeseries.WalkForward(p, series, 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := timeseries.WalkForward(&timeseries.NaivePredictor{}, series, 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.RMSE >= naive.Report.RMSE {
-		t.Fatalf("regularized DRNN RMSE %v did not beat naive %v", res.Report.RMSE, naive.Report.RMSE)
-	}
-	// Invalid configs are rejected at Fit.
-	if err := New(Config{Dropout: 0.95}).Fit(series); err == nil {
-		t.Fatal("dropout 0.95 accepted")
-	}
-	if err := New(Config{ValFraction: 0.95}).Fit(series); err == nil {
-		t.Fatal("val fraction 0.95 accepted")
 	}
 }
 

@@ -57,15 +57,18 @@ func traceFor(app AppProfile, steps int, seed int64) (map[string][]telemetry.Win
 	}
 }
 
+// E1–E4 predict worker-0's series from windows of accuracyWindow steps.
+const (
+	accuracyWorker = "worker-0"
+	accuracyWindow = 10
+)
+
 // AccuracyConfig parameterizes E1/E2 (and feeds E3).
 type AccuracyConfig struct {
 	App     AppProfile
 	Steps   int   // trace length in windows; default 500
-	Window  int   // model input window; default 10
 	Horizon int   // forecast horizon; default 1
 	Seed    int64 // default 1
-	// Worker selects whose series is predicted; default "worker-0".
-	Worker string
 	// Epochs overrides DRNN training epochs; default 40.
 	Epochs int
 	// Workers is the DRNN training worker count; 0 uses all CPUs. Results
@@ -82,17 +85,11 @@ func (c AccuracyConfig) withDefaults() AccuracyConfig {
 	if c.Steps <= 0 {
 		c.Steps = 500
 	}
-	if c.Window <= 0 {
-		c.Window = 10
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Worker == "" {
-		c.Worker = "worker-0"
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 40
@@ -142,22 +139,18 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wins, ok := traces[cfg.Worker]
-	if !ok {
-		return nil, fmt.Errorf("experiments: no trace for worker %q", cfg.Worker)
-	}
 	featCfg := telemetry.FeatureConfig{Interference: true}
-	series := telemetry.ToSeries(wins, telemetry.TargetProcTime, featCfg)
+	series := telemetry.ToSeries(traces[accuracyWorker], telemetry.TargetProcTime, featCfg)
 	trainLen := series.Len() * 7 / 10
 
 	models := []timeseries.Predictor{
 		drnn.New(drnn.Config{
-			Window: cfg.Window, Horizon: cfg.Horizon,
+			Window: accuracyWindow, Horizon: cfg.Horizon,
 			Hidden: []int{32, 32}, DenseHidden: []int{16},
 			Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.Workers,
 		}),
 		arima.New(3, 0, 1),
-		svr.NewWindowPredictor(cfg.Window, cfg.Horizon, &svr.SVR{C: 10, Eps: 0.05, MaxIter: 200}),
+		svr.NewWindowPredictor(accuracyWindow, cfg.Horizon, &svr.SVR{C: 10, Eps: 0.05, MaxIter: 200}),
 		&timeseries.NaivePredictor{},
 	}
 	results, err := timeseries.Compare(models, series, trainLen, cfg.Horizon)
@@ -324,9 +317,9 @@ func RunConvergence(cfg AccuracyConfig) (*ConvergenceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := telemetry.ToSeries(traces[cfg.Worker], telemetry.TargetProcTime, telemetry.FeatureConfig{Interference: true})
+	series := telemetry.ToSeries(traces[accuracyWorker], telemetry.TargetProcTime, telemetry.FeatureConfig{Interference: true})
 	model := drnn.New(drnn.Config{
-		Window: cfg.Window, Hidden: []int{32, 32}, DenseHidden: []int{16},
+		Window: accuracyWindow, Hidden: []int{32, 32}, DenseHidden: []int{16},
 		Epochs: cfg.Epochs, Seed: cfg.Seed, Patience: -1, Workers: cfg.Workers,
 	})
 	trainLen := series.Len() * 7 / 10
@@ -376,7 +369,7 @@ func RunSensitivity(cfg AccuracyConfig, windows, horizons []int) (*SensitivityRe
 	if err != nil {
 		return nil, err
 	}
-	series := telemetry.ToSeries(traces[cfg.Worker], telemetry.TargetProcTime, telemetry.FeatureConfig{Interference: true})
+	series := telemetry.ToSeries(traces[accuracyWorker], telemetry.TargetProcTime, telemetry.FeatureConfig{Interference: true})
 	trainLen := series.Len() * 7 / 10
 	out := &SensitivityResult{Windows: windows, Horizons: horizons}
 	for _, w := range windows {

@@ -19,54 +19,45 @@ import (
 // additionally lets the planner emit scale actions, so the measured gap
 // isolates live parallelism changes from the split-vector machinery.
 type ElasticConfig struct {
-	// Shapes lists the load shapes to test; default {"diurnal",
-	// "flash-crowd"}.
-	Shapes []string
-	// BaseTPS is the off-peak arrival rate; default 250.
-	BaseTPS float64
-	// ParseTasks is the static stage parallelism and the elastic starting
-	// point; default 2 (each 5ms-cost task serves ~200 tuples/s, so peaks
-	// above 2×200 overload the static configuration).
-	ParseTasks int
-	// MaxParallelism caps elastic scale-ups; default 6.
-	MaxParallelism int
 	// Warmup runs before measurement; default 1s.
 	Warmup time.Duration
-	// Measure is the measurement interval; default 8s (long enough for at
-	// least one full diurnal period / two flash crowds).
-	Measure time.Duration
-	// ControlPeriod is the controller step period; default 250ms.
-	ControlPeriod time.Duration
-	// Workers is the worker-process count; default 4.
-	Workers int
 	// Seed drives the workload.
 	Seed int64
+
+	// shapes lists the load shapes to test; default {"diurnal",
+	// "flash-crowd"}. Tests run one.
+	shapes []string
+	// measure is the measurement interval; default 8s (long enough for
+	// at least one full diurnal period / two flash crowds). Tests shorten
+	// it.
+	measure time.Duration
 }
 
+// The E13 setup.
+const (
+	// elasticBaseTPS is the off-peak arrival rate.
+	elasticBaseTPS = 250
+	// elasticParseTasks is the static stage parallelism and the elastic
+	// starting point: each 5ms-cost task serves ~200 tuples/s, so peaks
+	// above 2×200 overload the static configuration.
+	elasticParseTasks = 2
+	// elasticMaxParallelism caps elastic scale-ups.
+	elasticMaxParallelism = 6
+	// elasticControlPeriod is the controller step period.
+	elasticControlPeriod = 250 * time.Millisecond
+	// elasticWorkers is the worker-process count.
+	elasticWorkers = 4
+)
+
 func (c ElasticConfig) withDefaults() ElasticConfig {
-	if len(c.Shapes) == 0 {
-		c.Shapes = []string{"diurnal", "flash-crowd"}
-	}
-	if c.BaseTPS <= 0 {
-		c.BaseTPS = 250
-	}
-	if c.ParseTasks <= 0 {
-		c.ParseTasks = 2
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = 6
+	if len(c.shapes) == 0 {
+		c.shapes = []string{"diurnal", "flash-crowd"}
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = time.Second
 	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * time.Second
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 250 * time.Millisecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
+	if c.measure <= 0 {
+		c.measure = 8 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -80,16 +71,16 @@ func (c ElasticConfig) shapeFor(name string) (workload.RateShape, error) {
 	switch name {
 	case "diurnal":
 		return workload.SinusoidRate{
-			Base:      c.BaseTPS,
-			Amplitude: 0.8 * c.BaseTPS,
-			Period:    c.Measure / 2,
+			Base:      elasticBaseTPS,
+			Amplitude: 0.8 * elasticBaseTPS,
+			Period:    c.measure / 2,
 		}, nil
 	case "flash-crowd":
 		return workload.BurstRate{
-			Base:     0.6 * c.BaseTPS,
+			Base:     0.6 * elasticBaseTPS,
 			BurstX:   4,
-			Period:   c.Measure / 2,
-			Duration: c.Measure / 8,
+			Period:   c.measure / 2,
+			Duration: c.measure / 8,
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown load shape %q", name)
@@ -183,14 +174,15 @@ func (r *ElasticResult) CSV() [][]string {
 }
 
 // RunElastic executes E13: for each load shape it measures the static
-// configuration (parallelism pinned at ParseTasks) and the elastic one
-// (the planner scales the parse stage between 1 and MaxParallelism from
+// configuration (parallelism pinned at elasticParseTasks) and the elastic
+// one (the planner scales the parse stage between 1 and
+// elasticMaxParallelism from
 // occupancy + forecast signals), comparing throughput, complete-latency
 // p99, and loss.
 func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	cfg = cfg.withDefaults()
 	result := &ElasticResult{}
-	for _, shape := range cfg.Shapes {
+	for _, shape := range cfg.shapes {
 		for _, system := range []string{"static", "elastic"} {
 			cell, err := runElasticCell(cfg, system, shape)
 			if err != nil {
@@ -215,7 +207,7 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 		// is free so the scalable stage is the bottleneck.
 		ParseCost:  5 * time.Millisecond,
 		CountCost:  -1,
-		ParseTasks: cfg.ParseTasks,
+		ParseTasks: elasticParseTasks,
 		Window:     2 * time.Second,
 		Slide:      500 * time.Millisecond,
 		Seed:       cfg.Seed,
@@ -234,7 +226,7 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 		MaxSpoutPending: 512,
 	}
 	cluster := dsps.NewCluster(ccfg)
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: cfg.Workers}); err != nil {
+	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: elasticWorkers}); err != nil {
 		return cell, err
 	}
 	defer cluster.Shutdown()
@@ -243,11 +235,11 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 	if system == "elastic" {
 		ctrlCfg.Scale = &core.ScaleConfig{
 			MinParallelism: 1,
-			MaxParallelism: cfg.MaxParallelism,
+			MaxParallelism: elasticMaxParallelism,
 			UpOccupancy:    0.25,
 			UpWindows:      2,
 			DownWindows:    8,
-			Cooldown:       3 * cfg.ControlPeriod,
+			Cooldown:       3 * elasticControlPeriod,
 			DrainTimeout:   time.Second,
 		}
 	}
@@ -259,11 +251,11 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = ctrl.Run(ctx, cfg.ControlPeriod) }()
+	go func() { _ = ctrl.Run(ctx, elasticControlPeriod) }()
 
 	time.Sleep(cfg.Warmup)
 	before := cluster.Snapshot()
-	time.Sleep(cfg.Measure)
+	time.Sleep(cfg.measure)
 	after := cluster.Snapshot()
 	cancel()
 
@@ -273,27 +265,7 @@ func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, e
 	cell.ThroughputTPS = float64(acked) / dt
 	cell.FailedTPS = float64(failed) / dt
 	if acked > 0 {
-		var latDelta time.Duration
-		var histDelta []int64
-		for _, ts := range after.Tasks {
-			if !ts.IsSpout {
-				continue
-			}
-			prev, _ := before.TaskByID(ts.TaskID)
-			latDelta += ts.CompleteLatency - prev.CompleteLatency
-			if len(ts.CompleteHist) > 0 {
-				diff := make([]int64, len(ts.CompleteHist))
-				for i := range diff {
-					diff[i] = ts.CompleteHist[i]
-					if i < len(prev.CompleteHist) {
-						diff[i] -= prev.CompleteHist[i]
-					}
-				}
-				histDelta = dsps.MergeHistograms(histDelta, diff)
-			}
-		}
-		cell.AvgLatencyMs = latDelta.Seconds() * 1000 / float64(acked)
-		cell.P99LatencyMs = dsps.HistogramQuantile(histDelta, 0.99).Seconds() * 1000
+		cell.AvgLatencyMs, cell.P99LatencyMs = completeLatencyMs(before, after, acked)
 	}
 	for _, sc := range after.Scale {
 		cell.ScaleUps += sc.Ups

@@ -18,9 +18,9 @@ import (
 // but too noisy to assert on.
 func TestRunElasticShape(t *testing.T) {
 	res, err := RunElastic(ElasticConfig{
-		Shapes:  []string{"flash-crowd"},
+		shapes:  []string{"flash-crowd"},
 		Warmup:  500 * time.Millisecond,
-		Measure: 3 * time.Second,
+		measure: 3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

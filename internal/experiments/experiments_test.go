@@ -59,9 +59,6 @@ func TestRunAccuracyUnknownApp(t *testing.T) {
 	if _, err := RunAccuracy(AccuracyConfig{App: "bogus"}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, err := RunAccuracy(AccuracyConfig{Worker: "worker-99", Steps: 200}); err == nil {
-		t.Fatal("unknown worker accepted")
-	}
 }
 
 func TestRunOverlay(t *testing.T) {
@@ -140,7 +137,7 @@ func TestRunSensitivityGrid(t *testing.T) {
 }
 
 func TestRunGroupingTracksPhases(t *testing.T) {
-	res, err := RunGrouping(GroupingConfig{TuplesPerPhase: 1200, Bins: 3})
+	res, err := RunGrouping(GroupingConfig{tuplesPerPhase: 1200, bins: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +153,11 @@ func TestRunGroupingTracksPhases(t *testing.T) {
 	}
 }
 
-func TestRunGroupingValidation(t *testing.T) {
-	if _, err := RunGrouping(GroupingConfig{Tasks: 3, Phases: [][]float64{{0.5, 0.5}}}); err == nil {
-		t.Fatal("mismatched phase width accepted")
-	}
-}
-
 func TestRunReactionTrace(t *testing.T) {
 	res, err := RunReaction(ReactionConfig{
 		Steps:         10,
 		FaultAtStep:   4,
-		ControlPeriod: 150 * time.Millisecond,
+		controlPeriod: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +185,7 @@ func TestRunReactionWithRecovery(t *testing.T) {
 		FaultAtStep:   4,
 		ClearAtStep:   9,
 		ProbeRatio:    0.05,
-		ControlPeriod: 150 * time.Millisecond,
+		controlPeriod: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +206,7 @@ func TestRunReactionWithRecovery(t *testing.T) {
 }
 
 func TestRunInterference(t *testing.T) {
-	res, err := RunInterference(InterferenceConfig{Windows: 10, Period: 200 * time.Millisecond})
+	res, err := RunInterference(InterferenceConfig{windows: 10, period: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

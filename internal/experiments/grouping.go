@@ -10,32 +10,28 @@ import (
 )
 
 // GroupingConfig parameterizes E5, the dynamic-grouping validation.
+// Its run length is all there is to set, and only tests shorten it.
 type GroupingConfig struct {
-	// Tasks is the downstream parallelism; default 2.
-	Tasks int
-	// Phases are the requested ratio vectors, applied in sequence.
-	// Default: 50/50 → 70/30 → 30/70.
-	Phases [][]float64
-	// TuplesPerPhase is how many tuples flow during each phase; default
+	// tuplesPerPhase is how many tuples flow during each phase; default
 	// 2000.
-	TuplesPerPhase int
-	// Bins is how many observation bins each phase is split into (the
+	tuplesPerPhase int
+	// bins is how many observation bins each phase is split into (the
 	// time axis of the E5 figure); default 4.
-	Bins int
+	bins int
 }
 
+// groupingTasks is E5's downstream parallelism.
+const groupingTasks = 2
+
+// groupingPhases are the requested ratio vectors, applied in sequence.
+var groupingPhases = [][]float64{{0.5, 0.5}, {0.7, 0.3}, {0.3, 0.7}}
+
 func (c GroupingConfig) withDefaults() GroupingConfig {
-	if c.Tasks <= 0 {
-		c.Tasks = 2
+	if c.tuplesPerPhase <= 0 {
+		c.tuplesPerPhase = 2000
 	}
-	if len(c.Phases) == 0 {
-		c.Phases = [][]float64{{0.5, 0.5}, {0.7, 0.3}, {0.3, 0.7}}
-	}
-	if c.TuplesPerPhase <= 0 {
-		c.TuplesPerPhase = 2000
-	}
-	if c.Bins <= 0 {
-		c.Bins = 4
+	if c.bins <= 0 {
+		c.bins = 4
 	}
 	return c
 }
@@ -83,11 +79,6 @@ func fmtRatios(rs []float64) string {
 // counters.
 func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 	cfg = cfg.withDefaults()
-	for i, p := range cfg.Phases {
-		if len(p) != cfg.Tasks {
-			return nil, fmt.Errorf("experiments: phase %d has %d ratios for %d tasks", i, len(p), cfg.Tasks)
-		}
-	}
 
 	// The spout emits against an atomic budget: each observation bin
 	// raises the budget by exactly binSize tuples and drains, so bin
@@ -109,7 +100,7 @@ func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 			},
 		}
 	}, 1, "n")
-	dg := b.SetBolt("sink", func() dsps.Bolt { return &dsps.BoltFunc{} }, cfg.Tasks).
+	dg := b.SetBolt("sink", func() dsps.Bolt { return &dsps.BoltFunc{} }, groupingTasks).
 		DynamicGrouping("src")
 	topo, err := b.Build()
 	if err != nil {
@@ -123,14 +114,14 @@ func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 	defer cluster.Shutdown()
 
 	result := &GroupingResult{}
-	prevCounts := taskCounts(cluster, "sink", cfg.Tasks)
-	binSize := cfg.TuplesPerPhase / cfg.Bins
-	for phaseIdx, ratios := range cfg.Phases {
+	prevCounts := taskCounts(cluster, "sink", groupingTasks)
+	binSize := cfg.tuplesPerPhase / cfg.bins
+	for phaseIdx, ratios := range groupingPhases {
 		if err := dg.SetRatios(ratios); err != nil {
 			return nil, err
 		}
 		requested := dg.Ratios()
-		for bin := 0; bin < cfg.Bins; bin++ {
+		for bin := 0; bin < cfg.bins; bin++ {
 			budget.Add(int64(binSize))
 			deadline := time.Now().Add(10 * time.Second)
 			for emitted.Load() < budget.Load() && time.Now().Before(deadline) {
@@ -139,8 +130,8 @@ func RunGrouping(cfg GroupingConfig) (*GroupingResult, error) {
 			if !cluster.Drain(5 * time.Second) {
 				return nil, fmt.Errorf("experiments: e5 failed to drain at phase %d bin %d", phaseIdx, bin)
 			}
-			counts := taskCounts(cluster, "sink", cfg.Tasks)
-			observed := make([]float64, cfg.Tasks)
+			counts := taskCounts(cluster, "sink", groupingTasks)
+			observed := make([]float64, groupingTasks)
 			var binTotal float64
 			for i := range counts {
 				observed[i] = float64(counts[i] - prevCounts[i])

@@ -14,27 +14,26 @@ import (
 // interference, the scenario behind the paper's "interference of
 // co-located worker processes".
 type InterferenceConfig struct {
-	// Windows is the number of measurement windows recorded; the noisy
-	// neighbour starts at Windows/2. Default 16.
-	Windows int
-	// Period is the measurement window length; default 250ms.
-	Period time.Duration
-	// NeighborCost is the neighbour topology's per-tuple cost; default
-	// 5ms.
-	NeighborCost time.Duration
 	// Seed drives the workloads.
 	Seed int64
+
+	// windows is the number of measurement windows recorded; the noisy
+	// neighbour starts at windows/2. Default 16; tests record fewer.
+	windows int
+	// period is the measurement window length; default 250ms; tests
+	// shorten it.
+	period time.Duration
 }
 
+// neighborCost is the E12 neighbour topology's per-tuple cost.
+const neighborCost = 5 * time.Millisecond
+
 func (c InterferenceConfig) withDefaults() InterferenceConfig {
-	if c.Windows <= 0 {
-		c.Windows = 16
+	if c.windows <= 0 {
+		c.windows = 16
 	}
-	if c.Period <= 0 {
-		c.Period = 250 * time.Millisecond
-	}
-	if c.NeighborCost <= 0 {
-		c.NeighborCost = 5 * time.Millisecond
+	if c.period <= 0 {
+		c.period = 250 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -119,12 +118,12 @@ func RunInterference(cfg InterferenceConfig) (*InterferenceResult, error) {
 	sampler := telemetry.NewSamplerFiltered(0, "parse")
 	sampler.Sample(cluster.Snapshot())
 
-	neighborAt := cfg.Windows / 2
+	neighborAt := cfg.windows / 2
 	result := &InterferenceResult{}
 	var beforeSum, afterSum float64
 	var beforeN, afterN int
 	neighborOn := false
-	for w := 0; w < cfg.Windows; w++ {
+	for w := 0; w < cfg.windows; w++ {
 		if w == neighborAt {
 			noisy, err := buildNeighbor(cfg)
 			if err != nil {
@@ -135,7 +134,7 @@ func RunInterference(cfg InterferenceConfig) (*InterferenceResult, error) {
 			}
 			neighborOn = true
 		}
-		time.Sleep(cfg.Period)
+		time.Sleep(cfg.period)
 		sampler.Sample(cluster.Snapshot())
 		point := InterferencePoint{Window: w, NeighborOn: neighborOn}
 		var execSum, coSum, busySum float64
@@ -192,6 +191,6 @@ func buildNeighbor(cfg InterferenceConfig) (*dsps.Topology, error) {
 	}, 1, "n")
 	b.SetBolt("noise-work", func() dsps.Bolt { return &dsps.BoltFunc{} }, 2).
 		ShuffleGrouping("noise-src").
-		WithExecCost(cfg.NeighborCost)
+		WithExecCost(neighborCost)
 	return b.Build()
 }

@@ -11,13 +11,19 @@ import (
 	"predstream/internal/dsps"
 )
 
+// E6/E7 slow each misbehaving worker by reliabilitySlowdown (unless it
+// stalls), and the framework steps its controller every
+// reliabilityControlPeriod.
+const (
+	reliabilitySlowdown      = 8
+	reliabilityControlPeriod = 200 * time.Millisecond
+)
+
 // ReliabilityConfig parameterizes E6/E7: throughput and latency of the
 // framework vs the static baseline under misbehaving workers.
 type ReliabilityConfig struct {
 	// Misbehaving lists the fault counts to test; default {0, 1, 2}.
 	Misbehaving []int
-	// Slowdown is the injected slowdown factor; default 8.
-	Slowdown float64
 	// Stall injects a full hang instead of a slowdown (the crash flavour
 	// of misbehaviour); the controller then relies on its stall-detection
 	// channel rather than processing-time prediction.
@@ -26,8 +32,6 @@ type ReliabilityConfig struct {
 	Warmup time.Duration
 	// Measure is the measurement interval; default 2s.
 	Measure time.Duration
-	// ControlPeriod is the controller step period; default 200ms.
-	ControlPeriod time.Duration
 	// Workers is the worker-process count; default 4.
 	Workers int
 	// Seed drives the workload.
@@ -38,17 +42,11 @@ func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 	if len(c.Misbehaving) == 0 {
 		c.Misbehaving = []int{0, 1, 2}
 	}
-	if c.Slowdown <= 1 {
-		c.Slowdown = 8
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 2 * time.Second
 	}
 	if c.Measure <= 0 {
 		c.Measure = 3 * time.Second
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 200 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -255,7 +253,7 @@ func runCell(cfg ReliabilityConfig, dynamic bool, policy *core.PlanPolicy, fault
 		if err != nil {
 			return cell, err
 		}
-		go func() { _ = ctrl.Run(ctx, cfg.ControlPeriod) }()
+		go func() { _ = ctrl.Run(ctx, reliabilityControlPeriod) }()
 	}
 
 	time.Sleep(cfg.Warmup / 2)
@@ -267,7 +265,7 @@ func runCell(cfg ReliabilityConfig, dynamic bool, policy *core.PlanPolicy, fault
 		return cell, err
 	}
 	for _, w := range victims {
-		fault := dsps.Fault{Slowdown: cfg.Slowdown}
+		fault := dsps.Fault{Slowdown: reliabilitySlowdown}
 		if cfg.Stall {
 			fault = dsps.Fault{Stall: true}
 		}
@@ -287,26 +285,33 @@ func runCell(cfg ReliabilityConfig, dynamic bool, policy *core.PlanPolicy, fault
 	cell.ThroughputTPS = float64(acked) / dt
 	cell.FailedTPS = float64(failed) / dt
 	if acked > 0 {
-		var latDelta time.Duration
-		histDelta := make([]int64, 0)
-		for _, ts := range after.Tasks {
-			prev, _ := before.TaskByID(ts.TaskID)
-			latDelta += ts.CompleteLatency - prev.CompleteLatency
-			if len(ts.CompleteHist) > 0 {
-				diff := make([]int64, len(ts.CompleteHist))
-				for i := range diff {
-					diff[i] = ts.CompleteHist[i]
-					if i < len(prev.CompleteHist) {
-						diff[i] -= prev.CompleteHist[i]
-					}
-				}
-				histDelta = dsps.MergeHistograms(histDelta, diff)
-			}
-		}
-		cell.AvgLatencyMs = latDelta.Seconds() * 1000 / float64(acked)
-		cell.P99LatencyMs = dsps.HistogramQuantile(histDelta, 0.99).Seconds() * 1000
+		cell.AvgLatencyMs, cell.P99LatencyMs = completeLatencyMs(before, after, acked)
 	}
 	return cell, nil
+}
+
+// completeLatencyMs returns the mean and 99th-percentile complete latency,
+// in milliseconds, of the acked roots completed between two snapshots of
+// one cluster: the spouts' cumulative latency and histogram deltas.
+func completeLatencyMs(before, after *dsps.Snapshot, acked int64) (avg, p99 float64) {
+	var lat time.Duration
+	var hist []int64
+	for _, ts := range after.Tasks {
+		if !ts.IsSpout {
+			continue
+		}
+		prev, _ := before.TaskByID(ts.TaskID)
+		lat += ts.CompleteLatency - prev.CompleteLatency
+		diff := make([]int64, len(ts.CompleteHist))
+		for i, c := range ts.CompleteHist {
+			diff[i] = c
+			if i < len(prev.CompleteHist) {
+				diff[i] -= prev.CompleteHist[i]
+			}
+		}
+		hist = dsps.MergeHistograms(hist, diff)
+	}
+	return lat.Seconds() * 1000 / float64(acked), dsps.HistogramQuantile(hist, 0.99).Seconds() * 1000
 }
 
 // parseWorkers returns up to n distinct workers hosting parse tasks,
@@ -348,13 +353,15 @@ type ReactionConfig struct {
 	// ProbeRatio is passed to the controller (share of the stream kept
 	// flowing to bypassed workers for recovery detection); default 0.
 	ProbeRatio float64
-	// Slowdown is the injected factor; default 10.
-	Slowdown float64
-	// ControlPeriod is the step period; default 200ms.
-	ControlPeriod time.Duration
 	// Seed drives the workload.
 	Seed int64
+
+	// controlPeriod is the step period; default 200ms; tests shorten it.
+	controlPeriod time.Duration
 }
+
+// reactionSlowdown is E10's injected slowdown factor.
+const reactionSlowdown = 10
 
 func (c ReactionConfig) withDefaults() ReactionConfig {
 	if c.Steps <= 0 {
@@ -363,11 +370,8 @@ func (c ReactionConfig) withDefaults() ReactionConfig {
 	if c.FaultAtStep <= 0 {
 		c.FaultAtStep = c.Steps / 2
 	}
-	if c.Slowdown <= 1 {
-		c.Slowdown = 10
-	}
-	if c.ControlPeriod <= 0 {
-		c.ControlPeriod = 200 * time.Millisecond
+	if c.controlPeriod <= 0 {
+		c.controlPeriod = 200 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -466,7 +470,7 @@ func RunReaction(cfg ReactionConfig) (*ReactionResult, error) {
 	faultActive := false
 	for step := 0; step < cfg.Steps; step++ {
 		if step == cfg.FaultAtStep {
-			if err := cluster.InjectFault(victim, dsps.Fault{Slowdown: cfg.Slowdown}); err != nil {
+			if err := cluster.InjectFault(victim, dsps.Fault{Slowdown: reactionSlowdown}); err != nil {
 				return nil, err
 			}
 			faultActive = true
@@ -475,7 +479,7 @@ func RunReaction(cfg ReactionConfig) (*ReactionResult, error) {
 			cluster.ClearFault(victim)
 			faultActive = false
 		}
-		time.Sleep(cfg.ControlPeriod)
+		time.Sleep(cfg.controlPeriod)
 		report, err := ctrl.Step()
 		if err != nil {
 			return nil, err
@@ -486,7 +490,7 @@ func RunReaction(cfg ReactionConfig) (*ReactionResult, error) {
 			Step:          step,
 			FaultActive:   faultActive,
 			VictimFlagged: report.Misbehaving[victim],
-			ThroughputTPS: float64(acked-prevAcked) / cfg.ControlPeriod.Seconds(),
+			ThroughputTPS: float64(acked-prevAcked) / cfg.controlPeriod.Seconds(),
 		}
 		prevAcked = acked
 		if ratios, ok := report.Applied["parse"]; ok && victimIdx < len(ratios) {

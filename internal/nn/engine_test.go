@@ -86,70 +86,6 @@ func TestTrainWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainWorkersDeterminismDropout repeats the equivalence check with
-// dropout enabled: per-example masks are seeded from (baseSeed, epoch,
-// position), never from the worker, so the curve must still match bitwise.
-func TestTrainWorkersDeterminismDropout(t *testing.T) {
-	arch := engineArch()
-	arch.Dropout = 0.3
-	baseLosses, baseWeights := trainLossesWithWorkers(t, arch, 1)
-	losses, weights := trainLossesWithWorkers(t, arch, 4)
-	for e := range losses {
-		if losses[e] != baseLosses[e] {
-			t.Fatalf("dropout: workers=4 epoch %d loss %v != workers=1 loss %v", e, losses[e], baseLosses[e])
-		}
-	}
-	for i := range weights {
-		if weights[i] != baseWeights[i] {
-			t.Fatalf("dropout: workers=4 final weight %d diverged", i)
-		}
-	}
-	// Sanity: dropout actually fired (losses differ from the no-dropout run).
-	plain, _ := trainLossesWithWorkers(t, engineArch(), 1)
-	same := true
-	for e := range plain {
-		if plain[e] != baseLosses[e] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("dropout run produced identical losses to the no-dropout run; masks not applied?")
-	}
-}
-
-// TestTrainWorkersValidationDeterminism checks the validation-loss path
-// (parallel evaluator + best-weight restoration) is also worker-invariant.
-func TestTrainWorkersValidationDeterminism(t *testing.T) {
-	arch := engineArch()
-	run := func(workers int) []float64 {
-		net := NewNetwork(arch, rand.New(rand.NewSource(5)))
-		train := engineDataset(20, 5, arch.In, arch.Out, 11)
-		val := engineDataset(8, 5, arch.In, arch.Out, 13)
-		_, err := Train(net, train, TrainConfig{
-			Epochs:    3,
-			Optimizer: sgd{0.05},
-			BatchSize: 5,
-			ValData:   &val,
-			Workers:   workers,
-		})
-		if err != nil {
-			t.Fatalf("Train(workers=%d): %v", workers, err)
-		}
-		var flat []float64
-		for _, p := range net.Params() {
-			flat = append(flat, p.W.Data()...)
-		}
-		return flat
-	}
-	w1, w4 := run(1), run(4)
-	for i := range w1 {
-		if w1[i] != w4[i] {
-			t.Fatalf("validation path: weight %d diverged between workers=1 and workers=4", i)
-		}
-	}
-}
-
 // TestReplicateSharesWeightsOwnsGrads verifies the replica contract: same
 // forward outputs, weight mutations on the main copy visible to replicas,
 // and gradient accumulation fully isolated.
@@ -220,39 +156,6 @@ func TestGradCheckAfterWorkspaceReuse(t *testing.T) {
 		worst := GradCheck(net, mkSeq(4), []float64{0.3}, MSE{}, 1e-5)
 		if worst > 1e-4 {
 			t.Fatalf("%s: gradcheck after workspace reuse: worst relative error %v", cell, worst)
-		}
-	}
-}
-
-// TestEvaluateLossParallelMatchesSerial pins the bitwise agreement between
-// the serial reference and the engine's fanned-out validation evaluator.
-func TestEvaluateLossParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	net := NewNetwork(engineArch(), rng)
-	ds := engineDataset(17, 5, 4, 2, 37)
-	want, err := EvaluateLoss(net, ds, MSE{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		got := newEngine(net, MSE{}, effectiveWorkers(workers), 0, false).evaluate(&ds)
-		if got != want {
-			t.Fatalf("engine evaluate(workers=%d) = %v, serial = %v", workers, got, want)
-		}
-	}
-}
-
-// TestExampleSeedUniqueness guards the seed mixer against trivial
-// collisions across nearby (epoch, position) pairs.
-func TestExampleSeedUniqueness(t *testing.T) {
-	seen := map[int64]bool{}
-	for epoch := 0; epoch < 16; epoch++ {
-		for pos := 0; pos < 256; pos++ {
-			s := exampleSeed(12345, epoch, pos)
-			if seen[s] {
-				t.Fatalf("duplicate example seed at epoch=%d pos=%d", epoch, pos)
-			}
-			seen[s] = true
 		}
 	}
 }

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"predstream/internal/mat"
 )
 
 // Network is a sequence-to-one regression model: a stack of recurrent
@@ -16,25 +14,8 @@ type Network struct {
 	Recurrent []Recurrent
 	Head      []*Dense
 
-	// DropoutP drops units of the recurrent stack's final hidden state
-	// during training (inverted dropout); 0 disables.
-	DropoutP float64
-
-	lastSeqLen  int
-	training    bool
-	dropRng     *rand.Rand
-	lastDropout []float64 // mask applied in the last training Forward
-
-	dropMask   []float64   // reusable inverted-dropout mask buffer
-	dropScaled []float64   // reusable masked-output buffer
+	lastSeqLen int
 	dHTop      [][]float64 // reusable top-layer hidden-state gradients
-}
-
-// SetTraining toggles training mode (enables dropout). rng drives mask
-// sampling and is required when DropoutP > 0.
-func (n *Network) SetTraining(training bool, rng *rand.Rand) {
-	n.training = training
-	n.dropRng = rng
 }
 
 // Arch describes a Network to construct: input feature count, hidden sizes
@@ -47,9 +28,6 @@ type Arch struct {
 	HiddenAct   Activation // activation for dense hidden layers; default Tanh
 	// Cell selects the recurrent cell: "lstm" (default) or "gru".
 	Cell string
-	// Dropout drops this fraction of the recurrent output during
-	// training; 0 disables. Must be in [0, 0.9].
-	Dropout float64
 }
 
 // NewNetwork builds a Network from arch with weights drawn from rng.
@@ -68,10 +46,7 @@ func NewNetwork(arch Arch, rng *rand.Rand) *Network {
 	if cell == "" {
 		cell = "lstm"
 	}
-	if arch.Dropout < 0 || arch.Dropout > 0.9 {
-		panic(fmt.Sprintf("nn: dropout %v out of [0, 0.9]", arch.Dropout))
-	}
-	net := &Network{DropoutP: arch.Dropout}
+	net := &Network{}
 	in := arch.In
 	for _, h := range arch.LSTMHidden {
 		switch cell {
@@ -95,10 +70,9 @@ func NewNetwork(arch Arch, rng *rand.Rand) *Network {
 // Replicate returns a worker copy of the network: every layer shares the
 // original's weight matrices read-only but owns private gradient
 // accumulators and forward/backward workspaces, so replicas can run
-// Forward/Backward concurrently over different examples. Training mode and
-// the dropout rng are NOT copied; call SetTraining on the replica.
+// Forward/Backward concurrently over different examples.
 func (n *Network) Replicate() *Network {
-	r := &Network{DropoutP: n.DropoutP}
+	r := &Network{}
 	for _, l := range n.Recurrent {
 		r.Recurrent = append(r.Recurrent, l.Replicate())
 	}
@@ -126,31 +100,6 @@ func (n *Network) Forward(seq [][]float64) []float64 {
 		hidden = l.ForwardSeq(hidden)
 	}
 	out := hidden[len(hidden)-1]
-	n.lastDropout = nil
-	if n.training && n.DropoutP > 0 {
-		if n.dropRng == nil {
-			panic("nn: dropout requires SetTraining with an rng")
-		}
-		// Inverted dropout: surviving units scale by 1/(1-p) so inference
-		// needs no rescaling.
-		if len(n.dropMask) != len(out) {
-			n.dropMask = make([]float64, len(out))
-			n.dropScaled = make([]float64, len(out))
-		}
-		mask, scaled := n.dropMask, n.dropScaled
-		keep := 1 - n.DropoutP
-		for i, v := range out {
-			if n.dropRng.Float64() < keep {
-				mask[i] = 1 / keep
-				scaled[i] = v / keep
-			} else {
-				mask[i] = 0
-				scaled[i] = 0
-			}
-		}
-		n.lastDropout = mask
-		out = scaled
-	}
 	for _, d := range n.Head {
 		out = d.Forward(out)
 	}
@@ -166,11 +115,6 @@ func (n *Network) Backward(dOut []float64) {
 	grad := dOut
 	for i := len(n.Head) - 1; i >= 0; i-- {
 		grad = n.Head[i].Backward(grad)
-	}
-	if n.lastDropout != nil {
-		for i := range grad {
-			grad[i] *= n.lastDropout[i]
-		}
 	}
 	// In seq-to-one mode only the final timestep of the top recurrent layer
 	// receives loss gradient; each layer's per-timestep input gradient is
@@ -213,26 +157,4 @@ func (n *Network) NumParams() int {
 		total += r * c
 	}
 	return total
-}
-
-// SnapshotWeights deep-copies every parameter tensor, for best-epoch
-// restoration during validated training.
-func (n *Network) SnapshotWeights() []*mat.Dense {
-	params := n.Params()
-	out := make([]*mat.Dense, len(params))
-	for i, p := range params {
-		out[i] = p.W.Copy()
-	}
-	return out
-}
-
-// RestoreWeights loads a snapshot produced by SnapshotWeights.
-func (n *Network) RestoreWeights(snap []*mat.Dense) {
-	params := n.Params()
-	if len(snap) != len(params) {
-		panic(fmt.Sprintf("nn: snapshot has %d tensors for %d params", len(snap), len(params)))
-	}
-	for i, p := range params {
-		copy(p.W.Data(), snap[i].Data())
-	}
 }

@@ -228,176 +228,23 @@ func TestMiniBatchGradientAveraging(t *testing.T) {
 	}
 }
 
+// TestTrainEarlyStopping pins Patience: with a zero learning rate the
+// epoch loss never improves on the first epoch's, so training stops after
+// Patience further epochs.
 func TestTrainEarlyStopping(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := NewNetwork(Arch{In: 1, LSTMHidden: []int{2}, Out: 1}, rng)
 	data := Dataset{X: [][][]float64{{{0.5}}}, Y: [][]float64{{0.5}}}
-	calls := 0
 	losses, err := Train(net, data, TrainConfig{
-		Epochs:  100,
-		OnEpoch: func(int, float64) bool { calls++; return calls < 3 },
+		Epochs:    100,
+		Optimizer: sgd{0},
+		Patience:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(losses) != 3 {
-		t.Fatalf("OnEpoch stop produced %d epochs", len(losses))
-	}
-}
-
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	net := NewNetwork(Arch{In: 2, LSTMHidden: []int{8}, Out: 1, Dropout: 0.5}, rng)
-	seq := [][]float64{{0.3, -0.2}, {0.1, 0.4}}
-	// Inference is deterministic (no dropout).
-	a := net.Forward(seq)[0]
-	b := net.Forward(seq)[0]
-	if a != b {
-		t.Fatal("inference not deterministic with dropout configured")
-	}
-	// Training mode produces varying outputs across calls (masks differ).
-	net.SetTraining(true, rng)
-	varied := false
-	first := net.Forward(seq)[0]
-	for i := 0; i < 20; i++ {
-		if net.Forward(seq)[0] != first {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Fatal("dropout masks never varied in training mode")
-	}
-	net.SetTraining(false, nil)
-	if got := net.Forward(seq)[0]; got != a {
-		t.Fatalf("eval output changed after training toggle: %v vs %v", got, a)
-	}
-}
-
-func TestDropoutGradientMatchesMask(t *testing.T) {
-	// With a fixed mask (deterministic rng replay), the analytic gradient
-	// must match finite differences — dropout is just an element-wise
-	// linear layer once the mask is fixed.
-	rng := rand.New(rand.NewSource(31))
-	net := NewNetwork(Arch{In: 1, LSTMHidden: []int{4}, Out: 1, Dropout: 0.5}, rng)
-	seq := [][]float64{{0.5}, {0.2}}
-	target := []float64{0.3}
-	loss := MSE{}
-	for _, p := range net.Params() {
-		p.ZeroGrad()
-	}
-	// Fix the mask by seeding a dedicated rng, forwarding once, and
-	// reusing the recorded mask for the numeric checks.
-	net.SetTraining(true, rand.New(rand.NewSource(7)))
-	pred := net.Forward(seq)
-	mask := make([]float64, len(net.lastDropout))
-	copy(mask, net.lastDropout)
-	net.Backward(loss.Grad(pred, target))
-	analytic := map[*Param][]float64{}
-	for _, p := range net.Params() {
-		g := make([]float64, len(p.Grad.Data()))
-		copy(g, p.Grad.Data())
-		analytic[p] = g
-	}
-	// Numeric: replay the same mask by stubbing training off and applying
-	// the mask manually is intrusive; instead verify the chain rule at
-	// the output: zeroed mask entries contribute zero gradient into the
-	// recurrent stack.
-	allZero := true
-	for _, m := range mask {
-		if m != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		t.Skip("mask dropped everything; nothing to verify")
-	}
-	var sawNonZero bool
-	for _, g := range analytic {
-		for _, v := range g {
-			if v != 0 {
-				sawNonZero = true
-			}
-		}
-	}
-	if !sawNonZero {
-		t.Fatal("no gradients flowed through dropout")
-	}
-	net.SetTraining(false, nil)
-}
-
-func TestValidationEarlyStoppingRestoresBestWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const window = 6
-	mk := func(n, offset int) Dataset {
-		var d Dataset
-		for i := 0; i < n; i++ {
-			seq := make([][]float64, window)
-			for k := 0; k < window; k++ {
-				seq[k] = []float64{math.Sin(0.3 * float64(offset+i+k))}
-			}
-			d.X = append(d.X, seq)
-			d.Y = append(d.Y, []float64{math.Sin(0.3 * float64(offset+i+window))})
-		}
-		return d
-	}
-	train := mk(120, 0)
-	val := mk(30, 120)
-	net := NewNetwork(Arch{In: 1, LSTMHidden: []int{10}, Out: 1}, rng)
-	losses, err := Train(net, train, TrainConfig{
-		Epochs:    40,
-		Optimizer: NewAdam(5e-3),
-		ClipNorm:  5,
-		Shuffle:   true,
-		Rng:       rng,
-		Patience:  5,
-		ValData:   &val,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(losses) == 0 {
-		t.Fatal("no epochs ran")
-	}
-	// The restored weights must score well on validation.
-	vl, err := EvaluateLoss(net, val, MSE{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vl > 0.05 {
-		t.Fatalf("validation loss after restore = %v", vl)
-	}
-	// Bad validation set is rejected.
-	badVal := Dataset{X: [][][]float64{{{1, 2}}}, Y: [][]float64{{1}}}
-	if _, err := Train(net, train, TrainConfig{Epochs: 1, ValData: &badVal}); err == nil {
-		t.Fatal("mismatched validation set accepted")
-	}
-	empty := Dataset{}
-	if _, err := Train(net, train, TrainConfig{Epochs: 1, ValData: &empty}); err == nil {
-		t.Fatal("empty validation set accepted")
-	}
-}
-
-func TestArchDropoutValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dropout > 0.9 accepted")
-		}
-	}()
-	NewNetwork(Arch{In: 1, LSTMHidden: []int{2}, Out: 1, Dropout: 0.95}, rand.New(rand.NewSource(1)))
-}
-
-func TestDatasetSplit(t *testing.T) {
-	d := Dataset{
-		X: [][][]float64{{{1}}, {{2}}, {{3}}, {{4}}},
-		Y: [][]float64{{1}, {2}, {3}, {4}},
-	}
-	train, test := d.Split(0.75)
-	if train.Len() != 3 || test.Len() != 1 {
-		t.Fatalf("split = %d/%d", train.Len(), test.Len())
-	}
-	if test.Y[0][0] != 4 {
-		t.Fatal("split is not order-preserving")
+		t.Fatalf("Patience 2 stop produced %d epochs, want 3", len(losses))
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-
-	"predstream/internal/mat"
 )
 
 var errEmptyDataset = errors.New("nn: empty dataset")
@@ -43,20 +41,6 @@ func (d Dataset) Validate(inSize, outSize int) error {
 	return nil
 }
 
-// Split partitions the dataset into a leading train part and trailing test
-// part at the given fraction, preserving order (time-series style: the
-// test set is strictly later than the training set).
-func (d Dataset) Split(trainFrac float64) (train, test Dataset) {
-	n := int(float64(d.Len()) * trainFrac)
-	if n < 0 {
-		n = 0
-	}
-	if n > d.Len() {
-		n = d.Len()
-	}
-	return Dataset{X: d.X[:n], Y: d.Y[:n]}, Dataset{X: d.X[n:], Y: d.Y[n:]}
-}
-
 // TrainConfig controls a training run.
 type TrainConfig struct {
 	Epochs    int
@@ -71,16 +55,8 @@ type TrainConfig struct {
 	// independent.
 	BatchSize int
 	// Patience stops training after this many epochs without improvement
-	// of the epoch loss (the validation loss when ValData is set);
-	// 0 disables early stopping.
+	// of the epoch loss; 0 disables early stopping.
 	Patience int
-	// ValData optionally holds a validation set: Patience then tracks the
-	// validation loss, and the weights from the best validation epoch are
-	// restored when training ends.
-	ValData *Dataset
-	// OnEpoch, if set, is invoked with (epoch, meanLoss) after each epoch;
-	// returning false stops training early.
-	OnEpoch func(epoch int, loss float64) bool
 	// Workers is the number of replicas running Forward/Backward
 	// concurrently within each mini-batch: 0 uses runtime.GOMAXPROCS(0),
 	// 1 runs inline on the calling goroutine. Results are bitwise-identical
@@ -119,28 +95,11 @@ func Train(net *Network, data Dataset, cfg TrainConfig) ([]float64, error) {
 	if cfg.Shuffle && cfg.Rng == nil {
 		return nil, fmt.Errorf("nn: Shuffle requires an Rng")
 	}
-	if cfg.ValData != nil {
-		if err := cfg.ValData.Validate(net.InSize(), net.OutSize()); err != nil {
-			return nil, fmt.Errorf("nn: validation set: %w", err)
-		}
-		if cfg.ValData.Len() == 0 {
-			return nil, fmt.Errorf("nn: empty validation set")
-		}
-	}
-	dropout := net.DropoutP > 0
-	var baseSeed int64
-	if dropout {
-		rng := cfg.Rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-		}
-		baseSeed = rng.Int63()
-	}
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = 1
 	}
-	eng := newEngine(net, cfg.Loss, effectiveWorkers(cfg.Workers), baseSeed, dropout)
+	eng := newEngine(net, cfg.Loss, effectiveWorkers(cfg.Workers))
 	params := net.Params()
 	order := make([]int, data.Len())
 	for i := range order {
@@ -149,7 +108,6 @@ func Train(net *Network, data Dataset, cfg TrainConfig) ([]float64, error) {
 	losses := make([]float64, 0, cfg.Epochs)
 	best := -1.0
 	sinceBest := 0
-	var bestWeights []*mat.Dense
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle {
 			cfg.Rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -160,7 +118,7 @@ func Train(net *Network, data Dataset, cfg TrainConfig) ([]float64, error) {
 			if end > len(order) {
 				end = len(order)
 			}
-			total += eng.runBatch(data, order[start:end], epoch, start)
+			total += eng.runBatch(data, order[start:end])
 			if count := end - start; count > 1 {
 				scale := 1 / float64(count)
 				for _, p := range params {
@@ -172,34 +130,15 @@ func Train(net *Network, data Dataset, cfg TrainConfig) ([]float64, error) {
 		}
 		mean := total / float64(data.Len())
 		losses = append(losses, mean)
-		if cfg.OnEpoch != nil && !cfg.OnEpoch(epoch, mean) {
-			break
-		}
-		// Track the monitored loss: validation when provided, training
-		// otherwise.
-		monitored := mean
-		if cfg.ValData != nil {
-			// The engine's replicas double as the validation evaluator; it
-			// flips them to inference mode itself, so there is no hand-rolled
-			// dropout toggle here anymore.
-			monitored = eng.evaluate(cfg.ValData)
-		}
-		improved := best < 0 || monitored < best
-		if improved {
-			best = monitored
+		if best < 0 || mean < best {
+			best = mean
 			sinceBest = 0
-			if cfg.ValData != nil {
-				bestWeights = net.SnapshotWeights()
-			}
 		} else {
 			sinceBest++
 			if cfg.Patience > 0 && sinceBest >= cfg.Patience {
 				break
 			}
 		}
-	}
-	if bestWeights != nil {
-		net.RestoreWeights(bestWeights)
 	}
 	return losses, nil
 }

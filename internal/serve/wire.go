@@ -162,17 +162,16 @@ func ReadWireResponse(r io.Reader) (status uint8, prediction float64, err error)
 // TCPServer serves the binary protocol over a listener; create with
 // ServeTCP, stop with Close.
 type TCPServer struct {
-	ln     net.Listener
-	coal   *Coalescer
-	wg     sync.WaitGroup
-	closed chan struct{}
+	ln   net.Listener
+	coal *Coalescer
+	wg   sync.WaitGroup
 }
 
 // ServeTCP starts accepting binary-protocol connections on ln, answering
 // each frame through the coalescer. One goroutine per connection; frames
 // on a connection are answered in order.
 func ServeTCP(ln net.Listener, coal *Coalescer) *TCPServer {
-	s := &TCPServer{ln: ln, coal: coal, closed: make(chan struct{})}
+	s := &TCPServer{ln: ln, coal: coal}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -184,7 +183,6 @@ func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
 // Close stops the listener and waits for connection handlers to finish
 // their in-flight frame.
 func (s *TCPServer) Close() error {
-	close(s.closed)
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
@@ -195,11 +193,6 @@ func (s *TCPServer) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
 			return
 		}
 		s.wg.Add(1)

@@ -7,8 +7,10 @@ import (
 )
 
 func TestCSVRoundTrip(t *testing.T) {
-	orig := Synthetic(SyntheticConfig{Workers: 3, Steps: 20, Seed: 9,
-		Slowdowns: map[int]float64{1: 4}, FaultAt: 10})
+	orig := Synthetic(SyntheticConfig{Workers: 3, Steps: 20, Seed: 9})
+	for i := 10; i < 20; i++ {
+		orig["worker-1"][i].Misbehaving = true
+	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, orig); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,15 @@ import (
 	"predstream/internal/workload"
 )
 
+const (
+	// periodSec is the measurement window length in seconds.
+	periodSec = 1.0
+	// arCoef is the persistence of the processing-time noise.
+	arCoef = 0.7
+	// spikeX multiplies processing time during a spike.
+	spikeX = 3.0
+)
+
 // SyntheticConfig parameterizes the queueing-model generator.
 type SyntheticConfig struct {
 	// Workers is the number of simulated workers; default 4.
@@ -38,8 +47,6 @@ type SyntheticConfig struct {
 	// the regime where the paper's interference features matter. When
 	// shorter than Workers, remaining workers use Shape.
 	Shapes []workload.RateShape
-	// PeriodSec is the measurement window length in seconds; default 1.
-	PeriodSec float64
 	// Steps is the number of windows to generate; default 600.
 	Steps int
 	// Alpha scales interference: processing time multiplies by
@@ -56,18 +63,9 @@ type SyntheticConfig struct {
 	// NoiseStd is the std-dev of the multiplicative AR(1) noise on
 	// processing time; default 0.05.
 	NoiseStd float64
-	// ARCoef is the noise persistence in [0,1); default 0.7.
-	ARCoef float64
 	// SpikeProb is the per-window probability of a transient processing
 	// spike; default 0.02.
 	SpikeProb float64
-	// SpikeX multiplies processing time during a spike; default 3.
-	SpikeX float64
-	// Slowdowns optionally marks workers misbehaving: worker index →
-	// multiplier ≥ 1 applied from StepFaultAt onward.
-	Slowdowns map[int]float64
-	// FaultAt is the window index faults begin (0 = from the start).
-	FaultAt int
 	// Seed drives all randomness; default 1.
 	Seed int64
 }
@@ -88,9 +86,6 @@ func (c SyntheticConfig) withDefaults() SyntheticConfig {
 	if c.Shape == nil {
 		c.Shape = workload.SinusoidRate{Base: 800, Amplitude: 400, Period: 60 * time.Second}
 	}
-	if c.PeriodSec <= 0 {
-		c.PeriodSec = 1
-	}
 	if c.Steps <= 0 {
 		c.Steps = 600
 	}
@@ -100,14 +95,8 @@ func (c SyntheticConfig) withDefaults() SyntheticConfig {
 	if c.NoiseStd == 0 {
 		c.NoiseStd = 0.05
 	}
-	if c.ARCoef == 0 {
-		c.ARCoef = 0.7
-	}
 	if c.SpikeProb == 0 {
 		c.SpikeProb = 0.02
-	}
-	if c.SpikeX == 0 {
-		c.SpikeX = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -117,8 +106,8 @@ func (c SyntheticConfig) withDefaults() SyntheticConfig {
 
 // Synthetic generates per-worker WindowStats series under the queueing
 // model. Worker w on a node shares that node's capacity with its
-// co-located workers; processing time responds to node utilization,
-// injected slowdowns, and autocorrelated noise.
+// co-located workers; processing time responds to node utilization and
+// autocorrelated noise.
 func Synthetic(cfg SyntheticConfig) map[string][]telemetry.WindowStats {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -134,7 +123,7 @@ func Synthetic(cfg SyntheticConfig) map[string][]telemetry.WindowStats {
 	}
 	out := make(map[string][]telemetry.WindowStats, cfg.Workers)
 	start := time.Unix(0, 0)
-	period := time.Duration(cfg.PeriodSec * float64(time.Second))
+	period := time.Duration(periodSec * float64(time.Second))
 
 	rates := make([]float64, cfg.Workers)
 	procMs := make([]float64, cfg.Workers)
@@ -142,7 +131,7 @@ func Synthetic(cfg SyntheticConfig) map[string][]telemetry.WindowStats {
 	// first), sized for the interference lag.
 	var rateHistory [][]float64
 	for step := 0; step < cfg.Steps; step++ {
-		elapsed := time.Duration(float64(step) * cfg.PeriodSec * float64(time.Second))
+		elapsed := time.Duration(float64(step) * periodSec * float64(time.Second))
 		// Offered load per worker.
 		for w := 0; w < cfg.Workers; w++ {
 			shape := cfg.Shape
@@ -187,13 +176,10 @@ func Synthetic(cfg SyntheticConfig) map[string][]telemetry.WindowStats {
 			} else {
 				m *= 2
 			}
-			if s, ok := cfg.Slowdowns[w]; ok && s > 1 && step >= cfg.FaultAt {
-				m *= s
-			}
-			arNoise[w] = cfg.ARCoef*arNoise[w] + cfg.NoiseStd*rng.NormFloat64()
+			arNoise[w] = arCoef*arNoise[w] + cfg.NoiseStd*rng.NormFloat64()
 			m *= math.Exp(arNoise[w])
 			if rng.Float64() < cfg.SpikeProb {
-				m *= cfg.SpikeX
+				m *= spikeX
 			}
 			procMs[w] = m
 		}
@@ -223,12 +209,11 @@ func Synthetic(cfg SyntheticConfig) map[string][]telemetry.WindowStats {
 				// not the instantaneous node state — otherwise these
 				// worker-level stats would leak co-located load into the
 				// no-interference feature set and void the E4 ablation.
-				AvgQueueMs:  math.Max(0, procMs[w]*rhoEff[w]*2),
-				QueueLen:    math.Max(0, rhoEff[w]/(1.01-math.Min(rhoEff[w], 1))*10),
-				CoWorkers:   coWorkers,
-				CoExecRate:  coExec,
-				NodeBusy:    nodeRho[node] * float64(cfg.Cores),
-				Misbehaving: func() bool { s, ok := cfg.Slowdowns[w]; return ok && s > 1 && step >= cfg.FaultAt }(),
+				AvgQueueMs: math.Max(0, procMs[w]*rhoEff[w]*2),
+				QueueLen:   math.Max(0, rhoEff[w]/(1.01-math.Min(rhoEff[w], 1))*10),
+				CoWorkers:  coWorkers,
+				CoExecRate: coExec,
+				NodeBusy:   nodeRho[node] * float64(cfg.Cores),
 			}
 			if coCount > 0 {
 				ws.CoAvgExecMs = coProcSum / float64(coCount)

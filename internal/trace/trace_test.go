@@ -54,39 +54,6 @@ func TestSyntheticDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestSyntheticSlowdownRaisesProcTime(t *testing.T) {
-	base := Synthetic(SyntheticConfig{Steps: 200, Seed: 3})
-	slow := Synthetic(SyntheticConfig{Steps: 200, Seed: 3, Slowdowns: map[int]float64{0: 8}, FaultAt: 100})
-	var beforeBase, afterBase, beforeSlow, afterSlow []float64
-	for i, w := range base["worker-0"] {
-		if i < 100 {
-			beforeBase = append(beforeBase, w.AvgExecMs)
-		} else {
-			afterBase = append(afterBase, w.AvgExecMs)
-		}
-	}
-	for i, w := range slow["worker-0"] {
-		if i < 100 {
-			beforeSlow = append(beforeSlow, w.AvgExecMs)
-			if w.Misbehaving {
-				t.Fatal("misbehaving before FaultAt")
-			}
-		} else {
-			afterSlow = append(afterSlow, w.AvgExecMs)
-			if !w.Misbehaving {
-				t.Fatal("not flagged misbehaving after FaultAt")
-			}
-		}
-	}
-	if stats.Mean(beforeSlow) != stats.Mean(beforeBase) {
-		t.Fatal("pre-fault trace should match the fault-free trace")
-	}
-	ratio := stats.Mean(afterSlow) / stats.Mean(afterBase)
-	if ratio < 6 || ratio > 10 {
-		t.Fatalf("slowdown ratio %v, want ≈8", ratio)
-	}
-}
-
 func TestSyntheticInterferenceCouplesWorkers(t *testing.T) {
 	// With strong interference, a worker's processing time must correlate
 	// positively with its node utilization proxy (its own + co-worker

@@ -32,10 +32,11 @@ test:
 # SPSC ring plane under it (internal/ring), the chaos harness that
 # hammers it (internal/chaos), the prediction server's coalescer and
 # load-test harness (internal/serve), the distributed runtime's
-# coordinator/worker protocol stack (internal/cluster), and the linter's
-# parallel package loader (internal/analysis).
+# coordinator/worker protocol stack (internal/cluster), the linter's
+# parallel package loader (internal/analysis), and the scenario rig that
+# steps a controller against a live cluster (internal/scenario).
 race:
-	$(GO) test -race ./internal/nn/... ./internal/dsps/... ./internal/ring/... ./internal/chaos/... ./internal/serve/... ./internal/cluster/... ./internal/analysis/...
+	$(GO) test -race ./internal/nn/... ./internal/dsps/... ./internal/ring/... ./internal/chaos/... ./internal/serve/... ./internal/cluster/... ./internal/analysis/... ./internal/scenario/...
 
 ci:
 	sh scripts/ci.sh

@@ -1,84 +1,49 @@
-// Reliability demo: the full predictive control loop from the paper.
-// Windowed URL Count runs with dynamic grouping; mid-run one worker is
-// slowed 8×; the controller detects it from the runtime statistics, steers
-// its share of the stream to zero, and throughput recovers — against a
-// static baseline the same fault collapses throughput.
+// Reliability demo: the reactive control loop against a misbehaving
+// worker. Windowed URL Count runs with dynamic grouping; at t=3s one parse
+// worker is slowed 8×; the controller detects it from the last window's
+// runtime statistics (no predictor is fitted), steers its share of the
+// stream to zero, and throughput recovers — against a static baseline the
+// same fault collapses throughput.
 //
 //	go run ./examples/reliability
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"time"
 
-	"predstream/internal/apps/urlcount"
+	"predstream/internal/chaos"
 	"predstream/internal/core"
 	"predstream/internal/dsps"
+	"predstream/internal/scenario"
 )
 
 func main() {
-	for _, dynamic := range []bool{true, false} {
-		label := "framework (dynamic grouping + controller)"
-		if !dynamic {
-			label = "static baseline (shuffle grouping)"
-		}
-		fmt.Printf("== %s ==\n", label)
-		run(dynamic)
-		fmt.Println()
+	arms := []struct {
+		label   string
+		control *core.Config
+	}{
+		{"framework (dynamic grouping + reactive controller)", &core.Config{Policy: core.PolicyBypass}},
+		{"static baseline (shuffle grouping)", nil},
 	}
-}
-
-func run(dynamic bool) {
-	topo, _, dg, err := urlcount.Build(urlcount.Config{
-		Dynamic:   dynamic,
-		ParseCost: 5 * time.Millisecond,
-		CountCost: -1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster := dsps.NewCluster(dsps.ClusterConfig{
-		Nodes: 2, QueueSize: 64, MaxSpoutPending: 256, AckTimeout: 10 * time.Second,
-	})
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: 4}); err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if dynamic {
-		ctrl, err := core.NewController(cluster,
-			[]core.ControlTarget{{Component: "parse", Grouping: dg}},
-			core.Config{Policy: core.PolicyBypass})
+	for _, arm := range arms {
+		res, err := scenario.Run(scenario.Spec{
+			Period:  500 * time.Millisecond,
+			Measure: 10 * time.Second,
+			Control: arm.control,
+			Faults: chaos.Script{Events: []chaos.Event{
+				{At: 3 * time.Second, Kind: chaos.KindInject, Fault: dsps.Fault{Slowdown: 8}},
+			}},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		go func() { _ = ctrl.Run(ctx, 250*time.Millisecond) }()
-	}
-
-	victim := ""
-	for _, ts := range cluster.Snapshot().ComponentTasks("parse") {
-		if ts.WorkerID != "worker-0" { // keep the spout's worker healthy
-			victim = ts.WorkerID
-			break
+		fmt.Printf("== %s: 8x slowdown on %s at t=3s ==\n", arm.label, res.Victims[0])
+		for _, st := range res.Trace {
+			fmt.Printf("  t=%4.1fs faulted=%-10s throughput %6.0f tuples/s\n",
+				st.At.Seconds(), fmt.Sprint(st.Faults), st.AckedTPS)
 		}
-	}
-	prev := cluster.Snapshot()
-	for sec := 1; sec <= 10; sec++ {
-		if sec == 4 {
-			if err := cluster.InjectFault(victim, dsps.Fault{Slowdown: 8}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  -- t=%ds: injected 8x slowdown on %s --\n", sec, victim)
-		}
-		time.Sleep(time.Second)
-		snap := cluster.Snapshot()
-		dt := snap.At.Sub(prev.At).Seconds()
-		tps := float64(snap.TotalAcked()-prev.TotalAcked()) / dt
-		prev = snap
-		fmt.Printf("  t=%2ds throughput %6.0f tuples/s\n", sec, tps)
+		fmt.Println()
 	}
 }

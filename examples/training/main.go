@@ -1,8 +1,8 @@
 // Training demo: the paper's full pipeline end-to-end with the DRNN in
 // the loop. The controller first runs reactively while collecting
-// multilevel runtime statistics; once enough windows exist it trains one
-// DRNN per worker on them; from then on split ratios are driven by model
-// *predictions*. A fault injected afterwards is detected from the
+// multilevel runtime statistics; once every worker has enough windows it
+// trains one DRNN per worker on them; from then on split ratios are driven
+// by model *predictions*. A fault injected afterwards is detected from the
 // predicted processing times and bypassed.
 //
 //	go run ./examples/training
@@ -13,37 +13,29 @@ import (
 	"log"
 	"time"
 
-	"predstream/internal/apps/urlcount"
+	"predstream/internal/chaos"
 	"predstream/internal/core"
 	"predstream/internal/drnn"
 	"predstream/internal/dsps"
+	"predstream/internal/scenario"
 	"predstream/internal/timeseries"
 )
 
 func main() {
-	topo, _, dg, err := urlcount.Build(urlcount.Config{
-		Dynamic:   true,
-		ParseCost: 5 * time.Millisecond,
-		CountCost: -1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster := dsps.NewCluster(dsps.ClusterConfig{
-		Nodes: 2, QueueSize: 64, MaxSpoutPending: 256, AckTimeout: 10 * time.Second,
-	})
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: 4}); err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Shutdown()
-
 	const (
-		controlPeriod = 200 * time.Millisecond
-		history       = 25 // windows to collect before training
+		period  = 200 * time.Millisecond
+		history = 25 // windows to collect before training
+		steps   = 12 // measured steps under model-driven control
 	)
-	ctrl, err := core.NewController(cluster,
-		[]core.ControlTarget{{Component: "parse", Grouping: dg}},
-		core.Config{
+	fmt.Printf("collecting %d statistics windows under reactive control, then training one DRNN per worker;\n", history)
+	fmt.Println("an 8x slowdown lands once the models drive the ratios")
+	res, err := scenario.Run(scenario.Spec{
+		Period: period,
+		// The first history+1 steps yield history windows; the fit runs
+		// right after them, so the models drive every measured step.
+		Warmup:  6 * time.Second,
+		Measure: steps * period,
+		Control: &core.Config{
 			Policy:     core.PolicyBypass,
 			MinHistory: history,
 			NewPredictor: func() timeseries.Predictor {
@@ -52,58 +44,20 @@ func main() {
 					Epochs: 15, LR: 5e-3,
 				})
 			},
-		})
+		},
+		Faults: chaos.Script{Events: []chaos.Event{
+			{At: 6*time.Second + 4*period, Kind: chaos.KindInject, Fault: dsps.Fault{Slowdown: 8}},
+		}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	step := func() core.StepReport {
-		time.Sleep(controlPeriod)
-		r, err := ctrl.Step()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
+	victim := res.Victims[0]
+	for i, st := range res.Trace {
+		r := st.Report
+		fmt.Printf("  step %2d model=%-5v faulted=%-10s %s: predicted=%6.2fms observed=%6.2fms flagged=%-5v ratios=%.2f\n",
+			i, r.UsedModel, fmt.Sprint(st.Faults), victim, r.Predicted[victim], r.Observed[victim],
+			r.Misbehaving[victim], st.Ratios)
 	}
-
-	fmt.Printf("phase 1: collecting %d statistics windows (reactive control)\n", history)
-	for i := 0; i <= history; i++ {
-		step()
-	}
-
-	fmt.Println("phase 2: training one DRNN per worker on the collected windows…")
-	start := time.Now()
-	if err := ctrl.FitPredictors(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  trained in %v\n", time.Since(start).Round(time.Millisecond))
-
-	fmt.Println("phase 3: predictive control (ratios now driven by DRNN forecasts)")
-	var victim string
-	for _, ts := range cluster.Snapshot().ComponentTasks("parse") {
-		if ts.WorkerID != "worker-0" {
-			victim = ts.WorkerID
-			break
-		}
-	}
-	for i := 0; i < 12; i++ {
-		if i == 4 {
-			if err := cluster.InjectFault(victim, dsps.Fault{Slowdown: 8}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  -- injected 8x slowdown on %s --\n", victim)
-		}
-		r := step()
-		fmt.Printf("  step %2d model=%v %s: predicted=%6.2fms observed=%6.2fms flagged=%v ratios=%v\n",
-			i, r.UsedModel, victim, r.Predicted[victim], r.Observed[victim],
-			r.Misbehaving[victim], compact(r.Applied["parse"]))
-	}
-}
-
-func compact(rs []float64) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = fmt.Sprintf("%.2f", r)
-	}
-	return out
+	fmt.Printf("model-driven share of the last %d steps: %.0f%%\n", steps, 100*res.UsedModelShare)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -285,8 +286,14 @@ func (c *Controller) Last() (report StepReport, steps int) {
 // Sampler exposes the controller's window history (read-only use).
 func (c *Controller) Sampler() *telemetry.Sampler { return c.sampler }
 
+// ErrShortHistory is wrapped by FitPredictors while some worker has fewer
+// than MinHistory windows: a caller that steps the controller can retry
+// after the next step.
+var ErrShortHistory = errors.New("core: too few windows to fit")
+
 // FitPredictors trains one predictor per worker on the collected history.
-// It requires cfg.NewPredictor and at least MinHistory windows per worker.
+// It requires cfg.NewPredictor and at least MinHistory windows per worker,
+// and fits none until every worker has them.
 func (c *Controller) FitPredictors() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -295,14 +302,17 @@ func (c *Controller) FitPredictors() error {
 	}
 	workers := c.sampler.Workers()
 	if len(workers) == 0 {
-		return fmt.Errorf("core: no windows collected yet")
+		return fmt.Errorf("core: no windows collected yet: %w", ErrShortHistory)
 	}
-	for _, id := range workers {
-		wins := c.sampler.Series(id)
-		if len(wins) < c.cfg.MinHistory {
-			return fmt.Errorf("core: worker %s has %d windows, need %d", id, len(wins), c.cfg.MinHistory)
+	history := make([][]telemetry.WindowStats, len(workers))
+	for i, id := range workers {
+		history[i] = c.sampler.Series(id)
+		if len(history[i]) < c.cfg.MinHistory {
+			return fmt.Errorf("core: worker %s has %d windows, need %d: %w", id, len(history[i]), c.cfg.MinHistory, ErrShortHistory)
 		}
-		series := telemetry.ToSeries(wins, telemetry.TargetProcTime, features)
+	}
+	for i, id := range workers {
+		series := telemetry.ToSeries(history[i], telemetry.TargetProcTime, features)
 		p := c.cfg.NewPredictor()
 		if err := p.Fit(series); err != nil {
 			return fmt.Errorf("core: fit %s for %s: %w", p.Name(), id, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -214,7 +215,7 @@ func TestFitPredictorsRequiresFactoryAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.FitPredictors(); err == nil {
-		t.Fatal("fit without history should error")
+	if err := c2.FitPredictors(); !errors.Is(err, ErrShortHistory) {
+		t.Fatalf("fit without history: err = %v, want ErrShortHistory", err)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"testing"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"predstream/internal/chaos"
 	"predstream/internal/core"
 	"predstream/internal/dsps"
+	"predstream/internal/scenario"
 )
 
 // TestChaosSoakControlledBypass replays the E6/E7/E10 regime under the
@@ -64,20 +64,11 @@ func TestChaosSoakControlledBypass(t *testing.T) {
 
 	// Stall a worker that hosts a parse task but not the spout, so the
 	// stream keeps flowing and the stall channel has traffic to flag.
-	snap := c.Snapshot()
-	spoutWorker := snap.ComponentTasks("urls")[0].WorkerID
-	parseTasks := snap.ComponentTasks("parse")
-	sort.Slice(parseTasks, func(i, j int) bool { return parseTasks[i].TaskIndex < parseTasks[j].TaskIndex })
-	victim := ""
-	for _, ts := range parseTasks {
-		if ts.WorkerID != spoutWorker {
-			victim = ts.WorkerID
-			break
-		}
-	}
-	if victim == "" {
+	victims := scenario.Victims(c.Snapshot())
+	if len(victims) == 0 {
 		t.Fatal("no parse task placed off the spout worker")
 	}
+	victim := victims[0]
 
 	script := chaos.Script{Seed: 5, Events: []chaos.Event{
 		{At: 150 * time.Millisecond, Kind: chaos.KindInject, Worker: victim, Fault: dsps.Fault{Stall: true}},

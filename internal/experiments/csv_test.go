@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"predstream/internal/scenario"
 	"predstream/internal/stats"
 	"predstream/internal/timeseries"
 )
@@ -34,7 +35,7 @@ func TestCSVShapes(t *testing.T) {
 		t.Fatalf("empty grouping CSV = %v", got)
 	}
 
-	rel := &ReliabilityResult{Cells: []ReliabilityCell{{System: "framework", ThroughputTPS: 10}}}
+	rel := &ReliabilityResult{Cells: []ReliabilityCell{{System: "framework", Summary: scenario.Summary{ThroughputTPS: 10}}}}
 	checkCSV(t, rel.CSV(), 2, 7)
 
 	conv := &ConvergenceResult{Losses: []float64{0.5, 0.4}}

@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"predstream/internal/apps/urlcount"
 	"predstream/internal/core"
-	"predstream/internal/dsps"
+	"predstream/internal/scenario"
 	"predstream/internal/workload"
 )
 
@@ -45,8 +43,6 @@ const (
 	elasticMaxParallelism = 6
 	// elasticControlPeriod is the controller step period.
 	elasticControlPeriod = 250 * time.Millisecond
-	// elasticWorkers is the worker-process count.
-	elasticWorkers = 4
 )
 
 func (c ElasticConfig) withDefaults() ElasticConfig {
@@ -91,19 +87,7 @@ func (c ElasticConfig) shapeFor(name string) (workload.RateShape, error) {
 type ElasticCell struct {
 	System string // "static" or "elastic"
 	Shape  string
-	// ThroughputTPS is acked roots per second over the interval.
-	ThroughputTPS float64
-	// AvgLatencyMs / P99LatencyMs summarize complete latency during the
-	// interval (from histogram deltas).
-	AvgLatencyMs float64
-	P99LatencyMs float64
-	// FailedTPS is failed roots per second (loss).
-	FailedTPS float64
-	// ScaleUps and ScaleDowns count executors added/retired during the run.
-	ScaleUps   int64
-	ScaleDowns int64
-	// FinalParallelism is the parse-stage executor count at measurement end.
-	FinalParallelism int
+	scenario.Summary
 }
 
 // ElasticResult is the E13 matrix.
@@ -132,27 +116,14 @@ func (r *ElasticResult) Render() string {
 			c.System, c.Shape, c.ThroughputTPS, c.AvgLatencyMs, c.P99LatencyMs, c.FailedTPS,
 			c.ScaleUps, c.ScaleDowns, c.FinalParallelism)
 	}
-	for _, shape := range shapesOf(r.Cells) {
-		st, ok1 := r.Cell("static", shape)
-		el, ok2 := r.Cell("elastic", shape)
-		if ok1 && ok2 && st.P99LatencyMs > 0 {
+	for _, el := range r.Cells {
+		st, ok := r.Cell("static", el.Shape)
+		if el.System == "elastic" && ok && st.P99LatencyMs > 0 {
 			fmt.Fprintf(&b, "  %s: elastic p99 is %.1f%% of static\n",
-				shape, 100*el.P99LatencyMs/st.P99LatencyMs)
+				el.Shape, 100*el.P99LatencyMs/st.P99LatencyMs)
 		}
 	}
 	return b.String()
-}
-
-func shapesOf(cells []ElasticCell) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range cells {
-		if !seen[c.Shape] {
-			seen[c.Shape] = true
-			out = append(out, c.Shape)
-		}
-	}
-	return out
 }
 
 // CSV renders the E13 series.
@@ -176,101 +147,47 @@ func (r *ElasticResult) CSV() [][]string {
 // RunElastic executes E13: for each load shape it measures the static
 // configuration (parallelism pinned at elasticParseTasks) and the elastic
 // one (the planner scales the parse stage between 1 and
-// elasticMaxParallelism from
-// occupancy + forecast signals), comparing throughput, complete-latency
-// p99, and loss.
+// elasticMaxParallelism from occupancy and the last window, as the
+// controller runs with no predictor), comparing throughput,
+// complete-latency p99, and loss.
 func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	cfg = cfg.withDefaults()
 	result := &ElasticResult{}
-	for _, shape := range cfg.shapes {
+	for _, name := range cfg.shapes {
+		shape, err := cfg.shapeFor(name)
+		if err != nil {
+			return nil, err
+		}
 		for _, system := range []string{"static", "elastic"} {
-			cell, err := runElasticCell(cfg, system, shape)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s under %s: %w", system, shape, err)
+			control := &core.Config{Policy: core.PolicyUniform}
+			if system == "elastic" {
+				control.Scale = &core.ScaleConfig{
+					MinParallelism: 1,
+					MaxParallelism: elasticMaxParallelism,
+					UpOccupancy:    0.25,
+					UpWindows:      2,
+					DownWindows:    8,
+					Cooldown:       3 * elasticControlPeriod,
+					DrainTimeout:   time.Second,
+				}
 			}
-			result.Cells = append(result.Cells, cell)
+			res, err := scenario.Run(scenario.Spec{
+				Seed:       cfg.Seed,
+				Shape:      shape,
+				ParseTasks: elasticParseTasks,
+				// A higher spout-pending cap than E6's lets overload show
+				// as complete latency while still bounding the backlog.
+				MaxSpoutPending: 512,
+				Period:          elasticControlPeriod,
+				Warmup:          cfg.Warmup,
+				Measure:         cfg.measure,
+				Control:         control,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s under %s: %w", system, name, err)
+			}
+			result.Cells = append(result.Cells, ElasticCell{system, name, res.Summary})
 		}
 	}
 	return result, nil
-}
-
-func runElasticCell(cfg ElasticConfig, system, shapeName string) (ElasticCell, error) {
-	cell := ElasticCell{System: system, Shape: shapeName}
-	shape, err := cfg.shapeFor(shapeName)
-	if err != nil {
-		return cell, err
-	}
-	topo, _, dg, err := urlcount.Build(urlcount.Config{
-		Dynamic: true,
-		Shape:   shape,
-		// Parse dominates (5ms clears the sleep-granularity floor); count
-		// is free so the scalable stage is the bottleneck.
-		ParseCost:  5 * time.Millisecond,
-		CountCost:  -1,
-		ParseTasks: elasticParseTasks,
-		Window:     2 * time.Second,
-		Slide:      500 * time.Millisecond,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return cell, err
-	}
-	ccfg := dsps.ClusterConfig{
-		Nodes:        2,
-		CoresPerNode: 4,
-		Seed:         cfg.Seed,
-		AckTimeout:   10 * time.Second,
-		// Shallow queues surface overload as complete latency quickly; the
-		// spout-pending cap bounds in-flight so the backlog stays honest.
-		QueueSize:       64,
-		MaxSpoutPending: 512,
-	}
-	cluster := dsps.NewCluster(ccfg)
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: elasticWorkers}); err != nil {
-		return cell, err
-	}
-	defer cluster.Shutdown()
-
-	ctrlCfg := core.Config{Policy: core.PolicyUniform}
-	if system == "elastic" {
-		ctrlCfg.Scale = &core.ScaleConfig{
-			MinParallelism: 1,
-			MaxParallelism: elasticMaxParallelism,
-			UpOccupancy:    0.25,
-			UpWindows:      2,
-			DownWindows:    8,
-			Cooldown:       3 * elasticControlPeriod,
-			DrainTimeout:   time.Second,
-		}
-	}
-	ctrl, err := core.NewController(cluster,
-		[]core.ControlTarget{{Component: "parse", Grouping: dg}},
-		ctrlCfg)
-	if err != nil {
-		return cell, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = ctrl.Run(ctx, elasticControlPeriod) }()
-
-	time.Sleep(cfg.Warmup)
-	before := cluster.Snapshot()
-	time.Sleep(cfg.measure)
-	after := cluster.Snapshot()
-	cancel()
-
-	dt := after.At.Sub(before.At).Seconds()
-	acked := after.TotalAcked() - before.TotalAcked()
-	failed := after.TotalFailed() - before.TotalFailed()
-	cell.ThroughputTPS = float64(acked) / dt
-	cell.FailedTPS = float64(failed) / dt
-	if acked > 0 {
-		cell.AvgLatencyMs, cell.P99LatencyMs = completeLatencyMs(before, after, acked)
-	}
-	for _, sc := range after.Scale {
-		cell.ScaleUps += sc.Ups
-		cell.ScaleDowns += sc.Downs
-	}
-	cell.FinalParallelism = cluster.ComponentParallelism(topo.Name, "parse")
-	return cell, nil
 }

@@ -165,6 +165,11 @@ func TestRunReactionTrace(t *testing.T) {
 	if len(res.Points) != 10 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
+	for _, p := range res.Points {
+		if !p.FaultActive && p.VictimRatio <= 0 {
+			t.Fatalf("step %d: victim ratio %v before the fault:\n%s", p.Step, p.VictimRatio, res.Render())
+		}
+	}
 	// Before the fault the victim holds a healthy share; after detection
 	// it must be bypassed within a few periods.
 	if res.ReactionSteps < 0 {

@@ -1,14 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"predstream/internal/apps/urlcount"
+	"predstream/internal/chaos"
 	"predstream/internal/core"
 	"predstream/internal/dsps"
+	"predstream/internal/scenario"
 )
 
 // E6/E7 slow each misbehaving worker by reliabilitySlowdown (unless it
@@ -28,9 +29,9 @@ type ReliabilityConfig struct {
 	// of misbehaviour); the controller then relies on its stall-detection
 	// channel rather than processing-time prediction.
 	Stall bool
-	// Warmup runs before measurement; default 1s.
+	// Warmup runs before measurement; default 2s.
 	Warmup time.Duration
-	// Measure is the measurement interval; default 2s.
+	// Measure is the measurement interval; default 3s.
 	Measure time.Duration
 	// Workers is the worker-process count; default 4.
 	Workers int
@@ -48,9 +49,6 @@ func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 	if c.Measure <= 0 {
 		c.Measure = 3 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -61,17 +59,7 @@ func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 type ReliabilityCell struct {
 	System      string // "framework" or "static"
 	Misbehaving int
-	// ThroughputTPS is acked roots per second over the measurement
-	// interval.
-	ThroughputTPS float64
-	// AvgLatencyMs is the mean complete latency of roots acked during the
-	// interval.
-	AvgLatencyMs float64
-	// P99LatencyMs is the 99th-percentile complete latency during the
-	// interval (from histogram deltas).
-	P99LatencyMs float64
-	// FailedTPS is failed roots per second (timeouts/drops).
-	FailedTPS float64
+	scenario.Summary
 }
 
 // ReliabilityResult is the E6 (throughput) and E7 (latency) matrix.
@@ -115,20 +103,25 @@ func (r *ReliabilityResult) Render() string {
 }
 
 // RunReliability executes E6/E7: for each fault count it runs the
-// framework (dynamic grouping + predictive controller, bypass policy) and
-// the static shuffle baseline on the URL-count topology, injecting
-// Slowdown× faults on parse-stage workers after warmup, then measures
-// steady-state throughput and complete latency.
+// framework (dynamic grouping + the controller with no predictor, so it
+// reacts to the last window; bypass policy) and the static shuffle
+// baseline on the URL-count topology, injecting Slowdown× faults on
+// parse-stage workers during warmup, then measures steady-state
+// throughput and complete latency.
 func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	cfg = cfg.withDefaults()
 	result := &ReliabilityResult{}
 	for _, faults := range cfg.Misbehaving {
 		for _, system := range []string{"framework", "static"} {
-			cell, err := runReliabilityCell(cfg, system, faults)
+			var control *core.Config
+			if system == "framework" {
+				control = &core.Config{Policy: core.PolicyBypass}
+			}
+			sum, err := runCell(cfg, control, faults)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s with %d faults: %w", system, faults, err)
 			}
-			result.Cells = append(result.Cells, cell)
+			result.Cells = append(result.Cells, ReliabilityCell{system, faults, sum})
 		}
 	}
 	return result, nil
@@ -163,181 +156,56 @@ func (r *PolicyAblationResult) Render() string {
 
 // RunPolicyAblation executes E11: with one 8× misbehaving worker, compare
 // the controller's three planner policies (hard bypass, inverse-weighted,
-// uniform). Uniform ≈ the dynamic-grouping equivalent of the static
-// baseline, isolating how much of the reliability win comes from the
-// planner rather than the grouping mechanism.
+// uniform). Uniform keeps the dynamic edge but steers nothing (the
+// grouping still re-routes blocked batches), isolating how much of the
+// reliability win comes from the planner rather than the grouping.
 func RunPolicyAblation(cfg ReliabilityConfig) (*PolicyAblationResult, error) {
 	cfg = cfg.withDefaults()
-	healthy, err := runPolicyCell(cfg, core.PolicyBypass, 0)
+	healthy, err := runCell(cfg, &core.Config{Policy: core.PolicyBypass}, 0)
 	if err != nil {
 		return nil, err
 	}
-	out := &PolicyAblationResult{Healthy: healthy}
+	out := &PolicyAblationResult{Healthy: healthy.ThroughputTPS}
 	for _, p := range []core.PlanPolicy{core.PolicyBypass, core.PolicyWeighted, core.PolicyUniform} {
-		tps, err := runPolicyCell(cfg, p, 1)
+		c, err := runCell(cfg, &core.Config{Policy: p}, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: policy %s: %w", p, err)
 		}
-		cell := PolicyCell{Policy: p.String(), ThroughputTPS: tps}
-		if healthy > 0 {
-			cell.Retained = tps / healthy
+		cell := PolicyCell{Policy: p.String(), ThroughputTPS: c.ThroughputTPS}
+		if out.Healthy > 0 {
+			cell.Retained = c.ThroughputTPS / out.Healthy
 		}
 		out.Cells = append(out.Cells, cell)
 	}
 	return out, nil
 }
 
-func runPolicyCell(cfg ReliabilityConfig, policy core.PlanPolicy, faults int) (float64, error) {
-	cell, err := runCell(cfg, true, &policy, faults)
-	return cell.ThroughputTPS, err
-}
-
-func runReliabilityCell(cfg ReliabilityConfig, system string, faults int) (ReliabilityCell, error) {
-	policy := core.PolicyBypass
-	var p *core.PlanPolicy
-	if system == "framework" {
-		p = &policy
+// runCell runs one URL-count measurement: control (nil = the static
+// shuffle baseline) steers the parse edge, and halfway through the warmup
+// the first faults victims slow down (or stall).
+func runCell(cfg ReliabilityConfig, control *core.Config, faults int) (scenario.Summary, error) {
+	fault := dsps.Fault{Slowdown: reliabilitySlowdown}
+	if cfg.Stall {
+		fault = dsps.Fault{Stall: true}
 	}
-	cell, err := runCell(cfg, system == "framework", p, faults)
-	cell.System = system
-	cell.Misbehaving = faults
-	return cell, err
-}
-
-// runCell runs one URL-count measurement: dynamic selects the grouping,
-// policy (nil = no controller) the control behaviour, faults the number of
-// slowed parse workers.
-func runCell(cfg ReliabilityConfig, dynamic bool, policy *core.PlanPolicy, faults int) (ReliabilityCell, error) {
-	var cell ReliabilityCell
-	appCfg := urlcount.Config{
-		Dynamic: dynamic,
-		// Parse dominates the pipeline so bypassing the slow parse task
-		// restores throughput; count is free of simulated cost because
-		// fields grouping cannot bypass (see DESIGN.md). 5ms clears the
-		// ~2ms sleep granularity floor so the slowdown signal dominates
-		// timer noise.
-		ParseCost: 5 * time.Millisecond,
-		CountCost: -1,
-		Window:    2 * time.Second,
-		Slide:     500 * time.Millisecond,
-		Seed:      cfg.Seed,
+	var script chaos.Script
+	for i := 0; i < faults; i++ {
+		script.Events = append(script.Events,
+			chaos.Event{At: cfg.Warmup / 2, Kind: chaos.KindInject, WorkerIndex: i, Fault: fault})
 	}
-	topo, _, dg, err := urlcount.Build(appCfg)
+	res, err := scenario.Run(scenario.Spec{
+		Workers: cfg.Workers,
+		Seed:    cfg.Seed,
+		Period:  reliabilityControlPeriod,
+		Warmup:  cfg.Warmup,
+		Measure: cfg.Measure,
+		Control: control,
+		Faults:  script,
+	})
 	if err != nil {
-		return cell, err
+		return scenario.Summary{}, err
 	}
-	ccfg := dsps.ClusterConfig{
-		Nodes:        2,
-		CoresPerNode: 4,
-		Seed:         cfg.Seed,
-		AckTimeout:   10 * time.Second,
-		// Shallow queues and a tight spout-pending cap make the slow
-		// worker's backpressure reach the spout within the warmup, so the
-		// measurement window sees the degraded steady state rather than
-		// the queue-filling transient.
-		QueueSize:       64,
-		MaxSpoutPending: 256,
-	}
-	cluster := dsps.NewCluster(ccfg)
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: cfg.Workers}); err != nil {
-		return cell, err
-	}
-	defer cluster.Shutdown()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if policy != nil {
-		ctrl, err := core.NewController(cluster,
-			[]core.ControlTarget{{Component: "parse", Grouping: dg}},
-			core.Config{Policy: *policy})
-		if err != nil {
-			return cell, err
-		}
-		go func() { _ = ctrl.Run(ctx, reliabilityControlPeriod) }()
-	}
-
-	time.Sleep(cfg.Warmup / 2)
-	// Fault the workers hosting parse tasks (skipping the spout's worker
-	// keeps the source alive, as the paper's misbehaving workers are
-	// processing workers).
-	victims, err := parseWorkers(cluster, faults)
-	if err != nil {
-		return cell, err
-	}
-	for _, w := range victims {
-		fault := dsps.Fault{Slowdown: reliabilitySlowdown}
-		if cfg.Stall {
-			fault = dsps.Fault{Stall: true}
-		}
-		if err := cluster.InjectFault(w, fault); err != nil {
-			return cell, err
-		}
-	}
-	time.Sleep(cfg.Warmup / 2)
-
-	before := cluster.Snapshot()
-	time.Sleep(cfg.Measure)
-	after := cluster.Snapshot()
-
-	dt := after.At.Sub(before.At).Seconds()
-	acked := after.TotalAcked() - before.TotalAcked()
-	failed := after.TotalFailed() - before.TotalFailed()
-	cell.ThroughputTPS = float64(acked) / dt
-	cell.FailedTPS = float64(failed) / dt
-	if acked > 0 {
-		cell.AvgLatencyMs, cell.P99LatencyMs = completeLatencyMs(before, after, acked)
-	}
-	return cell, nil
-}
-
-// completeLatencyMs returns the mean and 99th-percentile complete latency,
-// in milliseconds, of the acked roots completed between two snapshots of
-// one cluster: the spouts' cumulative latency and histogram deltas.
-func completeLatencyMs(before, after *dsps.Snapshot, acked int64) (avg, p99 float64) {
-	var lat time.Duration
-	var hist []int64
-	for _, ts := range after.Tasks {
-		if !ts.IsSpout {
-			continue
-		}
-		prev, _ := before.TaskByID(ts.TaskID)
-		lat += ts.CompleteLatency - prev.CompleteLatency
-		diff := make([]int64, len(ts.CompleteHist))
-		for i, c := range ts.CompleteHist {
-			diff[i] = c
-			if i < len(prev.CompleteHist) {
-				diff[i] -= prev.CompleteHist[i]
-			}
-		}
-		hist = dsps.MergeHistograms(hist, diff)
-	}
-	return lat.Seconds() * 1000 / float64(acked), dsps.HistogramQuantile(hist, 0.99).Seconds() * 1000
-}
-
-// parseWorkers returns up to n distinct workers hosting parse tasks,
-// preferring workers that do not also host the spout.
-func parseWorkers(c *dsps.Cluster, n int) ([]string, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	snap := c.Snapshot()
-	spoutWorkers := map[string]bool{}
-	for _, ts := range snap.ComponentTasks("urls") {
-		spoutWorkers[ts.WorkerID] = true
-	}
-	seen := map[string]bool{}
-	var candidates []string
-	for _, ts := range snap.ComponentTasks("parse") {
-		if seen[ts.WorkerID] || spoutWorkers[ts.WorkerID] {
-			continue
-		}
-		seen[ts.WorkerID] = true
-		candidates = append(candidates, ts.WorkerID)
-	}
-	if len(candidates) < n {
-		return nil, fmt.Errorf("experiments: only %d non-spout parse workers for %d faults", len(candidates), n)
-	}
-	return candidates[:n], nil
+	return res.Summary, nil
 }
 
 // ReactionConfig parameterizes E10, the control-loop reaction trace.
@@ -425,81 +293,43 @@ func (r *ReactionResult) Render() string {
 // are recorded.
 func RunReaction(cfg ReactionConfig) (*ReactionResult, error) {
 	cfg = cfg.withDefaults()
-	topo, _, dg, err := urlcount.Build(urlcount.Config{
-		Dynamic:   true,
-		ParseCost: 5 * time.Millisecond,
-		CountCost: -1,
-		Window:    2 * time.Second,
-		Slide:     500 * time.Millisecond,
-		Seed:      cfg.Seed,
+	period := cfg.controlPeriod
+	script := chaos.Script{Events: []chaos.Event{{
+		At: time.Duration(cfg.FaultAtStep) * period, Kind: chaos.KindInject,
+		Fault: dsps.Fault{Slowdown: reactionSlowdown},
+	}}}
+	if cfg.ClearAtStep > 0 {
+		script.Events = append(script.Events,
+			chaos.Event{At: time.Duration(cfg.ClearAtStep) * period, Kind: chaos.KindClear})
+	}
+	res, err := scenario.Run(scenario.Spec{
+		Seed:    cfg.Seed,
+		Period:  period,
+		Measure: time.Duration(cfg.Steps) * period,
+		Control: &core.Config{Policy: core.PolicyBypass, ProbeRatio: cfg.ProbeRatio},
+		Faults:  script,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cluster := dsps.NewCluster(dsps.ClusterConfig{
-		Nodes: 2, CoresPerNode: 4, Seed: cfg.Seed, AckTimeout: 10 * time.Second,
-	})
-	if err := cluster.Submit(topo, dsps.SubmitConfig{Workers: 4}); err != nil {
-		return nil, err
-	}
-	defer cluster.Shutdown()
-	ctrl, err := core.NewController(cluster,
-		[]core.ControlTarget{{Component: "parse", Grouping: dg}},
-		core.Config{Policy: core.PolicyBypass, ProbeRatio: cfg.ProbeRatio})
-	if err != nil {
-		return nil, err
-	}
-
-	victims, err := parseWorkers(cluster, 1)
-	if err != nil {
-		return nil, err
-	}
-	victim := victims[0]
-	victimIdx := -1
-	for _, ts := range cluster.Snapshot().ComponentTasks("parse") {
-		if ts.WorkerID == victim {
-			victimIdx = ts.TaskIndex
-		}
-	}
-	if victimIdx < 0 {
-		return nil, fmt.Errorf("experiments: victim hosts no parse task")
-	}
+	victim := res.Victims[0]
+	victimIdx := slices.Index(res.Placement, victim)
 
 	result := &ReactionResult{Victim: victim, ReactionSteps: -1, ReadmitSteps: -1}
-	prevAcked := cluster.Snapshot().TotalAcked()
-	faultActive := false
-	for step := 0; step < cfg.Steps; step++ {
-		if step == cfg.FaultAtStep {
-			if err := cluster.InjectFault(victim, dsps.Fault{Slowdown: reactionSlowdown}); err != nil {
-				return nil, err
-			}
-			faultActive = true
-		}
-		if cfg.ClearAtStep > 0 && step == cfg.ClearAtStep {
-			cluster.ClearFault(victim)
-			faultActive = false
-		}
-		time.Sleep(cfg.controlPeriod)
-		report, err := ctrl.Step()
-		if err != nil {
-			return nil, err
-		}
-		snap := cluster.Snapshot()
-		acked := snap.TotalAcked()
+	for step, st := range res.Trace {
 		point := ReactionPoint{
-			Step:          step,
-			FaultActive:   faultActive,
-			VictimFlagged: report.Misbehaving[victim],
-			ThroughputTPS: float64(acked-prevAcked) / cfg.controlPeriod.Seconds(),
+			Step: step,
+			// A fault fired at one tick is active over the next step's
+			// window.
+			FaultActive:   step > 0 && len(res.Trace[step-1].Faults) > 0,
+			VictimFlagged: st.Report.Misbehaving[victim],
+			ThroughputTPS: st.AckedTPS,
 		}
-		prevAcked = acked
-		if ratios, ok := report.Applied["parse"]; ok && victimIdx < len(ratios) {
-			point.VictimRatio = ratios[victimIdx]
-		} else if len(result.Points) > 0 {
-			point.VictimRatio = result.Points[len(result.Points)-1].VictimRatio
+		if victimIdx < len(st.Ratios) {
+			point.VictimRatio = st.Ratios[victimIdx]
 		}
 		bypassed := point.VictimRatio <= cfg.ProbeRatio+1e-9
-		if faultActive && result.ReactionSteps < 0 && bypassed {
+		if point.FaultActive && result.ReactionSteps < 0 && bypassed {
 			result.ReactionSteps = step - cfg.FaultAtStep
 		}
 		if cfg.ClearAtStep > 0 && step >= cfg.ClearAtStep &&

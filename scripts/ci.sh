@@ -46,7 +46,7 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (nn, dsps, ring, chaos, serve, cluster, analysis) =="
+echo "== go test -race (nn, dsps, ring, chaos, serve, cluster, analysis, scenario) =="
 make race
 
 echo "== go test -race ./internal/serve at GOMAXPROCS=4 (one dispatcher per core, more dispatchers than cores) =="

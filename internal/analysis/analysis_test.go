@@ -352,3 +352,21 @@ func TestUnusedWithoutTestFiles(t *testing.T) {
 		t.Fatalf("suppressed %v, want %s", suppressed, want)
 	}
 }
+
+// TestLoaderHonoursBuildConstraints pins that the loader type-checks the
+// files the go command builds on this platform and no others: a name
+// declared once in each of two files with exclusive build constraints is
+// one declaration, not a redeclaration.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	rep, err := Analyze(Config{
+		Dir:      filepath.Join("testdata", "buildtags"),
+		Patterns: []string{"."},
+		Enable:   []string{"walltime"},
+	})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if len(rep.TypeErrors) > 0 {
+		t.Fatalf("constrained files were checked together: %v", rep.TypeErrors)
+	}
+}

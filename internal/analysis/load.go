@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -380,6 +381,14 @@ func (l *Loader) parseDir(dir string) ([]*parsedUnit, error) {
 			continue
 		}
 		if !l.IncludeTests && strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Only the files the go command builds on this platform: a
+		// package may define one name in files with exclusive
+		// build constraints (sleep_linux.go, sleep_other.go).
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

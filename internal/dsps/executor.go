@@ -92,6 +92,7 @@ type task struct {
 	// executor goroutine touches it (see counterStage).
 	stage *counterStage
 	slots slotPool // spout: its acker slots; executor-goroutine-local
+	naps  int64    // spout: kernel-timed idle waits taken; executor-goroutine-local
 
 	// Emit-path state, owned by the executor goroutine.
 	edgeState   uint64 // splitmix64 state for edge-id draws
@@ -844,11 +845,19 @@ func (rt *runningTopology) deliverDone(tk *task) {
 	p.head, p.nDone = 0, 0
 }
 
-// Upper bounds on one spout park; arriving ops end either early. A timer
-// wait shorter than 1 ms still takes at least 1 ms on Linux (the netpoller's
-// epoll_wait sleeps in milliseconds), so the ack channel has to be a wake
-// source of the park: an ack left for the timer to find costs a root a full
-// quantum of complete latency.
+// Upper bounds on one spout wait. A timer wait shorter than 1 ms still
+// takes at least 1 ms on Linux (the netpoller's epoll_wait sleeps in
+// milliseconds), so the ack channel has to be a wake source of the timer
+// wait: an ack left for the timer to find costs a root a full quantum of
+// complete latency.
+//
+// The same quantum stretches the 100 µs re-poll to ≈1.1 ms, and a spout
+// whose roots come due faster than that emits each up to a quantum late.
+// napSpout is the wait that honours spoutRepollInterval, taken by the
+// spouts kernelTimedRepoll picks. It blocks the spout's thread, so an ack
+// arriving meanwhile waits out the sleep, and the tasks the spout's P has
+// just readied wait with it; a low-rate spout therefore stays on the
+// timer, and a closed-loop spout never reaches either idle wait.
 const (
 	// spoutRepollInterval is how long a spout whose NextTuple had nothing
 	// waits before it asks again.
@@ -858,7 +867,7 @@ const (
 	spoutThrottleRecheck = time.Millisecond
 )
 
-// parkSpout is the spout loop's one wait. It flushes and publishes first —
+// parkSpout is the spout loop's timer wait. It flushes and publishes first —
 // the ops that would wake the spout may never be produced while tuples
 // sit in its output buffers — then blocks until ops arrive (applied before
 // it returns), d elapses, or the topology stops, for which it returns
@@ -876,6 +885,40 @@ func (rt *runningTopology) parkSpout(tk *task, d time.Duration) bool {
 	return true
 }
 
+// kernelTimedRepoll picks the idle wait of a spout whose NextTuple had
+// nothing, from streak: the roots it emitted since its previous idle wait.
+// Two or more mean roots came due during that wait, so the wait outlasted
+// the gap between the spout's roots and the timer's quantum is what delays
+// them; the spout takes the kernel-timed wait. Zero or one mean the timer
+// wait fits inside the gap, and a kernel sleep would only hold the P.
+func kernelTimedRepoll(streak int) bool {
+	return kernelSleepOK && streak >= 2
+}
+
+// napSpout is the spout loop's kernel-timed wait. Like parkSpout it
+// flushes and publishes first, and it returns at once with the ops or the
+// shutdown that already arrived. Otherwise it yields, so that the bolts
+// its flush readied on this P run before the P sits in the syscall, and
+// sleeps spoutRepollInterval in the kernel. Ops and shutdown that arrive
+// during the sleep are taken by the loop top, which checks both before it
+// polls again.
+func (rt *runningTopology) napSpout(tk *task) bool {
+	rt.flushOut(tk)
+	tk.stage.publish(tk, rt.clock.nowNs())
+	select {
+	case <-rt.ctx.Done():
+		return false
+	case ops := <-tk.ackCh:
+		rt.handleAckBatch(tk, ops)
+		return true
+	default:
+	}
+	runtime.Gosched()
+	kernelSleep(spoutRepollInterval)
+	tk.naps++
+	return true
+}
+
 func (rt *runningTopology) runSpout(tk *task) {
 	defer rt.wg.Done()
 	defer close(tk.done)
@@ -886,6 +929,7 @@ func (rt *runningTopology) runSpout(tk *task) {
 	// but no more often than every 10 ms.
 	sweepEvery := int64(max(rt.cfg.AckTimeout/2, 10*time.Millisecond))
 	nextSweep := rt.clock.nowNs() + sweepEvery
+	streak := 0 // roots emitted since the last idle wait
 	for {
 		select {
 		case <-rt.ctx.Done():
@@ -938,9 +982,19 @@ func (rt *runningTopology) runSpout(tk *task) {
 			if tk.firstBufNs != 0 && rt.clock.nowNs()-tk.firstBufNs >= int64(flushInterval) {
 				rt.flushOut(tk)
 			}
-		} else if !rt.parkSpout(tk, spoutRepollInterval) {
+			streak++
+			continue
+		}
+		var awake bool
+		if kernelTimedRepoll(streak) {
+			awake = rt.napSpout(tk)
+		} else {
+			awake = rt.parkSpout(tk, spoutRepollInterval)
+		}
+		if !awake {
 			return
 		}
+		streak = 0
 	}
 }
 

@@ -202,3 +202,34 @@ func TestSnapshotCarriesHistograms(t *testing.T) {
 		t.Fatalf("cluster complete p99 = %v", q)
 	}
 }
+
+// benchLatencies is a fixed spread of complete latencies from 1 µs to
+// ~8 ms, the range an acked root's latency falls in on the benchmark
+// workloads. BenchmarkHistogramObservePerRoot in internal/obs observes the
+// same values.
+func benchLatencies() []time.Duration {
+	out := make([]time.Duration, 1024)
+	for i := range out {
+		out[i] = time.Microsecond<<(i%14) + time.Duration(i*7919%1000)
+	}
+	return out
+}
+
+// BenchmarkCompleteHistPerRoot prices the engine's complete-latency
+// histogram at one sample per acked root: a staged increment, published to
+// the shared atomics every 32 roots. A spout publishes once per coarse
+// tick and before each wait, ≈25 roots apart at 50k roots/s and further
+// apart the faster it runs. Its pair is BenchmarkHistogramObservePerRoot
+// in internal/obs, which cannot be imported from here.
+func BenchmarkCompleteHistPerRoot(b *testing.B) {
+	var h latencyHist
+	var s histStage
+	lat := benchLatencies()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.observe(lat[i&1023])
+		if i&31 == 31 {
+			s.publish(&h)
+		}
+	}
+}

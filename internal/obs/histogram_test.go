@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -119,5 +120,21 @@ func TestBoundsHelpers(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// BenchmarkHistogramObservePerRoot prices Histogram.Observe at one sample
+// per acked root, over the engine's latency buckets in seconds and the
+// same latencies as BenchmarkCompleteHistPerRoot in internal/dsps, its
+// pair: a binary search, an atomic add and a CAS loop per sample.
+func BenchmarkHistogramObservePerRoot(b *testing.B) {
+	h := NewHistogram("complete_latency_seconds", "", histBoundsSeconds)
+	lat := make([]float64, 1024)
+	for i := range lat {
+		lat[i] = (time.Microsecond<<(i%14) + time.Duration(i*7919%1000)).Seconds()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(lat[i&1023])
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: vet, gofmt, the dspslint invariant linter (including the unused
-# analyzer), doccheck, build, full test suite, the race detector over the
-# packages with real concurrency (training engine, stream engine, SPSC ring
-# plane, chaos harness, prediction server), one iteration of every
+# analyzer), doccheck, build, a windows and a darwin cross-build, full test
+# suite, the race detector over the packages with real concurrency
+# (training engine, stream engine, SPSC ring plane, chaos harness,
+# prediction server), one iteration of every
 # in-package micro-benchmark under internal/, a build-and-run check of the
 # bench/ module, a short chaos soak against the live engine, and a fuzz
 # smoke over each native fuzz target. Run via `make ci` or directly.
@@ -42,6 +43,12 @@ make doccheck
 
 echo "== go build =="
 go build ./...
+
+echo "== cross-build (windows, darwin: no kernel-timed spout wait there) =="
+# internal/dsps splits its kernel sleep across sleep_linux.go and
+# sleep_other.go; these builds keep the fallback compiling.
+GOOS=windows go build ./...
+GOOS=darwin go build ./...
 
 echo "== go test =="
 go test ./...

@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzRingOps$$' -run '^$$' -fuzztime 10s ./internal/ring/
 	$(GO) test -fuzz='^FuzzServeWireFrame$$' -run '^$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz='^FuzzClusterWireFrame$$' -run '^$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -fuzz='^FuzzCheckpointLoad$$' -run '^$$' -fuzztime 10s ./internal/drnn/
 
 # Multi-process smoke (~8s): a dspsim coordinator plus two real predworker
 # processes over the TCP wire protocol, with remote control loops and

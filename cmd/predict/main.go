@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	livePeriod := fs.Duration("live-period", 250*time.Millisecond, "live sampling period")
 	target := fs.String("target", "proctime", "prediction target: proctime or throughput")
 	noInterference := fs.Bool("no-interference", false, "drop co-located-worker features")
-	cell := fs.String("cell", "lstm", "DRNN recurrent cell: lstm or gru")
 	batch := fs.Int("batch", 0, "DRNN mini-batch size (0/1 = pure SGD)")
 	workers := fs.Int("workers", 0, "DRNN training workers per mini-batch (0 = all CPUs; results are worker-count invariant)")
 	sarimaPeriod := fs.Int("sarima-period", 0, "also compare a SARIMA(1,0,1)(1,0,0)_s baseline at this seasonal period")
@@ -136,11 +135,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	series := telemetry.ToSeries(wins, metric, featCfg)
 	trainLen := series.Len() * 7 / 10
 
-	model := drnn.New(drnn.Config{
-		Window: *window, Horizon: *horizon, Epochs: *epochs, Seed: *seed, Cell: *cell,
-		BatchSize: *batch, Workers: *workers,
-	})
-	models := []timeseries.Predictor{model}
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
 		if err != nil {
@@ -154,13 +148,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Evaluate the checkpoint directly on the held-out span.
 		return evalCheckpoint(stdout, loaded, series, trainLen, *horizon)
 	}
+	// One constructor per compared model, DRNN first. The default path
+	// builds each once; -all-workers builds a fresh set per worker.
+	drnnCfg := drnn.Config{
+		Window: *window, Horizon: *horizon, Epochs: *epochs, Seed: *seed,
+		BatchSize: *batch, Workers: *workers,
+	}
 	factories := []func() timeseries.Predictor{
-		func() timeseries.Predictor {
-			return drnn.New(drnn.Config{
-				Window: *window, Horizon: *horizon, Epochs: *epochs, Seed: *seed, Cell: *cell,
-				BatchSize: *batch, Workers: *workers,
-			})
-		},
+		func() timeseries.Predictor { return drnn.New(drnnCfg) },
 		func() timeseries.Predictor { return arima.New(3, 0, 1) },
 		func() timeseries.Predictor {
 			return svr.NewWindowPredictor(*window, *horizon, &svr.SVR{C: 10, Eps: 0.05, MaxIter: 200})
@@ -207,13 +202,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	models = append(models,
-		arima.New(3, 0, 1),
-		svr.NewWindowPredictor(*window, *horizon, &svr.SVR{C: 10, Eps: 0.05, MaxIter: 200}),
-		&timeseries.NaivePredictor{},
-	)
-	if *sarimaPeriod > 1 {
-		models = append(models, arima.NewSeasonal(1, 0, 1, 1, 0, *sarimaPeriod))
+	models := make([]timeseries.Predictor, len(factories))
+	for i, mk := range factories {
+		models[i] = mk()
 	}
 	results, err := timeseries.Compare(models, series, trainLen, *horizon)
 	if err != nil {
@@ -224,6 +215,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  %s\n", r.Report)
 	}
 	if *savePath != "" {
+		model := models[0].(*drnn.Predictor)
 		f, err := os.Create(*savePath)
 		if err != nil {
 			return err

@@ -66,6 +66,24 @@ func TestRunSyntheticComparison(t *testing.T) {
 	}
 }
 
+// TestRunAllWorkers pools every worker's walk-forward residuals and
+// reports each model of the shared predictor set, SARIMA included.
+func TestRunAllWorkers(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run(tinyArgs("-all-workers", "-sarima-period", "5"), &out, &errBuf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "pooled walk-forward over 4 workers") {
+		t.Fatalf("no pooled table:\n%s", s)
+	}
+	for _, model := range []string{"DRNN", "ARIMA", "SVR", "Naive", "SARIMA"} {
+		if !strings.Contains(s, model) {
+			t.Fatalf("model %s missing from pooled table:\n%s", model, s)
+		}
+	}
+}
+
 // TestRunSaveLoadRoundTrip checkpoints a fitted DRNN and evaluates the
 // reloaded copy, covering both the -save and -load paths.
 func TestRunSaveLoadRoundTrip(t *testing.T) {

@@ -44,14 +44,6 @@ func TestRelativeDetectorZeroMedian(t *testing.T) {
 	}
 }
 
-func TestAbsoluteDetector(t *testing.T) {
-	d := &AbsoluteDetector{Threshold: 5}
-	got := d.Detect(map[string]float64{"a": 4, "b": 6})
-	if got["a"] || !got["b"] {
-		t.Fatalf("absolute detect = %v", got)
-	}
-}
-
 func TestPlanRatiosProbeReservesShare(t *testing.T) {
 	ratios, err := PlanRatios(PolicyBypass, []string{"w0", "w1", "w2"},
 		map[string]float64{"w0": 1, "w1": 1, "w2": 10},

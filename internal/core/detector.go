@@ -52,18 +52,3 @@ func (d *RelativeDetector) Detect(predicted map[string]float64) map[string]bool 
 	}
 	return out
 }
-
-// AbsoluteDetector flags a worker when its predicted metric exceeds a
-// fixed threshold, for deployments with a known SLO.
-type AbsoluteDetector struct {
-	Threshold float64
-}
-
-// Detect implements Detector.
-func (d *AbsoluteDetector) Detect(predicted map[string]float64) map[string]bool {
-	out := make(map[string]bool, len(predicted))
-	for id, v := range predicted {
-		out[id] = v > d.Threshold
-	}
-	return out
-}

@@ -31,9 +31,8 @@ type Config struct {
 	Window  int // input window length in measurement periods; default 10
 	Horizon int // forecast horizon in periods; default 1
 
-	Hidden      []int  // recurrent stack sizes; default {32, 32} (two layers)
-	DenseHidden []int  // dense head sizes before the output; default {16}
-	Cell        string // recurrent cell: "lstm" (default) or "gru"
+	Hidden      []int // LSTM stack sizes; default {32, 32} (two layers)
+	DenseHidden []int // dense head sizes before the output; default {16}
 
 	Epochs    int     // training epochs; default 60
 	LR        float64 // Adam learning rate; default 1e-3
@@ -119,9 +118,6 @@ func (p *Predictor) Fit(train *timeseries.Series) error {
 	if dim == 0 {
 		return fmt.Errorf("drnn: empty training series")
 	}
-	if c := p.cfg.Cell; c != "" && c != "lstm" && c != "gru" {
-		return fmt.Errorf("drnn: unknown recurrent cell %q", c)
-	}
 	inputs, targets, err := timeseries.Window(train, p.cfg.Window, p.cfg.Horizon)
 	if err != nil {
 		return err
@@ -156,7 +152,6 @@ func (p *Predictor) Fit(train *timeseries.Series) error {
 		LSTMHidden:  p.cfg.Hidden,
 		DenseHidden: p.cfg.DenseHidden,
 		Out:         1,
-		Cell:        p.cfg.Cell,
 	}, rng)
 	losses, err := nn.Train(p.net, data, nn.TrainConfig{
 		Epochs:    p.cfg.Epochs,
@@ -263,6 +258,10 @@ func Load(r io.Reader) (*Predictor, error) {
 	net, err := nn.Load(&sliceReader{b: cp.NetBytes})
 	if err != nil {
 		return nil, err
+	}
+	if net.InSize() != len(cp.FeatScalers) || net.OutSize() != 1 {
+		return nil, fmt.Errorf("drnn: load: network maps %d features to %d outputs, checkpoint scales %d features to 1",
+			net.InSize(), net.OutSize(), len(cp.FeatScalers))
 	}
 	return &Predictor{
 		cfg:         cp.Cfg.withDefaults(),

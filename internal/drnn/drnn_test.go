@@ -196,43 +196,6 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
-func TestGRUCellVariant(t *testing.T) {
-	series := sineSeries(300, 0.02, 15)
-	p := New(Config{Window: 8, Hidden: []int{12}, Epochs: 25, LR: 5e-3, Cell: "gru", Seed: 16})
-	res, err := timeseries.WalkForward(p, series, 220, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := timeseries.WalkForward(&timeseries.NaivePredictor{}, series, 220, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.RMSE >= naive.Report.RMSE {
-		t.Fatalf("GRU DRNN RMSE %v did not beat naive %v", res.Report.RMSE, naive.Report.RMSE)
-	}
-	// GRU survives the checkpoint round-trip.
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := p.Predict(series, 1)
-	b, _ := loaded.Predict(series, 1)
-	if a != b {
-		t.Fatalf("round-trip prediction changed: %v vs %v", a, b)
-	}
-}
-
-func TestUnknownCellRejected(t *testing.T) {
-	p := New(Config{Window: 5, Cell: "elman"})
-	if err := p.Fit(sineSeries(100, 0, 17)); err == nil {
-		t.Fatal("unknown cell accepted")
-	}
-}
-
 func TestDeterministicWithSameSeed(t *testing.T) {
 	series := sineSeries(150, 0.01, 10)
 	mk := func() float64 {

@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -31,11 +32,8 @@ func (s *histStage) observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	idx := 0
-	for v := d / histBase; v > 0 && idx < histBuckets-1; v >>= 1 {
-		idx++
-	}
-	s[idx]++
+	// Bucket i ≥ 1 holds the d whose d/histBase has bit length i.
+	s[min(bits.Len64(uint64(d/histBase)), histBuckets-1)]++
 }
 
 // publish adds the staged counts to h and zeroes them.

@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,38 @@ func (h *latencyHist) observe(d time.Duration) {
 	var s histStage
 	s.observe(d)
 	s.publish(h)
+}
+
+// shiftLoopBucket is the bucket rule observe used to spell out as a shift
+// loop, kept as the reference the bit-length form must match.
+func shiftLoopBucket(d time.Duration) int {
+	if d < 0 {
+		d = 0
+	}
+	idx := 0
+	for v := d / histBase; v > 0 && idx < histBuckets-1; v >>= 1 {
+		idx++
+	}
+	return idx
+}
+
+// TestObserveBucketMatchesShiftLoop checks observe against the shift loop
+// at every power-of-two bucket boundary ±1ns up to the largest Duration,
+// and at zero, negative and huge durations.
+func TestObserveBucketMatchesShiftLoop(t *testing.T) {
+	ds := []time.Duration{0, -1, -time.Second, math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, 1000 * time.Hour}
+	for k := 0; histBase<<k > 0; k++ {
+		b := histBase << k
+		ds = append(ds, b-1, b, b+1)
+	}
+	for _, d := range ds {
+		var s histStage
+		s.observe(d)
+		want := shiftLoopBucket(d)
+		if s[want] != 1 {
+			t.Fatalf("observe(%d) filled %v, want bucket %d", int64(d), s, want)
+		}
+	}
 }
 
 func TestHistObserveBuckets(t *testing.T) {

@@ -28,7 +28,9 @@ func (m *Dense) GobDecode(b []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return fmt.Errorf("mat: gob decode: %w", err)
 	}
-	if w.Rows <= 0 || w.Cols <= 0 || len(w.Data) != w.Rows*w.Cols {
+	// Divide rather than multiply: Rows*Cols can overflow and wrap to
+	// len(Data) for forged dimensions.
+	if w.Rows <= 0 || w.Cols <= 0 || len(w.Data)%w.Rows != 0 || len(w.Data)/w.Rows != w.Cols {
 		return fmt.Errorf("mat: gob decode: inconsistent payload %dx%d with %d elements", w.Rows, w.Cols, len(w.Data))
 	}
 	m.rows, m.cols, m.data = w.Rows, w.Cols, w.Data

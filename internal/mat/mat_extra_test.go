@@ -108,6 +108,11 @@ func TestGobDecodeRejectsInconsistentPayload(t *testing.T) {
 	if err := new(Dense).GobDecode(forged); err == nil {
 		t.Fatal("inconsistent payload accepted")
 	}
+	// Dimensions whose product wraps to the element count.
+	wrapped := encodeWire(t, denseWire{Rows: 1 << 32, Cols: 1 << 32})
+	if err := new(Dense).GobDecode(wrapped); err == nil {
+		t.Fatal("overflowing dimensions accepted")
+	}
 }
 
 func encodeWire(t *testing.T, w denseWire) []byte {

@@ -65,7 +65,7 @@ func (b *buf) zeroMat(rows, cols int) *mat.Dense {
 type batchWS struct {
 	bank [2][]buf // [bank][timestep] activation matrices
 	gate []buf    // per-gate pre-activation scratch
-	st   []buf    // cell state scratch (c / tanh(c) / candidate input)
+	st   []buf    // cell state scratch (h / c / tanh(c))
 	head [2]buf   // dense head ping-pong
 }
 
@@ -145,19 +145,12 @@ func (r *BatchRunner) Forward(seqs [][][]float64, dst [][]float64) error {
 
 	for _, l := range r.net.Recurrent {
 		next := 1 - cur
-		switch cell := l.(type) {
-		case *LSTM:
-			lstmForwardBatch(cell, ws, cur, next, B, T)
-		case *GRU:
-			gruForwardBatch(cell, ws, cur, next, B, T)
-		default:
-			return fmt.Errorf("nn: batch forward: unsupported recurrent cell %T", l)
-		}
+		lstmForwardBatch(l, ws, cur, next, B, T)
 		cur = next
 	}
 
 	// Dense head on the final timestep's hidden state.
-	h := ws.bankBuf(cur, T-1).mat(B, r.net.Recurrent[len(r.net.Recurrent)-1].HiddenSize())
+	h := ws.bankBuf(cur, T-1).mat(B, r.net.Recurrent[len(r.net.Recurrent)-1].Hidden)
 	ping := 0
 	for _, d := range r.net.Head {
 		y := ws.head[ping].mat(B, d.Out)
@@ -209,43 +202,6 @@ func lstmForwardBatch(l *LSTM, ws *batchWS, cur, next, B, T int) {
 		}
 		hPrev = h
 		c, cPrev = cPrev, c
-	}
-}
-
-// gruForwardBatch runs one GRU layer over the batched sequence in bank
-// cur, leaving the per-timestep hidden states in bank next.
-//
-//dsps:hotpath
-func gruForwardBatch(g *GRU, ws *batchWS, cur, next, B, T int) {
-	hPrev := ws.stBuf(0).zeroMat(B, g.Hidden)
-	a := ws.stBuf(1).mat(B, g.Hidden)
-	for t := 0; t < T; t++ {
-		x := ws.bankBuf(cur, t).mat(B, g.In)
-		z := ws.gateBuf(0).mat(B, g.Hidden)
-		rr := ws.gateBuf(1).mat(B, g.Hidden)
-		hHat := ws.gateBuf(2).mat(B, g.Hidden)
-		g.wx[gruZ].W.MulMatTo(z, x)
-		g.wh[gruZ].W.MulMatAdd(z, hPrev)
-		addBiasRows(z, g.b[gruZ].W.Data())
-		g.wx[gruR].W.MulMatTo(rr, x)
-		g.wh[gruR].W.MulMatAdd(rr, hPrev)
-		addBiasRows(rr, g.b[gruR].W.Data())
-		sigmoidVec(z.Data())
-		sigmoidVec(rr.Data())
-		ad, rd, hp := a.Data(), rr.Data(), hPrev.Data()
-		for i := range ad {
-			ad[i] = rd[i] * hp[i]
-		}
-		g.wx[gruH].W.MulMatTo(hHat, x)
-		g.wh[gruH].W.MulMatAdd(hHat, a)
-		addBiasRows(hHat, g.b[gruH].W.Data())
-		tanhVec(hHat.Data())
-		h := ws.bankBuf(next, t).mat(B, g.Hidden)
-		hd, zd, hh := h.Data(), z.Data(), hHat.Data()
-		for i := range hd {
-			hd[i] = (1-zd[i])*hp[i] + zd[i]*hh[i]
-		}
-		hPrev = h
 	}
 }
 

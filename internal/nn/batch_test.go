@@ -27,14 +27,13 @@ func testArchs() []Arch {
 	return []Arch{
 		{In: 3, LSTMHidden: []int{8}, Out: 1},
 		{In: 5, LSTMHidden: []int{16, 8}, DenseHidden: []int{6}, Out: 2},
-		{In: 4, LSTMHidden: []int{8}, DenseHidden: []int{5}, Out: 1, Cell: "gru"},
-		{In: 9, LSTMHidden: []int{12, 12}, DenseHidden: []int{8}, Out: 1, Cell: "gru", HiddenAct: ReLU},
+		{In: 9, LSTMHidden: []int{12, 12}, DenseHidden: []int{8}, Out: 1, HiddenAct: ReLU},
 	}
 }
 
 // TestBatchRunnerMatchesForward pins the core contract: the batched GEMM
 // forward path produces bitwise-identical outputs to the per-sequence
-// inference path, for LSTM and GRU stacks, at every batch size including
+// inference path, for single and stacked LSTMs, at every batch size including
 // the micro-kernel remainder lanes.
 func TestBatchRunnerMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// benchSeqPair measures one ForwardSeq/BackwardSeq pair on a bare cell —
-// the inner loop of training — so allocs/op directly exposes per-timestep
-// buffer churn (the workspace keeps it at zero after warmup).
-func benchSeqPair(b *testing.B, cell Recurrent, in int) {
+// BenchmarkLSTMSeqPair measures one ForwardSeq/BackwardSeq pair on a bare
+// layer — the inner loop of training — so allocs/op directly exposes
+// per-timestep buffer churn (the workspace keeps it at zero after warmup).
+func BenchmarkLSTMSeqPair(b *testing.B) {
+	const in, seqLen = 12, 20
+	cell := NewLSTM(in, 32, rand.New(rand.NewSource(2)))
 	rng := rand.New(rand.NewSource(1))
-	const seqLen = 20
 	seq := make([][]float64, seqLen)
 	for t := range seq {
 		seq[t] = make([]float64, in)
@@ -20,7 +21,7 @@ func benchSeqPair(b *testing.B, cell Recurrent, in int) {
 	}
 	dH := make([][]float64, seqLen)
 	for t := range dH {
-		dH[t] = make([]float64, cell.HiddenSize())
+		dH[t] = make([]float64, cell.Hidden)
 	}
 	dH[seqLen-1][0] = 1
 	cell.ForwardSeq(seq) // warm the workspace before measuring
@@ -31,12 +32,4 @@ func benchSeqPair(b *testing.B, cell Recurrent, in int) {
 		cell.ForwardSeq(seq)
 		cell.BackwardSeq(dH)
 	}
-}
-
-func BenchmarkLSTMSeqPair(b *testing.B) {
-	benchSeqPair(b, NewLSTM(12, 32, rand.New(rand.NewSource(2))), 12)
-}
-
-func BenchmarkGRUSeqPair(b *testing.B) {
-	benchSeqPair(b, NewGRU(12, 32, rand.New(rand.NewSource(2))), 12)
 }

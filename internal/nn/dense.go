@@ -136,15 +136,24 @@ func (d *Dense) Weights() (w, b *mat.Dense) { return d.w.W, d.b.W }
 
 // SetWeights replaces the weight matrix and bias, validating dimensions.
 func (d *Dense) SetWeights(w, b *mat.Dense) error {
-	if r, c := w.Dims(); r != d.Out || c != d.In {
-		return fmt.Errorf("nn: dense weights %dx%d, want %dx%d", r, c, d.Out, d.In)
-	}
-	if r, c := b.Dims(); r != d.Out || c != 1 {
-		return fmt.Errorf("nn: dense bias %dx%d, want %dx1", r, c, d.Out)
+	if err := checkDenseShapes(d.In, d.Out, w, b); err != nil {
+		return err
 	}
 	d.w.W = w.Copy()
 	d.b.W = b.Copy()
 	d.w.Grad = mat.New(d.Out, d.In)
 	d.b.Grad = mat.New(d.Out, 1)
+	return nil
+}
+
+// checkDenseShapes reports whether w and b hold one in→out dense layer's
+// weight matrix and bias.
+func checkDenseShapes(in, out int, w, b *mat.Dense) error {
+	if r, c := w.Dims(); r != out || c != in {
+		return fmt.Errorf("nn: dense weights %dx%d, want %dx%d", r, c, out, in)
+	}
+	if r, c := b.Dims(); r != out || c != 1 {
+		return fmt.Errorf("nn: dense bias %dx%d, want %dx1", r, c, out)
+	}
 	return nil
 }

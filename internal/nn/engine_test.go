@@ -91,7 +91,7 @@ func TestTrainWorkersDeterminism(t *testing.T) {
 // and gradient accumulation fully isolated.
 func TestReplicateSharesWeightsOwnsGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	net := NewNetwork(Arch{In: 3, LSTMHidden: []int{4}, Out: 1, Cell: "gru"}, rng)
+	net := NewNetwork(Arch{In: 3, LSTMHidden: []int{4}, Out: 1}, rng)
 	rep := net.Replicate()
 	seq := [][]float64{{0.1, -0.2, 0.3}, {0.4, 0.0, -0.5}}
 
@@ -130,32 +130,30 @@ func TestReplicateSharesWeightsOwnsGrads(t *testing.T) {
 	}
 }
 
-// TestGradCheckAfterWorkspaceReuse runs the cells over sequences of varying
-// length to exercise workspace growth and reuse, then gradchecks: stale
-// state in a reused buffer would show up as a wrong analytic gradient.
+// TestGradCheckAfterWorkspaceReuse runs the network over sequences of
+// varying length to exercise workspace growth and reuse, then gradchecks:
+// stale state in a reused buffer would show up as a wrong analytic gradient.
 func TestGradCheckAfterWorkspaceReuse(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru"} {
-		rng := rand.New(rand.NewSource(17))
-		net := NewNetwork(Arch{In: 2, LSTMHidden: []int{3, 3}, DenseHidden: []int{4}, Out: 1, Cell: cell}, rng)
-		dataRng := rand.New(rand.NewSource(23))
-		mkSeq := func(n int) [][]float64 {
-			seq := make([][]float64, n)
-			for t := range seq {
-				seq[t] = []float64{dataRng.NormFloat64(), dataRng.NormFloat64()}
-			}
-			return seq
+	rng := rand.New(rand.NewSource(17))
+	net := NewNetwork(Arch{In: 2, LSTMHidden: []int{3, 3}, DenseHidden: []int{4}, Out: 1}, rng)
+	dataRng := rand.New(rand.NewSource(23))
+	mkSeq := func(n int) [][]float64 {
+		seq := make([][]float64, n)
+		for t := range seq {
+			seq[t] = []float64{dataRng.NormFloat64(), dataRng.NormFloat64()}
 		}
-		// Longer sequence first, then shorter: reuse must not read stale tail steps.
-		for _, n := range []int{6, 3, 5} {
-			pred := net.Forward(mkSeq(n))
-			net.Backward([]float64{pred[0]})
-		}
-		for _, p := range net.Params() {
-			p.ZeroGrad()
-		}
-		worst := GradCheck(net, mkSeq(4), []float64{0.3}, MSE{}, 1e-5)
-		if worst > 1e-4 {
-			t.Fatalf("%s: gradcheck after workspace reuse: worst relative error %v", cell, worst)
-		}
+		return seq
+	}
+	// Longer sequence first, then shorter: reuse must not read stale tail steps.
+	for _, n := range []int{6, 3, 5} {
+		pred := net.Forward(mkSeq(n))
+		net.Backward([]float64{pred[0]})
+	}
+	for _, p := range net.Params() {
+		p.ZeroGrad()
+	}
+	worst := GradCheck(net, mkSeq(4), []float64{0.3}, MSE{}, 1e-5)
+	if worst > 1e-4 {
+		t.Fatalf("gradcheck after workspace reuse: worst relative error %v", worst)
 	}
 }

@@ -128,10 +128,10 @@ func NewLSTM(in, hidden int, rng *rand.Rand) *LSTM {
 	return l
 }
 
-// Replicate implements Recurrent: the replica shares the weight matrices
-// (read-only during concurrent forward/backward) but owns its gradients
-// and workspace.
-func (l *LSTM) Replicate() Recurrent {
+// Replicate returns a copy for concurrent mini-batch workers: the replica
+// shares the weight matrices (read-only during concurrent forward/backward)
+// but owns its gradients and workspace.
+func (l *LSTM) Replicate() *LSTM {
 	r := &LSTM{In: l.In, Hidden: l.Hidden}
 	for g := 0; g < numGates; g++ {
 		r.wx[g] = l.wx[g].shareWeights()
@@ -343,15 +343,6 @@ func addOuter1(row []float64, d float64, a []float64) {
 	}
 }
 
-// InSize implements Recurrent.
-func (l *LSTM) InSize() int { return l.In }
-
-// HiddenSize implements Recurrent.
-func (l *LSTM) HiddenSize() int { return l.Hidden }
-
-// CellType implements Recurrent.
-func (l *LSTM) CellType() string { return "lstm" }
-
 // Params returns all learnable parameters of the layer.
 func (l *LSTM) Params() []*Param {
 	out := make([]*Param, 0, 3*numGates)
@@ -374,19 +365,8 @@ func (l *LSTM) Weights() (wx, wh, b []*mat.Dense) {
 
 // SetWeights replaces the layer's weights from the serialized form.
 func (l *LSTM) SetWeights(wx, wh, b []*mat.Dense) error {
-	if len(wx) != numGates || len(wh) != numGates || len(b) != numGates {
-		return fmt.Errorf("nn: lstm SetWeights needs %d matrices per group", numGates)
-	}
-	for g := 0; g < numGates; g++ {
-		if r, c := wx[g].Dims(); r != l.Hidden || c != l.In {
-			return fmt.Errorf("nn: lstm wx[%d] is %dx%d, want %dx%d", g, r, c, l.Hidden, l.In)
-		}
-		if r, c := wh[g].Dims(); r != l.Hidden || c != l.Hidden {
-			return fmt.Errorf("nn: lstm wh[%d] is %dx%d, want %dx%d", g, r, c, l.Hidden, l.Hidden)
-		}
-		if r, c := b[g].Dims(); r != l.Hidden || c != 1 {
-			return fmt.Errorf("nn: lstm b[%d] is %dx%d, want %dx1", g, r, c, l.Hidden)
-		}
+	if err := checkLSTMShapes(l.In, l.Hidden, wx, wh, b); err != nil {
+		return err
 	}
 	for g := 0; g < numGates; g++ {
 		l.wx[g].W = wx[g].Copy()
@@ -395,6 +375,26 @@ func (l *LSTM) SetWeights(wx, wh, b []*mat.Dense) error {
 		l.wx[g].Grad = mat.New(l.Hidden, l.In)
 		l.wh[g].Grad = mat.New(l.Hidden, l.Hidden)
 		l.b[g].Grad = mat.New(l.Hidden, 1)
+	}
+	return nil
+}
+
+// checkLSTMShapes reports whether wx, wh and b hold one in→hidden LSTM
+// layer's weights in the form Weights returns them.
+func checkLSTMShapes(in, hidden int, wx, wh, b []*mat.Dense) error {
+	if len(wx) != numGates || len(wh) != numGates || len(b) != numGates {
+		return fmt.Errorf("nn: lstm weights need %d matrices per group", numGates)
+	}
+	for g := 0; g < numGates; g++ {
+		if r, c := wx[g].Dims(); r != hidden || c != in {
+			return fmt.Errorf("nn: lstm wx[%d] is %dx%d, want %dx%d", g, r, c, hidden, in)
+		}
+		if r, c := wh[g].Dims(); r != hidden || c != hidden {
+			return fmt.Errorf("nn: lstm wh[%d] is %dx%d, want %dx%d", g, r, c, hidden, hidden)
+		}
+		if r, c := b[g].Dims(); r != hidden || c != 1 {
+			return fmt.Errorf("nn: lstm b[%d] is %dx%d, want %dx1", g, r, c, hidden)
+		}
 	}
 	return nil
 }

@@ -123,7 +123,7 @@ func TestLSTMBackwardMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("h%d_n%d", hidden, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*hidden + n)))
 				base := NewLSTM(in, hidden, rng)
-				got, want := base.Replicate().(*LSTM), base.Replicate().(*LSTM)
+				got, want := base.Replicate(), base.Replicate()
 				for pi, p := range got.Params() {
 					q := want.Params()[pi]
 					for k := range p.Grad.Data() {

@@ -5,13 +5,12 @@ import (
 	"math/rand"
 )
 
-// Network is a sequence-to-one regression model: a stack of recurrent
-// layers (LSTM or GRU) consumes the input window timestep by timestep, and
-// a stack of dense layers maps the final hidden state to the output
-// vector. This is exactly the paper's DRNN shape (recurrent layers +
-// fully-connected output).
+// Network is a sequence-to-one regression model: a stack of LSTM layers
+// consumes the input window timestep by timestep, and a stack of dense
+// layers maps the final hidden state to the output vector. This is exactly
+// the paper's DRNN shape (LSTM layers + fully-connected output).
 type Network struct {
-	Recurrent []Recurrent
+	Recurrent []*LSTM
 	Head      []*Dense
 
 	lastSeqLen int
@@ -19,15 +18,13 @@ type Network struct {
 }
 
 // Arch describes a Network to construct: input feature count, hidden sizes
-// of the recurrent stack, hidden sizes of the dense head, and output size.
+// of the LSTM stack, hidden sizes of the dense head, and output size.
 type Arch struct {
 	In          int
 	LSTMHidden  []int
 	DenseHidden []int
 	Out         int
 	HiddenAct   Activation // activation for dense hidden layers; default Tanh
-	// Cell selects the recurrent cell: "lstm" (default) or "gru".
-	Cell string
 }
 
 // NewNetwork builds a Network from arch with weights drawn from rng.
@@ -42,21 +39,10 @@ func NewNetwork(arch Arch, rng *rand.Rand) *Network {
 	if hiddenAct.F == nil {
 		hiddenAct = Tanh
 	}
-	cell := arch.Cell
-	if cell == "" {
-		cell = "lstm"
-	}
 	net := &Network{}
 	in := arch.In
 	for _, h := range arch.LSTMHidden {
-		switch cell {
-		case "lstm":
-			net.Recurrent = append(net.Recurrent, NewLSTM(in, h, rng))
-		case "gru":
-			net.Recurrent = append(net.Recurrent, NewGRU(in, h, rng))
-		default:
-			panic(fmt.Sprintf("nn: unknown recurrent cell %q", cell))
-		}
+		net.Recurrent = append(net.Recurrent, NewLSTM(in, h, rng))
 		in = h
 	}
 	for _, h := range arch.DenseHidden {
@@ -83,7 +69,7 @@ func (n *Network) Replicate() *Network {
 }
 
 // InSize returns the expected per-timestep feature count.
-func (n *Network) InSize() int { return n.Recurrent[0].InSize() }
+func (n *Network) InSize() int { return n.Recurrent[0].In }
 
 // OutSize returns the output vector length.
 func (n *Network) OutSize() int { return n.Head[len(n.Head)-1].Out }
@@ -116,11 +102,10 @@ func (n *Network) Backward(dOut []float64) {
 	for i := len(n.Head) - 1; i >= 0; i-- {
 		grad = n.Head[i].Backward(grad)
 	}
-	// In seq-to-one mode only the final timestep of the top recurrent layer
+	// In seq-to-one mode only the final timestep of the top LSTM layer
 	// receives loss gradient; each layer's per-timestep input gradient is
 	// the hidden-state gradient of the layer below.
-	top := n.Recurrent[len(n.Recurrent)-1]
-	hidden := top.HiddenSize()
+	hidden := n.Recurrent[len(n.Recurrent)-1].Hidden
 	for len(n.dHTop) < n.lastSeqLen {
 		n.dHTop = append(n.dHTop, make([]float64, hidden))
 	}

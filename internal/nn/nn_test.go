@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -55,7 +57,7 @@ func TestDenseForwardKnown(t *testing.T) {
 func TestDenseBackwardMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := &Network{
-		Recurrent: []Recurrent{NewLSTM(3, 4, rng)},
+		Recurrent: []*LSTM{NewLSTM(3, 4, rng)},
 		Head:      []*Dense{NewDense(4, 2, Tanh, rng), NewDense(2, 1, Identity, rng)},
 	}
 	seq := [][]float64{{0.1, -0.2, 0.3}, {0.5, 0.4, -0.1}}
@@ -339,6 +341,50 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("garbage checkpoint should error")
+	}
+}
+
+// TestLoadRejectsMalformedCheckpoint feeds Load checkpoints that decode
+// cleanly but describe no network this package builds: each must come
+// back as an error, never a panic.
+func TestLoadRejectsMalformedCheckpoint(t *testing.T) {
+	var good bytes.Buffer
+	if err := Save(NewNetwork(Arch{In: 3, LSTMHidden: []int{4}, Out: 1}, rand.New(rand.NewSource(21))), &good); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(cp *checkpoint)
+		want string
+	}{
+		{"unknown cell", func(cp *checkpoint) { cp.Cell = "rnn" }, `cell "rnn"`},
+		{"gru cell", func(cp *checkpoint) { cp.Cell = "gru" }, `cell "gru"`},
+		{"negative hidden size", func(cp *checkpoint) { cp.LSTMHidden = []int{-4} }, "hidden size -4"},
+		{"zero input size", func(cp *checkpoint) { cp.In = 0 }, "in=0"},
+		{"negative dense size", func(cp *checkpoint) {
+			cp.DenseHidden = []int{-2}
+			cp.HeadW = append(cp.HeadW, cp.HeadW[0])
+			cp.HeadB = append(cp.HeadB, cp.HeadB[0])
+		}, "dense layer 0 has size -2"},
+		{"hidden size disagrees with weights", func(cp *checkpoint) { cp.LSTMHidden = []int{1 << 50} }, "lstm wx[0]"},
+		{"missing head layer", func(cp *checkpoint) { cp.HeadW, cp.HeadB = nil, nil }, "layer count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cp checkpoint
+			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cp); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&cp)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+				t.Fatal(err)
+			}
+			net, err := Load(&buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, %v; want an error containing %q", net, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -58,17 +58,20 @@ soak:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 20s -rate 300 -dynamic -control
 	CHAOS_SOAK_SECONDS=10 $(GO) test -run 'TestChaosSoak' -v ./internal/dsps/ ./internal/experiments/
 
-# 10s of native fuzzing per target; corpus finds land in testdata/fuzz/.
+# 10s of native fuzzing per target; an input that fails lands in
+# testdata/fuzz/. The fuzzer minimises each new interesting input before it
+# counts it or fuzzes on, for up to 60s by default, which can fill a whole
+# 10s run with no execution counted; 1s keeps the smoke fuzzing.
 fuzz-smoke:
-	$(GO) test -fuzz='^FuzzChaosSchedule$$' -run '^$$' -fuzztime 10s ./internal/chaos/
-	$(GO) test -fuzz='^FuzzGroupingRatios$$' -run '^$$' -fuzztime 10s ./internal/dsps/
-	$(GO) test -fuzz='^FuzzHistogramQuantile$$' -run '^$$' -fuzztime 10s ./internal/dsps/
-	$(GO) test -fuzz='^FuzzAckerTrees$$' -run '^$$' -fuzztime 10s ./internal/dsps/
-	$(GO) test -fuzz='^FuzzAckerSlabOps$$' -run '^$$' -fuzztime 10s ./internal/dsps/
-	$(GO) test -fuzz='^FuzzRingOps$$' -run '^$$' -fuzztime 10s ./internal/ring/
-	$(GO) test -fuzz='^FuzzServeWireFrame$$' -run '^$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -fuzz='^FuzzClusterWireFrame$$' -run '^$$' -fuzztime 10s ./internal/cluster/
-	$(GO) test -fuzz='^FuzzCheckpointLoad$$' -run '^$$' -fuzztime 10s ./internal/drnn/
+	$(GO) test -fuzz='^FuzzChaosSchedule$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/chaos/
+	$(GO) test -fuzz='^FuzzGroupingRatios$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dsps/
+	$(GO) test -fuzz='^FuzzHistogramQuantile$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dsps/
+	$(GO) test -fuzz='^FuzzAckerTrees$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dsps/
+	$(GO) test -fuzz='^FuzzAckerSlabOps$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dsps/
+	$(GO) test -fuzz='^FuzzRingOps$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ring/
+	$(GO) test -fuzz='^FuzzServeWireFrame$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -fuzz='^FuzzClusterWireFrame$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster/
+	$(GO) test -fuzz='^FuzzCheckpointLoad$$' -run '^$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/drnn/
 
 # Multi-process smoke (~8s): a dspsim coordinator plus two real predworker
 # processes over the TCP wire protocol, with remote control loops and

@@ -49,11 +49,17 @@ type task struct {
 	spout Spout
 	bolt  Bolt
 
-	ackCh chan []ackOp  // spouts only: ops on the spout's roots
-	space chan struct{} // bolts only: capacity-freed wakeup signal
-	stop  chan struct{} // closed by ScaleDown to drain this executor
-	done  chan struct{} // closed when the executor goroutine exits
-	rng   *rand.Rand    // fault-probability draws; executor-goroutine-local
+	// napping is 1 while the spout is in napSpout's futex wait (spouts
+	// only); sendAcks clears it and wakes the spout's thread. It sits by
+	// ackCh, which every sendAcks reads too, and away from the slot
+	// counters the spout writes per root, so that the bolts' load of it
+	// does not pull a cache line the spout keeps dirty.
+	napping atomic.Uint32
+	ackCh   chan []ackOp  // spouts only: ops on the spout's roots
+	space   chan struct{} // bolts only: capacity-freed wakeup signal
+	stop    chan struct{} // closed by ScaleDown to drain this executor
+	done    chan struct{} // closed when the executor goroutine exits
+	rng     *rand.Rand    // fault-probability draws; executor-goroutine-local
 
 	// Input (bolts only). inRings is the
 	// copy-on-write list of per-producer SPSC rings this executor drains;
@@ -385,11 +391,17 @@ func (rt *runningTopology) splice(fn func()) uint64 {
 // outnumber roots and this send can block. It then waits until the spout
 // next drains its ack channel, which it does before every NextTuple, in
 // every park, and while it is itself blocked on backpressure — so a bolt
-// blocked here never holds up the spout that would unblock it.
+// blocked here never holds up the spout that would unblock it. A spout
+// napping in its kernel-timed wait is woken once the ops are in its
+// channel; one that is not pays an atomic load.
 func (rt *runningTopology) sendAcks(sp *task, ops []ackOp) {
 	select {
 	case sp.ackCh <- ops:
 	case <-rt.ctx.Done():
+		return
+	}
+	if sp.napping.Load() == 1 && sp.napping.CompareAndSwap(1, 0) {
+		futexWake(&sp.napping)
 	}
 }
 
@@ -854,10 +866,12 @@ func (rt *runningTopology) deliverDone(tk *task) {
 // The same quantum stretches the 100 µs re-poll to ≈1.1 ms, and a spout
 // whose roots come due faster than that emits each up to a quantum late.
 // napSpout is the wait that honours spoutRepollInterval, taken by the
-// spouts kernelTimedRepoll picks. It blocks the spout's thread, so an ack
-// arriving meanwhile waits out the sleep, and the tasks the spout's P has
-// just readied wait with it; a low-rate spout therefore stays on the
-// timer, and a closed-loop spout never reaches either idle wait.
+// spouts kernelTimedRepoll picks. It blocks the spout's thread in a futex
+// wait that an ack ends (sendAcks wakes it), so a completion is delivered
+// when it arrives, at the price of a wake-up per ack batch instead of one
+// per interval. The tasks the spout's P has just readied wait with the
+// blocked thread; a low-rate spout therefore stays on the timer, and a
+// closed-loop spout never reaches either idle wait.
 const (
 	// spoutRepollInterval is how long a spout whose NextTuple had nothing
 	// waits before it asks again.
@@ -899,24 +913,31 @@ func kernelTimedRepoll(streak int) bool {
 // flushes and publishes first, and it returns at once with the ops or the
 // shutdown that already arrived. Otherwise it yields, so that the bolts
 // its flush readied on this P run before the P sits in the syscall, and
-// sleeps spoutRepollInterval in the kernel. Ops and shutdown that arrive
-// during the sleep are taken by the loop top, which checks both before it
-// polls again.
-func (rt *runningTopology) napSpout(tk *task) bool {
+// waits in futex(2) for spoutRepollInterval or until sendAcks hands over
+// ops. Setting napping before the last look at the ack channel, as
+// sendAcks sends before it looks at napping, means a wake-up is missed
+// only by ops that land between the two; those wait out the interval. The
+// loop top takes the ops and shutdown that arrived. full reports that no
+// ops cut the wait short: only such a wait ends the spout's streak.
+func (rt *runningTopology) napSpout(tk *task) (awake, full bool) {
 	rt.flushOut(tk)
 	tk.stage.publish(tk, rt.clock.nowNs())
 	select {
 	case <-rt.ctx.Done():
-		return false
+		return false, false
 	case ops := <-tk.ackCh:
 		rt.handleAckBatch(tk, ops)
-		return true
+		return true, false
 	default:
 	}
 	runtime.Gosched()
-	kernelSleep(spoutRepollInterval)
-	tk.naps++
-	return true
+	tk.napping.Store(1)
+	if len(tk.ackCh) == 0 {
+		futexWait(&tk.napping, 1, spoutRepollInterval)
+		tk.naps++
+	}
+	tk.napping.Store(0)
+	return true, len(tk.ackCh) == 0
 }
 
 func (rt *runningTopology) runSpout(tk *task) {
@@ -985,13 +1006,15 @@ func (rt *runningTopology) runSpout(tk *task) {
 			streak++
 			continue
 		}
-		var awake bool
 		if kernelTimedRepoll(streak) {
-			awake = rt.napSpout(tk)
-		} else {
-			awake = rt.parkSpout(tk, spoutRepollInterval)
-		}
-		if !awake {
+			awake, full := rt.napSpout(tk)
+			if !awake {
+				return
+			}
+			if !full {
+				continue // ops cut the nap short: the spout is still busy
+			}
+		} else if !rt.parkSpout(tk, spoutRepollInterval) {
 			return
 		}
 		streak = 0

@@ -2,10 +2,16 @@
 
 package dsps
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
-// kernelSleepOK reports that this platform has no kernelSleep: every idle
-// spout keeps the timer wait (see sleep_linux.go).
+// kernelSleepOK reports that this platform has no futexWait: every idle
+// spout keeps the timer wait (see sleep_linux.go), so neither stub below
+// is reached.
 const kernelSleepOK = false
 
-func kernelSleep(time.Duration) {}
+func futexWait(*atomic.Uint32, uint32, time.Duration) {}
+
+func futexWake(*atomic.Uint32) {}

@@ -2,6 +2,7 @@ package dsps
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,6 +97,27 @@ func TestKernelTimedRepollRule(t *testing.T) {
 // topology shut down. next reports whether NextTuple emits now; it runs on
 // the spout executor, so it may keep state without locks.
 func runPacedSpout(t *testing.T, next func(emit func()) bool, done <-chan struct{}) *task {
+	return runPacedSpoutObserved(t, next, nil, nil, done)
+}
+
+// pacedSpout is runPacedSpout's spout: a SpoutFunc that also reports its
+// acks.
+type pacedSpout struct {
+	SpoutFunc
+	ack func()
+}
+
+func (s *pacedSpout) Ack(any) {
+	if s.ack != nil {
+		s.ack()
+	}
+}
+
+// runPacedSpoutObserved is runPacedSpout with two observers, either of
+// which may be nil: passed runs on the bolt executor each time the bolt
+// has executed a root, and acked on the spout executor each time the
+// spout hears an Ack.
+func runPacedSpoutObserved(t *testing.T, next func(emit func()) bool, passed, acked func(), done <-chan struct{}) *task {
 	t.Helper()
 	var collector SpoutCollector
 	seq := 0
@@ -103,14 +125,22 @@ func runPacedSpout(t *testing.T, next func(emit func()) bool, done <-chan struct
 		collector.Emit(Values{seq}, seq)
 		seq++
 	}
-	spout := &SpoutFunc{
-		OpenFn: func(_ TopologyContext, c SpoutCollector) { collector = c },
-		NextFn: func() bool { return next(emit) },
+	spout := &pacedSpout{
+		SpoutFunc: SpoutFunc{
+			OpenFn: func(_ TopologyContext, c SpoutCollector) { collector = c },
+			NextFn: func() bool { return next(emit) },
+		},
+		ack: acked,
 	}
 	b := NewTopologyBuilder("paced")
 	b.SetSpout("src", func() Spout { return spout }, 1, "n")
 	b.SetBolt("pass", func() Bolt {
-		return &BoltFunc{ExecuteFn: func(t *Tuple, c OutputCollector) { c.Emit(t.Values) }}
+		return &BoltFunc{ExecuteFn: func(t *Tuple, c OutputCollector) {
+			c.Emit(t.Values)
+			if passed != nil {
+				passed()
+			}
+		}}
 	}, 1).ShuffleGrouping("src")
 	topo, err := b.Build()
 	if err != nil {
@@ -209,5 +239,56 @@ func TestSlowSpoutKeepsTimerWait(t *testing.T) {
 	}, done)
 	if src.naps != 0 {
 		t.Errorf("a %v-paced spout took %d kernel-timed waits, want 0", gap, src.naps)
+	}
+}
+
+// TestAckEndsSpoutNap pins that an ack ends the kernel-timed wait: a
+// spout whose roots come due every 50 µs hears each Ack a few µs after the
+// bolt finished its latest root and sent the ops (≈3 µs; ≈35 µs under the
+// race detector). A nap that the ack cannot cut short makes that hand-off
+// wait out the rest of the 100 µs sleep plus the timer slack: its median
+// is then about one nap (≈165 µs). The hand-off is timed from the bolt's
+// latest root rather than from the acked one, which may have waited in
+// the bolt for the rest of its input batch.
+func TestAckEndsSpoutNap(t *testing.T) {
+	if !kernelSleepOK {
+		t.Skip("no kernel-timed sleep on this platform")
+	}
+	const (
+		rate  = 20000 // roots per second
+		roots = 10000
+		bound = spoutRepollInterval // an ack that waited out a nap took longer
+	)
+	gap := time.Second / rate
+	var passedNs atomic.Int64 // when the bolt last finished a root
+	handoffs := make([]time.Duration, 0, roots)
+	allAcked := make(chan struct{})
+	emitted := 0
+	var start time.Time
+	src := runPacedSpoutObserved(t, func(emit func()) bool {
+		if start.IsZero() {
+			start = time.Now()
+		}
+		if emitted == roots || time.Now().Before(start.Add(time.Duration(emitted)*gap)) {
+			return false
+		}
+		emit()
+		emitted++
+		return true
+	}, func() {
+		passedNs.Store(time.Now().UnixNano())
+	}, func() {
+		if handoffs = append(handoffs, time.Duration(time.Now().UnixNano()-passedNs.Load())); len(handoffs) == roots {
+			close(allAcked)
+		}
+	}, allAcked)
+	slices.Sort(handoffs)
+	median := handoffs[len(handoffs)/2]
+	t.Logf("median bolt-done → Ack %v over %d roots, %d kernel-timed waits", median, len(handoffs), src.naps)
+	if src.naps == 0 {
+		t.Fatal("a spout behind its schedule never took the kernel-timed wait")
+	}
+	if median > bound {
+		t.Errorf("median bolt-done → Ack %v, want < %v: the ack waits out the spout's %v nap", median, bound, spoutRepollInterval)
 	}
 }

@@ -24,6 +24,7 @@ type gradBuf []*mat.Dense
 
 type engine struct {
 	params []*Param
+	grads  gradBuf // the main parameters' gradients, in params order
 	loss   Loss
 
 	replicas  []*Network
@@ -44,6 +45,10 @@ func newEngine(net *Network, loss Loss, workers int) *engine {
 	e := &engine{
 		params: net.Params(),
 		loss:   loss,
+	}
+	e.grads = make(gradBuf, len(e.params))
+	for i, p := range e.params {
+		e.grads[i] = p.Grad
 	}
 	for w := 0; w < workers; w++ {
 		rep := net.Replicate()
@@ -87,9 +92,16 @@ func (e *engine) release(b gradBuf) {
 
 // runBatch runs Forward/Backward for data[idxs] across the replicas and
 // reduces the per-example gradients into the main parameters in example
-// order. It returns the summed loss over the batch.
+// order. It returns the summed loss over the batch. The main gradients
+// must be zero on entry, as every Optimizer's Step leaves them.
 func (e *engine) runBatch(data Dataset, idxs []int) float64 {
 	n := len(idxs)
+	if n == 1 {
+		// One example accumulates straight into the zeroed main
+		// gradients: the pooled path would add it to zero, which gives
+		// the same bits.
+		return e.runExample(0, e.grads, data, idxs[0])
+	}
 	if cap(e.slots) < n {
 		e.slots = make([]gradBuf, n)
 	}
@@ -104,9 +116,10 @@ func (e *engine) runBatch(data Dataset, idxs []int) float64 {
 	}
 	if workers <= 1 {
 		// Inline path: no goroutine round-trips when there is nothing to
-		// overlap (one worker, or a one-example batch).
+		// overlap.
 		for k := 0; k < n; k++ {
-			e.runExample(0, k, slots, losses, data, idxs)
+			slots[k] = e.acquire()
+			losses[k] = e.runExample(0, slots[k], data, idxs[k])
 		}
 	} else {
 		var next atomic.Int64
@@ -120,7 +133,8 @@ func (e *engine) runBatch(data Dataset, idxs []int) float64 {
 					if k >= n {
 						return
 					}
-					e.runExample(w, k, slots, losses, data, idxs)
+					slots[k] = e.acquire()
+					losses[k] = e.runExample(w, slots[k], data, idxs[k])
 				}
 			}(w)
 		}
@@ -138,18 +152,16 @@ func (e *engine) runBatch(data Dataset, idxs []int) float64 {
 	return total
 }
 
-// runExample processes batch position k on replica w: gradients go into a
-// pooled buffer (the replica's Param.Grad pointers are swapped to it, no
-// copying) and the loss into losses[k].
-func (e *engine) runExample(w, k int, slots []gradBuf, losses []float64, data Dataset, idxs []int) {
-	buf := e.acquire()
+// runExample runs example idx on replica w, accumulating its gradients
+// into grads (the replica's Param.Grad pointers are swapped to it, no
+// copying), and returns its loss.
+func (e *engine) runExample(w int, grads gradBuf, data Dataset, idx int) float64 {
 	for i, p := range e.repParams[w] {
-		p.Grad = buf[i]
+		p.Grad = grads[i]
 	}
 	rep := e.replicas[w]
-	idx := idxs[k]
 	pred := rep.Forward(data.X[idx])
-	losses[k] = e.loss.Value(pred, data.Y[idx])
+	loss := e.loss.Value(pred, data.Y[idx])
 	rep.Backward(e.loss.Grad(pred, data.Y[idx]))
-	slots[k] = buf
+	return loss
 }

@@ -150,7 +150,7 @@ func TestGradCheckAfterWorkspaceReuse(t *testing.T) {
 		net.Backward([]float64{pred[0]})
 	}
 	for _, p := range net.Params() {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	worst := GradCheck(net, mkSeq(4), []float64{0.3}, MSE{}, 1e-5)
 	if worst > 1e-4 {

@@ -41,11 +41,18 @@ func NewAdam(lr float64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The loop is divider-bound (three divisions
+// and a square root per parameter), so it skips the m/bc1 division once
+// bc1 is exactly 1 (x/1 is x; for β1 = 0.9 from step 356 on) and zeroes
+// each gradient as it reads it. TestAdamMatchesReference pins it bit for
+// bit to the plain form.
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	c1, c2 := 1-b1, 1-b2
+	bc1 := 1 - math.Pow(b1, float64(a.t))
+	bc2 := 1 - math.Pow(b2, float64(a.t))
+	correct1 := bc1 != 1
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -56,14 +63,15 @@ func (a *Adam) Step(params []*Param) {
 		}
 		v := a.v[p]
 		md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.W.Data()
-		for i := range gd {
-			g := gd[i]
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
-			mHat := md[i] / bc1
-			vHat := vd[i] / bc2
-			wd[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+		md, vd, wd = md[:len(gd)], vd[:len(gd)], wd[:len(gd)]
+		for i, g := range gd {
+			mi := b1*md[i] + c1*g
+			vi := b2*vd[i] + c2*g*g
+			md[i], vd[i], gd[i] = mi, vi, 0
+			if correct1 {
+				mi /= bc1
+			}
+			wd[i] -= lr * mi / (math.Sqrt(vi/bc2) + eps)
 		}
-		p.ZeroGrad()
 	}
 }

@@ -20,9 +20,6 @@ func newParam(name string, w *mat.Dense) *Param {
 	return &Param{Name: name, W: w, Grad: mat.New(r, c)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // shareWeights returns a Param that aliases p's weight tensor but owns a
 // fresh zero gradient. Worker replicas read the shared weights concurrently
 // and accumulate into their private Grad; only the main copy's weights are

@@ -12,7 +12,7 @@ import "math"
 func GradCheck(net *Network, seq [][]float64, target []float64, loss Loss, eps float64) float64 {
 	params := net.Params()
 	for _, p := range params {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 	pred := net.Forward(seq)
 	net.Backward(loss.Grad(pred, target))
@@ -71,6 +71,6 @@ func (s sgd) Step(params []*Param) {
 		for i := range gd {
 			wd[i] -= s.LR * gd[i]
 		}
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 }

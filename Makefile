@@ -45,11 +45,14 @@ ci:
 # against the live engine — without the control loop, with it, and with the
 # elastic planner live while scale events race a flash crowd — under
 # invariant checking. Any violation prints the reproducing seed. The
-# engine's own chaos coverage is TestChaosSoakEngine in internal/dsps.
+# engine's own chaos coverage is TestChaosSoakEngine in internal/dsps. The
+# hand-off tests (full ack rings, every wake source, ring retirement, the
+# allocation-free round trip) then repeat under the race detector.
 soak-short:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 4s -rate 300
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 2 -duration 4s -rate 300 -dynamic -control
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 7 -duration 4s -rate 800 -dynamic -control -elastic -shape burst
+	$(GO) test -race -count=5 -run 'TestFullAckRingDrains|TestWakeSourcesEndParkedTasks|TestRetiredBoltAckRingPruned|TestBatchRoundTripAllocatesNothing' ./internal/dsps/
 
 # Full soak (~2min): a longer dspsim chaos replay plus the stretched
 # engine and controlled-bypass soak tests. CHAOS_SOAK_SECONDS widens the

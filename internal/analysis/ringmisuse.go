@@ -16,9 +16,11 @@ import (
 // Lamport ring's unsynchronized head/tail stores then corrupt slots
 // silently instead of failing loudly.
 //
-// Side classification: Push/Close are producer-side (Close is a producer
-// hand-off: the consumer drains to empty and prunes), Pop is
-// consumer-side, and the read-only queries (Len, Empty, Closed) are free — both sides use them to decide when to park. A
+// Side classification: Push, PushN, Close and Reclaim are producer-side
+// (Close is a producer hand-off: the consumer drains to empty and prunes;
+// Reclaim takes back what the consumer released), Pop, PopN, Peek and
+// Advance are consumer-side, and the read-only queries (Len, Empty,
+// Closed) are free — both sides use them to decide when to park. A
 // directive covers the whole declaration, function literals included;
 // handing a ring to a literal that runs on another goroutine is the
 // reviewer's to catch, not this analyzer's. The ring package itself (and
@@ -54,13 +56,13 @@ func runRingMisuse(pass *Pass) {
 					return true
 				}
 				switch name {
-				case "Push", "Close":
+				case "Push", "PushN", "Close", "Reclaim":
 					if !producer {
 						pass.Reportf(call.Pos(),
 							"SPSC.%s in %s, which is not marked //dsps:ringproducer; a second producer corrupts the single-writer ring",
 							name, funcLabel(fn))
 					}
-				case "Pop":
+				case "Pop", "PopN", "Peek", "Advance":
 					if !consumer {
 						pass.Reportf(call.Pos(),
 							"SPSC.%s in %s, which is not marked //dsps:ringconsumer; a second consumer corrupts the single-reader ring",

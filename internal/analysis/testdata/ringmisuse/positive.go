@@ -7,9 +7,13 @@ import "predstream/internal/ring"
 
 type batch struct{ vals []int }
 
+// op stands in for the engine's ackOp: what a bolt sends its spout.
+type op struct{ root, xor uint64 }
+
 type plane struct {
-	in  *ring.SPSC[batch]
-	ack *ring.SPSC[*[]int]
+	in   *ring.SPSC[batch]
+	ack  *ring.SPSC[*[]int]
+	acks *ring.SPSC[op] // a bolt's ack ring: the bolt pushes, the spout pops
 }
 
 // strayPush is the bug the analyzer exists for: a second goroutine
@@ -45,6 +49,28 @@ func (p *plane) wrongSide(b batch) {
 	}
 }
 
+// boltDrainsAcks is a bolt popping ops off its own ack ring: only the
+// spout that owns the roots may, and a producer-side directive does not
+// make the bolt a consumer.
+//
+//dsps:ringproducer
+func (p *plane) boltDrainsAcks(dst []op) int {
+	p.acks.PushN(dst)
+	return p.acks.PopN(dst) // want: ringmisuse
+}
+
+// strayPeek takes a batch in place without the consumer directive, and
+// strayReclaim takes a released buffer back without the producer one.
+func (p *plane) strayPeek() (batch, bool) {
+	b, ok := p.in.Peek() // want: ringmisuse
+	p.in.Advance()       // want: ringmisuse
+	return b, ok
+}
+
+func (p *plane) strayReclaim() (batch, bool) {
+	return p.in.Reclaim() // want: ringmisuse
+}
+
 // annotatedProducer is the engine's producer shape; must NOT be flagged.
 //
 //dsps:ringproducer
@@ -57,6 +83,27 @@ func (p *plane) annotatedProducer(b batch) bool {
 //dsps:ringconsumer
 func (p *plane) annotatedConsumer() (batch, bool) {
 	return p.in.Pop()
+}
+
+// inPlace is the engine's recycling shape: the consumer processes a batch
+// in its slot and releases it, the producer pushes and reclaims. Neither
+// must be flagged.
+//
+//dsps:ringconsumer
+func (p *plane) inPlace(dst []op) (batch, bool) {
+	p.acks.PopN(dst)
+	b, ok := p.in.Peek()
+	if ok {
+		p.in.Advance()
+	}
+	return b, ok
+}
+
+//dsps:ringproducer
+func (p *plane) pushAndReclaim(b batch, ops []op) (batch, bool) {
+	p.acks.PushN(ops)
+	p.in.Push(b)
+	return p.in.Reclaim()
 }
 
 // retire carries both directives — the ownership-transfer shape where a

@@ -193,6 +193,9 @@ type Controller struct {
 	cluster Engine
 	targets []ControlTarget
 
+	// fitMu serialises FitPredictors; mu guards everything below, and
+	// a fit takes it only to install what it trained.
+	fitMu      sync.Mutex
 	mu         sync.Mutex
 	sampler    *telemetry.Sampler
 	predictors map[string]timeseries.Predictor
@@ -293,10 +296,13 @@ var ErrShortHistory = errors.New("core: too few windows to fit")
 
 // FitPredictors trains one predictor per worker on the collected history.
 // It requires cfg.NewPredictor and at least MinHistory windows per worker,
-// and fits none until every worker has them.
+// and fits none until every worker has them. The fits run without c.mu, so
+// Step keeps stepping (on the previous predictors, or reactively) while
+// they train; fitMu serialises concurrent fits, and the new predictors are
+// installed together under c.mu once every one of them has fitted.
 func (c *Controller) FitPredictors() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.fitMu.Lock()
+	defer c.fitMu.Unlock()
 	if c.cfg.NewPredictor == nil {
 		return fmt.Errorf("core: no predictor factory configured")
 	}
@@ -311,15 +317,21 @@ func (c *Controller) FitPredictors() error {
 			return fmt.Errorf("core: worker %s has %d windows, need %d: %w", id, len(history[i]), c.cfg.MinHistory, ErrShortHistory)
 		}
 	}
+	fitted := make([]timeseries.Predictor, len(workers))
 	for i, id := range workers {
 		series := telemetry.ToSeries(history[i], telemetry.TargetProcTime, features)
 		p := c.cfg.NewPredictor()
 		if err := p.Fit(series); err != nil {
 			return fmt.Errorf("core: fit %s for %s: %w", p.Name(), id, err)
 		}
-		c.predictors[id] = p
+		fitted[i] = p
+	}
+	c.mu.Lock()
+	for i, id := range workers {
+		c.predictors[id] = fitted[i]
 	}
 	c.fitted = true
+	c.mu.Unlock()
 	return nil
 }
 
@@ -352,8 +364,9 @@ func (c *Controller) Step() (StepReport, error) {
 		obs := telemetry.Target(last, telemetry.TargetProcTime)
 		report.Observed[id] = obs
 		pred := obs
-		if c.fitted {
-			p := c.predictors[id]
+		// A worker first seen after the fit copied its history has no
+		// predictor yet and is stepped reactively.
+		if p := c.predictors[id]; c.fitted && p != nil {
 			series := telemetry.ToSeries(wins, telemetry.TargetProcTime, features)
 			if series.Len() >= p.MinContext() {
 				if v, err := p.Predict(series, 1); err == nil {

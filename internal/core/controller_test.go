@@ -320,3 +320,77 @@ func (c *Controller) Fitted() bool {
 	defer c.mu.Unlock()
 	return c.fitted
 }
+
+// blockingPredictor's Fit waits for release, so a test can step the
+// controller while a fit is in progress.
+type blockingPredictor struct {
+	timeseries.NaivePredictor
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *blockingPredictor) Fit(train *timeseries.Series) error {
+	select {
+	case p.entered <- struct{}{}:
+	default:
+	}
+	<-p.release
+	return p.NaivePredictor.Fit(train)
+}
+
+// TestStepRunsDuringFit pins that a refit does not freeze the control
+// loop: while FitPredictors is training, Step must still return.
+func TestStepRunsDuringFit(t *testing.T) {
+	cl, targets, shutdown := newControlledTopology(t, 0)
+	defer shutdown()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	c, err := NewController(cl, targets, Config{
+		Policy:     PolicyWeighted,
+		MinHistory: 3,
+		NewPredictor: func() timeseries.Predictor {
+			return &blockingPredictor{entered: entered, release: release}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		time.Sleep(20 * time.Millisecond)
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fitErr := make(chan error, 1)
+	go func() { fitErr <- c.FitPredictors() }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("fit never started")
+	}
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := c.Step()
+		stepped <- err
+	}()
+	select {
+	case err := <-stepped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		close(release)
+		t.Fatal("Step blocked while a fit was in progress")
+	}
+	if c.Fitted() {
+		t.Fatal("controller reports fitted before its fit returned")
+	}
+	close(release)
+	if err := <-fitErr; err != nil {
+		t.Fatal(err)
+	}
+	if !c.Fitted() {
+		t.Fatal("not fitted after FitPredictors returned")
+	}
+}

@@ -510,7 +510,7 @@ func (b *fanBolt) Execute(t *Tuple) {
 }
 
 // Every bolt a root passes sends its spout an op, so ops outnumber roots
-// and a bolt can block on the spout's full ack channel while the spout
+// and a bolt can find its ack ring to the spout full while the spout
 // blocks on that bolt's full queue. The spout must keep applying ops
 // while it is backpressured, or the two wait on each other forever.
 func TestBackpressuredSpoutWithFullAckChannelDoesNotWedge(t *testing.T) {

@@ -1,11 +1,11 @@
 package dsps
 
-// Data-plane batching support: tuple arenas and batch-slice free lists.
-// Together they make the steady-state emit/execute path allocation-free —
-// tuples come out of chunked arenas (amortized one allocation per
-// arenaChunk tuples) and the tuple batches that ride the rings and the
-// []ackOp batches that ride the ack channels are recycled through free
-// lists.
+// Data-plane batching support: tuple arenas and tuple batches. Together
+// with the rings they make the steady-state emit/execute path
+// allocation-free — tuples come out of chunked arenas (amortized one
+// allocation per arenaChunk tuples), and a batch's buffers go back to
+// their producer through the ring they came by (see ringplane.go), so a
+// producer refills from what its consumers emptied.
 
 // arenaChunk is how many Tuples a tupleArena allocates at once.
 const arenaChunk = 256
@@ -49,7 +49,7 @@ type envBatch struct {
 // add appends one tuple to the batch.
 //
 //dsps:hotpath
-//dsps:allocs batch growth: free-listed slices retain capacity, append grows only on first fill
+//dsps:allocs batch growth: recycled buffers retain capacity, append grows only on first fill
 func (b *envBatch) add(t *Tuple, enqueuedNs int64) {
 	b.tuples = append(b.tuples, t)
 	b.ns = append(b.ns, enqueuedNs)
@@ -60,84 +60,23 @@ func (b *envBatch) add(t *Tuple, enqueuedNs int64) {
 //dsps:hotpath
 func (b envBatch) size() int { return len(b.tuples) }
 
-// freeListCap bounds how many idle batch slices each free list retains;
-// overflow is dropped to the GC.
-const freeListCap = 256
-
-// freeLists recycles the batch slices flowing through the data plane.
-// Gets and puts are non-blocking channel operations,
-// so they are safe from any goroutine and never alloc on the Put side
-// (unlike sync.Pool, whose interface conversion boxes the payload).
-type freeLists struct {
-	envs chan envBatch
-	acks chan []ackOp
-}
-
-func newFreeLists() *freeLists {
-	return &freeLists{
-		envs: make(chan envBatch, freeListCap),
-		acks: make(chan []ackOp, freeListCap),
+// newEnvBatch allocates an empty batch for a producer whose rings have no
+// emptied buffer to give back yet: a ring's first batches, or a burst
+// deeper than any before it.
+//
+//dsps:allocs ring warm-up: fresh batch slices only until the ring's buffers circulate
+func newEnvBatch(capHint int) envBatch {
+	return envBatch{
+		tuples: make([]*Tuple, 0, capHint),
+		ns:     make([]int64, 0, capHint),
 	}
 }
 
-// getEnvs returns an empty batch with at least its previous capacity,
-// falling back to a fresh allocation of capHint.
+// emptied clears b's tuple pointers, so that a buffer its producer keeps
+// for later pins no arena chunk, and returns it empty with its capacity.
 //
 //dsps:hotpath
-//dsps:allocs free-list miss fallback: fresh batch slices only when the list runs dry
-func (f *freeLists) getEnvs(capHint int) envBatch {
-	select {
-	case b := <-f.envs:
-		return envBatch{tuples: b.tuples[:0], ns: b.ns[:0]}
-	default:
-		return envBatch{
-			tuples: make([]*Tuple, 0, capHint),
-			ns:     make([]int64, 0, capHint),
-		}
-	}
-}
-
-// putEnvs recycles a batch, clearing tuple pointers so a parked slice
-// does not pin arena chunks.
-//
-//dsps:hotpath
-func (f *freeLists) putEnvs(b envBatch) {
-	if cap(b.tuples) == 0 {
-		return
-	}
-	for i := range b.tuples {
-		b.tuples[i] = nil
-	}
-	select {
-	case f.envs <- b:
-	default:
-	}
-}
-
-// getAcks returns an empty op batch with at least its previous capacity,
-// falling back to a fresh allocation of capHint.
-//
-//dsps:hotpath
-//dsps:allocs free-list miss fallback: fresh ack slices only when the list runs dry
-func (f *freeLists) getAcks(capHint int) []ackOp {
-	select {
-	case b := <-f.acks:
-		return b[:0]
-	default:
-		return make([]ackOp, 0, capHint)
-	}
-}
-
-// putAcks recycles an op batch. Ops hold no pointers, so nothing needs
-// clearing.
-//
-//dsps:hotpath
-func (f *freeLists) putAcks(b []ackOp) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case f.acks <- b:
-	default:
-	}
+func (b envBatch) emptied() envBatch {
+	clear(b.tuples)
+	return envBatch{tuples: b.tuples[:0], ns: b.ns[:0]}
 }

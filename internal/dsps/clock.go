@@ -1,7 +1,6 @@
 package dsps
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -26,18 +25,16 @@ type coarseClock struct {
 //dsps:hotpath
 func (c *coarseClock) nowNs() int64 { return c.ns.Load() }
 
-// run refreshes the clock until ctx is cancelled. The caller must have
+// run refreshes the clock until closed is set. The caller must have
 // seeded the clock with an initial time.Now reading before any reader
 // starts.
-func (c *coarseClock) run(ctx context.Context) {
+func (c *coarseClock) run(closed *atomic.Bool) {
 	t := time.NewTicker(coarseTick)
 	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
+	for range t.C {
+		if closed.Load() {
 			return
-		case <-t.C:
-			c.ns.Store(time.Now().UnixNano())
 		}
+		c.ns.Store(time.Now().UnixNano())
 	}
 }

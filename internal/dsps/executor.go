@@ -1,10 +1,10 @@
 package dsps
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,26 +49,30 @@ type task struct {
 	spout Spout
 	bolt  Bolt
 
-	// napping is 1 while the spout is in napSpout's futex wait (spouts
-	// only); sendAcks clears it and wakes the spout's thread. It sits by
-	// ackCh, which every sendAcks reads too, and away from the slot
-	// counters the spout writes per root, so that the bolts' load of it
-	// does not pull a cache line the spout keeps dirty.
-	napping atomic.Uint32
-	ackCh   chan []ackOp  // spouts only: ops on the spout's roots
-	space   chan struct{} // bolts only: capacity-freed wakeup signal
-	stop    chan struct{} // closed by ScaleDown to drain this executor
-	done    chan struct{} // closed when the executor goroutine exits
-	rng     *rand.Rand    // fault-probability draws; executor-goroutine-local
+	// Spouts only: napping is 1 during napSpout's futex wait, opsPending
+	// while ops may wait on the ack rings (see signalOps). They sit away
+	// from the slot counters the spout writes per root, so that the bolts'
+	// loads of them do not pull a cache line the spout keeps dirty.
+	napping    atomic.Uint32
+	opsPending atomic.Uint32
+	done       chan struct{} // closed when the executor goroutine exits
+	rng        *rand.Rand    // fault-probability draws; executor-goroutine-local
 
-	// Input (bolts only). inRings is the
-	// copy-on-write list of per-producer SPSC rings this executor drains;
-	// ringMu orders list splices (producers attach, the consumer prunes).
-	// ringWait parks the executor when every ring is empty; producers Wake
-	// it after a push.
+	// wait is the one thing the executor blocks on (timer bounds a timed
+	// wait). A push, ops, freed queue space, a splice, ScaleDown's stop
+	// (stopped) and shutdown are each published before their Wake, and
+	// the executor re-checks them all after Prepare.
+	wait    *ring.Waiter
+	timer   *time.Timer
+	stopped atomic.Bool
+
+	// Input. inRings (bolts) is the copy-on-write list of per-producer
+	// rings this executor drains, ackRings (spouts) the list of per-bolt
+	// ack rings; ringMu orders list splices (producers attach, the
+	// consumer prunes).
 	ringMu   sync.Mutex
 	inRings  atomic.Pointer[[]*ring.SPSC[envBatch]]
-	ringWait *ring.Waiter
+	ackRings atomic.Pointer[[]*ring.SPSC[ackOp]]
 
 	// dead marks a retired task. Set under the topology splice lock, read
 	// by producers under its read lock, so a parked send observing
@@ -88,6 +92,12 @@ type task struct {
 	// consumer releases at receive, so it is exact — never negative,
 	// never above QueueSize — even though batches vary in size.
 	queued atomic.Int64
+	// spaceWaiters holds the waiters of producers blocked on this task's
+	// full queue, woken by the next release; spaceWanted says it is
+	// non-empty, so a release with no producer waiting pays one load.
+	spaceWanted  atomic.Bool
+	spaceMu      sync.Mutex
+	spaceWaiters []*ring.Waiter
 	// outPending counts this task's non-empty out-buffers plus batches
 	// taken from them and not yet handed off: tuples emitted but not yet
 	// delivered downstream. Quiescence requires zero.
@@ -96,9 +106,11 @@ type task struct {
 	counters taskCounters
 	// stage is the executor's collector's staged counters; only the
 	// executor goroutine touches it (see counterStage).
-	stage *counterStage
-	slots slotPool // spout: its acker slots; executor-goroutine-local
-	naps  int64    // spout: kernel-timed idle waits taken; executor-goroutine-local
+	stage     *counterStage
+	slots     slotPool   // spout: its acker slots; executor-goroutine-local
+	naps      int64      // spout: kernel-timed idle waits taken; executor-goroutine-local
+	opScratch []ackOp    // spout: drainAcks' pop buffer; executor-goroutine-local
+	acks      []ackBatch // bolt: staged ops and ack ring per upstream spout
 
 	// Emit-path state, owned by the executor goroutine.
 	edgeState   uint64 // splitmix64 state for edge-id draws
@@ -138,12 +150,11 @@ type runningTopology struct {
 	// Elastic-runtime state. spliceMu orders fan-out table splices against
 	// producer sends: a send holds the read lock only across its
 	// (non-blocking) reserve+hand-off, a splice holds the write lock while
-	// publishing new target lists. routeEpoch/spliceWake let executors
-	// rebuild their cached routes lazily; scaleMu serializes scale
-	// operations on this topology.
+	// publishing new target lists. routeEpoch lets executors rebuild their
+	// cached routes lazily; scaleMu serializes scale operations on this
+	// topology.
 	spliceMu   sync.RWMutex
 	routeEpoch atomic.Uint64
-	spliceWake atomic.Pointer[chan struct{}]
 	scaleMu    sync.Mutex
 	nextIndex  map[string]int // per-component next task index (monotone)
 	placed     int            // round-robin placement cursor for spawns
@@ -151,12 +162,12 @@ type runningTopology struct {
 	scaleDowns atomic.Int64
 
 	clock    coarseClock
-	fl       *freeLists
 	trace    *Trace // sampled-tuple trace ring; nil = tracing disabled
 	effBatch int    // tuples per batch, min(batchSize, QueueSize)
 
-	ctx          context.Context
-	cancel       context.CancelFunc
+	// closed is set when the topology shuts down; every executor and the
+	// coarse clock check it with one load.
+	closed       atomic.Bool
 	wg           sync.WaitGroup
 	spoutsPaused atomic.Bool
 }
@@ -171,15 +182,11 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 		cfg:       c.cfg,
 		edges:     make(map[string][]*edge),
 		nextIndex: make(map[string]int),
-		fl:        newFreeLists(),
 		trace:     c.trace,
 	}
 	rt.taskByID.Store(&map[int]*task{})
-	wake := make(chan struct{})
-	rt.spliceWake.Store(&wake)
 	rt.effBatch = min(batchSize, c.cfg.QueueSize)
 	rt.clock.ns.Store(time.Now().UnixNano())
-	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	// Worker and task ids are cluster-global so concurrently running
 	// topologies never collide in the fault registry or snapshots.
 	for i := 0; i < sc.Workers; i++ {
@@ -221,16 +228,13 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				worker:    place(),
 				execCost:  sd.execCost,
 				spout:     sd.factory(),
-				ackCh:     make(chan []ackOp, c.cfg.MaxSpoutPending),
-				stop:      make(chan struct{}),
-				done:      make(chan struct{}),
 				rng:       rand.New(rand.NewSource(taskSeed)),
 				edgeState: uint64(taskSeed),
 			}
 			if tk.spout == nil {
-				rt.cancel()
 				return nil, fmt.Errorf("dsps: spout factory for %q returned nil", sd.name)
 			}
+			rt.initTask(tk)
 			tk.slots.owner = tk.id
 			rt.tasks = append(rt.tasks, tk)
 			c.nextTask++
@@ -248,17 +252,13 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 				execCost:     bd.execCost,
 				tickInterval: bd.tickInterval,
 				bolt:         bd.factory(),
-				space:        make(chan struct{}, 1),
-				stop:         make(chan struct{}),
-				done:         make(chan struct{}),
 				rng:          rand.New(rand.NewSource(taskSeed)),
 				edgeState:    uint64(taskSeed),
 			}
 			if tk.bolt == nil {
-				rt.cancel()
 				return nil, fmt.Errorf("dsps: bolt factory for %q returned nil", bd.name)
 			}
-			rt.initBoltInput(tk)
+			rt.initTask(tk)
 			rt.tasks = append(rt.tasks, tk)
 			c.nextTask++
 		}
@@ -302,15 +302,21 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 	return rt, nil
 }
 
-// initBoltInput wires a bolt task's input: an (initially empty) list of
-// per-producer SPSC rings plus a park/wake waiter. The queue bound is
-// enforced in tuples by reserve(), and every ring holds QueueSize batch
-// slots, so a reserved batch (≥1 tuple each) always finds a free slot and
-// the push after a successful reservation never fails.
-func (rt *runningTopology) initBoltInput(tk *task) {
-	empty := make([]*ring.SPSC[envBatch], 0)
-	tk.inRings.Store(&empty)
-	tk.ringWait = ring.NewWaiter()
+// initTask wires what every executor blocks on — its waiter and a
+// stopped timer — and its (initially empty) input lists: per-producer
+// rings for a bolt, per-bolt ack rings for a spout.
+func (rt *runningTopology) initTask(tk *task) {
+	tk.done = make(chan struct{})
+	tk.wait = ring.NewWaiter()
+	tk.timer = time.NewTimer(time.Hour)
+	tk.timer.Stop()
+	rings := make([]*ring.SPSC[envBatch], 0)
+	tk.inRings.Store(&rings)
+	acks := make([]*ring.SPSC[ackOp], 0)
+	tk.ackRings.Store(&acks)
+	if tk.spout != nil {
+		tk.opScratch = make([]ackOp, rt.effBatch)
+	}
 }
 
 // fieldsOf returns the declared output schema of a component.
@@ -378,38 +384,96 @@ func (rt *runningTopology) splice(fn func()) uint64 {
 	rt.spliceMu.Lock()
 	fn()
 	epoch := rt.routeEpoch.Add(1)
-	fresh := make(chan struct{})
-	old := rt.spliceWake.Swap(&fresh)
 	rt.spliceMu.Unlock()
-	close(*old)
+	rt.wakeAll()
 	return epoch
 }
 
-// sendAcks delivers a batch of ops to the spout task that owns their
-// roots, bailing out on shutdown. The ack channel holds MaxSpoutPending
-// batches, but every bolt a root passes sends an op for it, so ops
-// outnumber roots and this send can block. It then waits until the spout
-// next drains its ack channel, which it does before every NextTuple, in
-// every park, and while it is itself blocked on backpressure — so a bolt
-// blocked here never holds up the spout that would unblock it. A spout
-// napping in its kernel-timed wait is woken once the ops are in its
-// channel; one that is not pays an atomic load.
-func (rt *runningTopology) sendAcks(sp *task, ops []ackOp) {
+// wakeAll wakes every live executor, after the caller has published what
+// for (a new route epoch, shutdown).
+func (rt *runningTopology) wakeAll() {
+	rt.tasksMu.RLock()
+	for _, tk := range rt.tasks {
+		tk.wait.Wake()
+	}
+	rt.tasksMu.RUnlock()
+}
+
+// mustRecheck reports, after tk.wait.Prepare, a wake source that ends
+// every wait: shutdown, ScaleDown's stop, or (spouts) ops.
+func (rt *runningTopology) mustRecheck(tk *task) bool {
+	return rt.closed.Load() || tk.stopped.Load() || tk.opsPending.Load() != 0
+}
+
+// stale reports a splice tk has not rebuilt its routes for; it ends the
+// idle waits.
+func (rt *runningTopology) stale(tk *task) bool {
+	return rt.routeEpoch.Load() != tk.routeGen.Load()
+}
+
+// sleep blocks tk's goroutine on its waiter for at most d. The caller has
+// called tk.wait.Prepare and re-checked what a wake stands for.
+func (tk *task) sleep(d time.Duration) {
+	if !tk.timer.Stop() {
+		// Drop a fire an earlier wait left unread.
+		select {
+		case <-tk.timer.C:
+		default:
+		}
+	}
+	tk.timer.Reset(d)
 	select {
-	case sp.ackCh <- ops:
-	case <-rt.ctx.Done():
-		return
+	case <-tk.wait.C():
+	case <-tk.timer.C:
+		tk.wait.Cancel()
+	}
+}
+
+// sendAcks pushes a bolt's staged ops for one spout onto its ack ring and
+// signals the spout. Every bolt a root passes sends an op, so ops
+// outnumber roots and the ring (MaxSpoutPending ops) can fill; the bolt
+// then yields and retries until shutdown or until the spout drains it,
+// which it does before every NextTuple, in both idle waits and while
+// itself backpressured — so a bolt blocked here never holds up the spout
+// that would unblock it.
+//
+//dsps:hotpath
+//dsps:ringproducer
+func (rt *runningTopology) sendAcks(ab *ackBatch) {
+	ops := ab.ops
+	for {
+		n := ab.ring.PushN(ops)
+		ops = ops[n:]
+		if n > 0 {
+			ab.spout.signalOps()
+		}
+		if len(ops) == 0 || rt.closed.Load() {
+			break
+		}
+		runtime.Gosched()
+	}
+	ab.ops = ab.ops[:0]
+}
+
+// signalOps sets the spout sp's ops-pending word, then ends its futex nap
+// or wakes its waiter; a running spout costs the bolt three loads.
+//
+//dsps:hotpath
+func (sp *task) signalOps() {
+	if sp.opsPending.Load() == 0 {
+		sp.opsPending.Store(1)
 	}
 	if sp.napping.Load() == 1 && sp.napping.CompareAndSwap(1, 0) {
 		futexWake(&sp.napping)
 	}
+	sp.wait.Wake()
 }
 
 func (rt *runningTopology) start() {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		rt.clock.run(rt.ctx)
+		rt.clock.run(&rt.closed)
 	}()
 	for _, tk := range rt.tasks {
 		rt.wg.Add(1)
@@ -423,8 +487,9 @@ func (rt *runningTopology) start() {
 
 func (rt *runningTopology) stop() {
 	rt.spoutsPaused.Store(true)
-	rt.cancel()
-	// Cancelling first makes any in-flight scale operation bail out of its
+	rt.closed.Store(true)
+	rt.wakeAll()
+	// Closing first makes any in-flight scale operation bail out of its
 	// drain waits quickly; holding scaleMu through cleanup keeps a retire
 	// from racing the Cleanup loop below.
 	rt.scaleMu.Lock()
@@ -471,7 +536,7 @@ func (rt *runningTopology) quiescent() bool {
 	rt.tasksMu.RLock()
 	defer rt.tasksMu.RUnlock()
 	for _, tk := range rt.tasks {
-		if tk.queued.Load() != 0 || tk.outPending.Load() != 0 || len(tk.ackCh) > 0 {
+		if tk.queued.Load() != 0 || tk.outPending.Load() != 0 || !ringsEmpty(*tk.ackRings.Load()) {
 			return false
 		}
 	}
@@ -526,13 +591,16 @@ func (rt *runningTopology) routeInto(tk *task, tpl *Tuple) int {
 }
 
 // enqueue appends one tuple to the out-buffer at bufIdx, flushing the
-// buffer when it reaches the batch size.
+// buffer when it reaches the batch size. An empty out-buffer holds the
+// buffer its last send got back, if any.
 //
 //dsps:hotpath
 func (rt *runningTopology) enqueue(tk *task, bufIdx int, tpl *Tuple, nowNs int64) {
 	ob := &tk.outs[bufIdx]
-	if ob.envs.tuples == nil {
-		ob.envs = rt.fl.getEnvs(rt.effBatch)
+	if ob.envs.size() == 0 {
+		if cap(ob.envs.tuples) == 0 {
+			ob.envs = newEnvBatch(rt.effBatch)
+		}
 		tk.outPending.Add(1)
 	}
 	if tk.firstBufNs == 0 {
@@ -540,9 +608,7 @@ func (rt *runningTopology) enqueue(tk *task, bufIdx int, tpl *Tuple, nowNs int64
 	}
 	ob.envs.add(tpl, nowNs)
 	if ob.envs.size() >= rt.effBatch {
-		envs := ob.envs
-		ob.envs = envBatch{}
-		rt.sendBatch(tk, ob.edge, ob.target, envs)
+		ob.envs = rt.sendBatch(tk, ob.edge, ob.target, ob.envs)
 	}
 }
 
@@ -559,9 +625,7 @@ func (rt *runningTopology) flushOut(tk *task) {
 		if ob.envs.size() == 0 {
 			continue
 		}
-		envs := ob.envs
-		ob.envs = envBatch{}
-		rt.sendBatch(tk, ob.edge, ob.target, envs)
+		ob.envs = rt.sendBatch(tk, ob.edge, ob.target, ob.envs)
 	}
 	tk.firstBufNs = 0
 }
@@ -572,8 +636,8 @@ func (rt *runningTopology) flushOut(tk *task) {
 const rerouteRetry = 50 * time.Millisecond
 
 // blockedRecheck is how often a producer blocked on a full non-dynamic
-// queue re-checks capacity. The space channel is the primary wakeup; the
-// tick only guards against a lost-wakeup race among multiple producers.
+// queue re-checks capacity. The target's release is the primary wakeup;
+// the recheck is a backstop.
 const blockedRecheck = 10 * time.Millisecond
 
 // reserve claims n tuple slots against the task's queue bound, failing
@@ -594,30 +658,58 @@ func (tk *task) reserve(n, bound int64) bool {
 	}
 }
 
-// release frees n reserved tuple slots (at batch receive) and wakes one
-// blocked producer, if any.
+// release frees n reserved tuple slots (at batch receive) and wakes the
+// producers blocked on this task's queue, if any.
 //
 //dsps:hotpath
 func (tk *task) release(n int64) {
 	tk.queued.Add(-n)
-	select {
-	case tk.space <- struct{}{}:
-	default:
+	if tk.spaceWanted.Load() {
+		tk.wakeSpaceWaiters()
 	}
 }
 
+// wakeSpaceWaiters wakes and forgets every producer blocked on tk's queue.
+// Each re-checks the queue and re-registers if it is still full.
+func (tk *task) wakeSpaceWaiters() {
+	tk.spaceMu.Lock()
+	tk.spaceWanted.Store(false)
+	for i, w := range tk.spaceWaiters {
+		w.Wake()
+		tk.spaceWaiters[i] = nil
+	}
+	tk.spaceWaiters = tk.spaceWaiters[:0]
+	tk.spaceMu.Unlock()
+}
+
+// awaitSpace registers w to be woken by tk's next release. The producer
+// registers before its Prepare and re-checks the queue after it, and
+// release frees the space before it reads spaceWanted: either the
+// producer's re-check sees the space or the release sees the registration.
+//
+//dsps:coldpath
+func (tk *task) awaitSpace(w *ring.Waiter) {
+	tk.spaceMu.Lock()
+	if !slices.Contains(tk.spaceWaiters, w) {
+		tk.spaceWaiters = append(tk.spaceWaiters, w)
+	}
+	tk.spaceWanted.Store(true)
+	tk.spaceMu.Unlock()
+}
+
 // sendBatch hands a batch to target through the producer's ring to it,
-// blocking for backpressure but bailing out on shutdown. Backpressure is
+// blocking for backpressure but bailing out on shutdown, and returns an
+// empty buffer for the producer's next batch: one the target has finished
+// with, reclaimed from the ring, or none yet. Backpressure is
 // tuple-denominated: the producer reserves len(envs) slots against the
-// target's QueueSize before the push, and a ring (QueueSize batch slots)
-// never refuses a reserved push. When the batch rides a *dynamic* edge
-// and the target's queue stays full, the grouping is re-consulted
-// periodically: if the controller has since steered traffic away from a
-// misbehaving target, the waiting batch is re-directed instead of
-// wedging its producer — the paper's "re-direct data tuples to bypass
-// misbehaving workers" applied to in-flight emissions. Non-dynamic edges
-// never re-route (fields grouping correctness depends on stable
-// key→task assignment).
+// target's QueueSize before the push, and a ring never refuses a reserved
+// push. When the batch rides a *dynamic* edge and the target's queue
+// stays full, the grouping is re-consulted periodically: if the
+// controller has since steered traffic away from a misbehaving target,
+// the waiting batch is re-directed instead of wedging its producer — the
+// paper's "re-direct data tuples to bypass misbehaving workers" applied
+// to in-flight emissions. Non-dynamic edges never re-route (fields
+// grouping correctness depends on stable key→task assignment).
 //
 // The reserve+push rides the topology splice read lock: it never blocks
 // while held, and it orders the push against ScaleDown's retire sequence
@@ -626,14 +718,15 @@ func (tk *task) release(n int64) {
 // race-free. A batch parked against a since-retired target re-homes to a
 // live sibling through the edge's current fan-out table.
 //
-// A blocked producer publishes its staged counters first, and a blocked
-// spout keeps applying the ops on its ack channel: a bolt blocked on that
-// channel may be what keeps target's queue full. Their completions wait
-// for the spout's loop top.
+// A blocked producer publishes its staged counters first and waits on its
+// own waiter, which the target's release wakes; a blocked spout keeps
+// applying the ops on its ack rings, since a bolt blocked on a full one
+// may be what keeps target's queue full. Their completions wait for the
+// spout's loop top.
 //
 //dsps:hotpath
 //dsps:ringproducer
-func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envBatch) {
+func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envBatch) envBatch {
 	n := int64(envs.size())
 	bound := int64(rt.cfg.QueueSize)
 	dg, dynamic := e.grouping.(*DynamicGrouping)
@@ -641,9 +734,9 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 	if dynamic {
 		recheck = rerouteRetry
 	}
-	// recheckC fires once the target has freed no capacity for a recheck
-	// period; nil until the first wait.
-	var recheckC <-chan time.Time
+	// recheckAt is when a blocked batch next re-checks its route; 0 until
+	// the first wait.
+	var recheckAt int64
 	target.inbound.Add(1)
 	for {
 		rt.spliceMu.RLock()
@@ -658,8 +751,7 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 				// batch; anchored roots fail via the ack-timeout sweep.
 				target.inbound.Add(-1)
 				src.outPending.Add(-1)
-				rt.fl.putEnvs(envs)
-				return
+				return envs.emptied()
 			}
 			idx := 0
 			if i := e.grouping.Select(envs.tuples[0], len(tl)); i >= 0 && i < len(tl) {
@@ -679,11 +771,9 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 				}
 				src.outRings[target] = r
 			}
-			// Reserved tuples ≤ QueueSize and every in-flight batch holds
-			// ≥ 1 of them, so a ring with ≥ QueueSize batch slots always
-			// has room for a reserved push; the failure arm is defensive
-			// (it would indicate a reservation accounting bug) and backs
-			// out rather than losing the batch.
+			// A reserved push always finds room (attachInRingLocked); the
+			// failure arm is defensive (it would indicate a reservation
+			// accounting bug) and backs out rather than losing the batch.
 			if !r.Push(envs) {
 				target.release(n)
 				rt.spliceMu.RUnlock()
@@ -691,37 +781,37 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 				continue
 			}
 			rt.spliceMu.RUnlock()
-			target.ringWait.Wake()
+			target.wait.Wake()
 			target.inbound.Add(-1)
 			src.outPending.Add(-1)
 			src.counters.batches.Add(1)
-			return
+			spare, _ := r.Reclaim()
+			return envBatch{tuples: spare.tuples[:0], ns: spare.ns[:0]}
 		}
 		rt.spliceMu.RUnlock()
-		if recheckC == nil {
+		if recheckAt == 0 {
 			src.counters.bpWaits.Add(1)
 			src.stage.publish(src, rt.clock.nowNs())
-			recheckC = time.After(recheck)
+			recheckAt = rt.clock.nowNs() + int64(recheck)
 		}
-		select {
-		case <-target.space:
-			recheckC = time.After(recheck)
-		case ops := <-src.ackCh:
-			rt.handleAckBatch(src, ops)
-		case <-rt.ctx.Done():
+		target.awaitSpace(src.wait)
+		src.wait.Prepare()
+		if target.queued.Load()+n <= bound || target.dead.Load() || rt.mustRecheck(src) {
+			src.wait.Cancel()
+		} else {
+			src.sleep(time.Duration(recheckAt - rt.clock.nowNs()))
+		}
+		rt.drainAcks(src)
+		if rt.closed.Load() || src.stopped.Load() {
+			// Shutdown, or the producer itself is being drained: abandon
+			// the blocked send so its executor can settle (the batch's
+			// roots fail via ack timeout, exactly like a Storm rebalance).
 			target.inbound.Add(-1)
 			src.outPending.Add(-1)
-			return
-		case <-src.stop:
-			// The producer itself is being drained: abandon the blocked
-			// send so its executor can settle (the batch's roots fail via
-			// ack timeout, exactly like a Storm rebalance).
-			target.inbound.Add(-1)
-			src.outPending.Add(-1)
-			rt.fl.putEnvs(envs)
-			return
-		case <-recheckC:
-			recheckC = time.After(recheck)
+			return envs.emptied()
+		}
+		if now := rt.clock.nowNs(); now >= recheckAt {
+			recheckAt = now + int64(recheck)
 			if dynamic {
 				tl := *e.targets.Load()
 				if idx := dg.Select(envs.tuples[0], len(tl)); idx >= 0 && idx < len(tl) {
@@ -819,17 +909,6 @@ func (sc *spoutCollector) Emit(values Values, msgID any) {
 	}
 }
 
-// handleAckBatch applies a batch of ops to the spout's slots and recycles
-// the slice. Completions queue for delivery at the loop top.
-//
-//dsps:hotpath
-func (rt *runningTopology) handleAckBatch(tk *task, ops []ackOp) {
-	for _, op := range ops {
-		rt.acker.apply(&tk.slots, op)
-	}
-	rt.fl.putAcks(ops)
-}
-
 // deliverDone delivers the spout's queued completions in order: each
 // root's slot goes back to the pool, then the spout hears Ack or Fail.
 // Only the loop top calls it, so Ack and Fail never run inside
@@ -859,9 +938,9 @@ func (rt *runningTopology) deliverDone(tk *task) {
 
 // Upper bounds on one spout wait. A timer wait shorter than 1 ms still
 // takes at least 1 ms on Linux (the netpoller's epoll_wait sleeps in
-// milliseconds), so the ack channel has to be a wake source of the timer
-// wait: an ack left for the timer to find costs a root a full quantum of
-// complete latency.
+// milliseconds), so an ack has to be a wake source of the timer wait: an
+// ack left for the timer to find costs a root a full quantum of complete
+// latency.
 //
 // The same quantum stretches the 100 µs re-poll to ≈1.1 ms, and a spout
 // whose roots come due faster than that emits each up to a quantum late.
@@ -883,20 +962,27 @@ const (
 
 // parkSpout is the spout loop's timer wait. It flushes and publishes first —
 // the ops that would wake the spout may never be produced while tuples
-// sit in its output buffers — then blocks until ops arrive (applied before
-// it returns), d elapses, or the topology stops, for which it returns
-// false.
-func (rt *runningTopology) parkSpout(tk *task, d time.Duration) bool {
+// sit in its output buffers — then blocks on its waiter until ops arrive
+// (applied before it returns), d elapses, a splice or shutdown; the loop
+// top takes the last two.
+func (rt *runningTopology) parkSpout(tk *task, d time.Duration) {
+	rt.idleSpout(tk)
+	tk.wait.Prepare()
+	if rt.mustRecheck(tk) || rt.stale(tk) {
+		tk.wait.Cancel()
+	} else {
+		tk.sleep(d)
+	}
+	rt.drainAcks(tk)
+}
+
+// idleSpout readies a spout for one of its idle waits: it flushes its
+// output buffers, publishes its counters and drops the ack rings of
+// retired bolts.
+func (rt *runningTopology) idleSpout(tk *task) {
 	rt.flushOut(tk)
 	tk.stage.publish(tk, rt.clock.nowNs())
-	select {
-	case <-rt.ctx.Done():
-		return false
-	case ops := <-tk.ackCh:
-		rt.handleAckBatch(tk, ops)
-	case <-time.After(d):
-	}
-	return true
+	pruneRings(&tk.ringMu, &tk.ackRings, staleRing[ackOp])
 }
 
 // kernelTimedRepoll picks the idle wait of a spout whose NextTuple had
@@ -910,34 +996,29 @@ func kernelTimedRepoll(streak int) bool {
 }
 
 // napSpout is the spout loop's kernel-timed wait. Like parkSpout it
-// flushes and publishes first, and it returns at once with the ops or the
-// shutdown that already arrived. Otherwise it yields, so that the bolts
-// its flush readied on this P run before the P sits in the syscall, and
-// waits in futex(2) for spoutRepollInterval or until sendAcks hands over
-// ops. Setting napping before the last look at the ack channel, as
-// sendAcks sends before it looks at napping, means a wake-up is missed
-// only by ops that land between the two; those wait out the interval. The
-// loop top takes the ops and shutdown that arrived. full reports that no
-// ops cut the wait short: only such a wait ends the spout's streak.
-func (rt *runningTopology) napSpout(tk *task) (awake, full bool) {
-	rt.flushOut(tk)
-	tk.stage.publish(tk, rt.clock.nowNs())
-	select {
-	case <-rt.ctx.Done():
-		return false, false
-	case ops := <-tk.ackCh:
-		rt.handleAckBatch(tk, ops)
-		return true, false
-	default:
+// flushes and publishes first, and it returns at once with the ops that
+// already arrived. Otherwise it yields, so that the bolts its flush
+// readied on this P run before the P sits in the syscall, and waits in
+// futex(2) for spoutRepollInterval or until a bolt signals ops. Setting
+// napping before the last look at the ops-pending word, as signalOps sets
+// that word before it looks at napping, means a wake-up is missed only by
+// ops that land between the two; those wait out the interval. The loop
+// top takes the ops and shutdown that arrived. It reports whether no ops
+// cut the wait short: only such a wait ends the spout's streak.
+func (rt *runningTopology) napSpout(tk *task) (full bool) {
+	rt.idleSpout(tk)
+	if tk.opsPending.Load() != 0 {
+		rt.drainAcks(tk)
+		return false
 	}
 	runtime.Gosched()
 	tk.napping.Store(1)
-	if len(tk.ackCh) == 0 {
+	if tk.opsPending.Load() == 0 {
 		futexWait(&tk.napping, 1, spoutRepollInterval)
 		tk.naps++
 	}
 	tk.napping.Store(0)
-	return true, len(tk.ackCh) == 0
+	return tk.opsPending.Load() == 0
 }
 
 func (rt *runningTopology) runSpout(tk *task) {
@@ -952,24 +1033,12 @@ func (rt *runningTopology) runSpout(tk *task) {
 	nextSweep := rt.clock.nowNs() + sweepEvery
 	streak := 0 // roots emitted since the last idle wait
 	for {
-		select {
-		case <-rt.ctx.Done():
+		if rt.closed.Load() {
 			return
-		default:
 		}
 		rt.maybeRebuild(tk)
 		// Apply the ops that arrived, then sweep, then deliver.
-		drained := 0
-		for drained < 64 {
-			select {
-			case ops := <-tk.ackCh:
-				rt.handleAckBatch(tk, ops)
-				drained++
-				continue
-			default:
-			}
-			break
-		}
+		rt.drainAcks(tk)
 		now := rt.clock.nowNs()
 		if now >= nextSweep {
 			rt.acker.sweep(&tk.slots)
@@ -982,9 +1051,7 @@ func (rt *runningTopology) runSpout(tk *task) {
 			collector.stage.publish(tk, now)
 		}
 		if rt.spoutsPaused.Load() || tk.slots.inUse() >= rt.cfg.MaxSpoutPending {
-			if !rt.parkSpout(tk, spoutThrottleRecheck) {
-				return
-			}
+			rt.parkSpout(tk, spoutThrottleRecheck)
 			continue
 		}
 		if tk.spout.NextTuple() {
@@ -1007,15 +1074,11 @@ func (rt *runningTopology) runSpout(tk *task) {
 			continue
 		}
 		if kernelTimedRepoll(streak) {
-			awake, full := rt.napSpout(tk)
-			if !awake {
-				return
-			}
-			if !full {
+			if !rt.napSpout(tk) {
 				continue // ops cut the nap short: the spout is still busy
 			}
-		} else if !rt.parkSpout(tk, spoutRepollInterval) {
-			return
+		} else {
+			rt.parkSpout(tk, spoutRepollInterval)
 		}
 		streak = 0
 	}
@@ -1039,9 +1102,11 @@ func serviceCost(tk *task, busy int64, slowdown float64) time.Duration {
 
 // --- Bolt executor ---
 
-// ackBatch stages ops bound for one spout between flushes.
+// ackBatch stages a bolt's ops bound for one spout between flushes, and
+// holds the bolt's ack ring to that spout.
 type ackBatch struct {
 	spout *task
+	ring  *ring.SPSC[ackOp]
 	ops   []ackOp
 }
 
@@ -1053,7 +1118,6 @@ type boltCollector struct {
 	current *Tuple
 	xor     uint64 // the current input's edge id XOR every edge produced from it
 	failed  bool
-	acks    []ackBatch
 }
 
 // Emit implements OutputCollector. Called only from the bolt's executor
@@ -1102,44 +1166,54 @@ func (bc *boltCollector) Fail() { bc.failed = true }
 //dsps:hotpath
 func (bc *boltCollector) addOp(op ackOp) {
 	owner := bc.rt.acker.owner(op.slot)
+	tk := bc.tk
 	var ab *ackBatch
-	for i := range bc.acks {
-		if bc.acks[i].spout.id == owner {
-			ab = &bc.acks[i]
+	for i := range tk.acks {
+		if tk.acks[i].spout.id == owner {
+			ab = &tk.acks[i]
 			break
 		}
 	}
 	if ab == nil {
-		sp := bc.rt.taskOf(owner)
-		if sp == nil {
+		if ab = bc.rt.addAckBatch(tk, owner); ab == nil {
 			return
 		}
-		bc.acks = append(bc.acks, ackBatch{spout: sp}) //dspslint:ignore allocfree one entry per distinct upstream spout, not per tuple
-		ab = &bc.acks[len(bc.acks)-1]
 	}
-	if ab.ops == nil {
-		ab.ops = bc.rt.fl.getAcks(bc.rt.effBatch)
-	}
-	// Free-listed slices hold effBatch ops and are sent when full, so
-	// the op always fits.
+	// The staging slice holds effBatch ops and is sent when full, so the
+	// op always fits.
 	n := len(ab.ops)
 	ab.ops = ab.ops[:n+1]
 	ab.ops[n] = op
 	if n+1 >= bc.rt.effBatch {
-		bc.rt.sendAcks(ab.spout, ab.ops)
-		ab.ops = nil
+		bc.rt.sendAcks(ab)
 	}
+}
+
+// addAckBatch attaches the bolt tk's ack ring to the spout task owner, on
+// the bolt's first op for one of its roots, and returns the new staging
+// entry; nil when owner is gone.
+//
+//dsps:coldpath
+func (rt *runningTopology) addAckBatch(tk *task, owner int) *ackBatch {
+	sp := rt.taskOf(owner)
+	if sp == nil {
+		return nil
+	}
+	tk.acks = append(tk.acks, ackBatch{
+		spout: sp,
+		ring:  rt.attachAckRing(sp),
+		ops:   make([]ackOp, 0, rt.effBatch),
+	})
+	return &tk.acks[len(tk.acks)-1]
 }
 
 // flushAcks delivers every staged op batch.
 //
 //dsps:hotpath
 func (bc *boltCollector) flushAcks() {
-	for i := range bc.acks {
-		ab := &bc.acks[i]
-		if len(ab.ops) > 0 {
-			bc.rt.sendAcks(ab.spout, ab.ops)
-			ab.ops = nil
+	for i := range bc.tk.acks {
+		if ab := &bc.tk.acks[i]; len(ab.ops) > 0 {
+			bc.rt.sendAcks(ab)
 		}
 	}
 }
@@ -1186,15 +1260,15 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 		st.publish(tk, startNs)
 	}
 	for faulty && fault.Stall {
-		select {
-		case <-rt.ctx.Done():
+		// Shutdown, or a forced scale-down that retires even a stalled
+		// executor, ends the stall; the batch's unprocessed roots fail via
+		// ack timeout.
+		tk.wait.Prepare()
+		if rt.mustRecheck(tk) {
+			tk.wait.Cancel()
 			return false
-		case <-tk.stop:
-			// A forced scale-down retires even a stalled executor; the
-			// batch's unprocessed roots fail via ack timeout.
-			return false
-		case <-time.After(10 * time.Millisecond):
 		}
+		tk.sleep(10 * time.Millisecond)
 		fault, faulty = rt.cluster.faults.get(tk.worker.id)
 	}
 	if faulty && fault.DropProb > 0 && tk.rng.Float64() < fault.DropProb {
@@ -1269,21 +1343,22 @@ func (rt *runningTopology) runBolt(tk *task) {
 	tk.stage = &collector.stage
 	tk.bolt.Prepare(rt.taskContext(tk), collector)
 	if tk.tickInterval > 0 {
+		tickDone := make(chan struct{})
+		defer close(tickDone)
 		rt.wg.Add(1)
-		go rt.runTicker(tk)
+		go rt.runTicker(tk, tickDone)
 	}
 	for {
 		rt.maybeRebuild(tk)
-		select {
-		case <-rt.ctx.Done():
+		if rt.closed.Load() {
 			return
-		case <-tk.stop:
+		}
+		if tk.stopped.Load() {
 			// Drain request from ScaleDown: everything emitted or staged
 			// goes out before the executor settles; unprocessed input stays
 			// in the rings for retireTask to reclaim.
 			collector.settle()
 			return
-		default:
 		}
 		processed, ok := rt.drainInRings(tk, collector)
 		if !ok {
@@ -1296,55 +1371,30 @@ func (rt *runningTopology) runBolt(tk *task) {
 			collector.settle()
 			continue
 		}
-		// Park. Prepare publishes the parked flag before the emptiness
-		// re-check, closing the race against a concurrent push+Wake.
-		rt.pruneInRings(tk)
-		tk.ringWait.Prepare()
-		if !rt.inRingsEmpty(tk) {
-			tk.ringWait.Cancel()
+		// Park. Prepare publishes the parked flag before the re-check of
+		// every wake source, on a *fresh* ring list: a producer's attach
+		// and push are sequenced before its Wake, so either the re-check
+		// sees the element or the Wake sees the parked flag. A splice wakes
+		// the bolt so that even an idle one re-acks the route epoch
+		// promptly (ScaleDown waits on that convergence).
+		pruneRings(&tk.ringMu, &tk.inRings, staleRing[envBatch])
+		tk.wait.Prepare()
+		if !ringsEmpty(*tk.inRings.Load()) || rt.mustRecheck(tk) || rt.stale(tk) {
+			tk.wait.Cancel()
 			continue
 		}
 		tk.counters.ringParks.Add(1)
-		wake := rt.spliceWake.Load()
-		select {
-		case <-rt.ctx.Done():
-			tk.ringWait.Cancel()
-			return
-		case <-tk.stop:
-			tk.ringWait.Cancel()
-			collector.settle()
-			return
-		case <-*wake:
-			// A splice advanced the route epoch; loop so even an idle bolt
-			// re-acks it promptly (ScaleDown waits on that convergence).
-			tk.ringWait.Cancel()
-		case <-tk.ringWait.C():
-		}
+		<-tk.wait.C()
 	}
 }
 
-// processBatch releases the batch's queue reservation, runs every tuple
-// through the bolt, and recycles the batch slices. Returns false when the
-// topology shut down mid-batch.
-//
-//dsps:hotpath
-func (rt *runningTopology) processBatch(tk *task, collector *boltCollector, batch envBatch) bool {
-	tk.release(int64(batch.size()))
-	for i, tpl := range batch.tuples {
-		if !rt.processTuple(tk, collector, tpl, batch.ns[i]) {
-			return false
-		}
-	}
-	rt.fl.putEnvs(batch)
-	return true
-}
-
-// runTicker feeds tick tuples to a bolt task at its declared interval.
-// Sends are non-blocking: a saturated queue drops the tick rather than
-// adding backpressure (Storm's semantics — ticks are best-effort).
+// runTicker feeds tick tuples to a bolt task at its declared interval,
+// until the bolt's executor exits and closes done. Sends are
+// non-blocking: a saturated queue drops the tick rather than adding
+// backpressure (Storm's semantics — ticks are best-effort).
 //
 //dsps:ringproducer
-func (rt *runningTopology) runTicker(tk *task) {
+func (rt *runningTopology) runTicker(tk *task, done <-chan struct{}) {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(tk.tickInterval)
 	defer ticker.Stop()
@@ -1354,9 +1404,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 	var tickRing *ring.SPSC[envBatch]
 	for {
 		select {
-		case <-rt.ctx.Done():
-			return
-		case <-tk.stop:
+		case <-done:
 			return
 		case <-ticker.C:
 			// The self-send rides the splice read lock like any producer:
@@ -1371,7 +1419,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 				rt.spliceMu.RUnlock()
 				continue // full queue drops the tick
 			}
-			b := rt.fl.getEnvs(1)
+			b := newEnvBatch(1)
 			b.add(&Tuple{SourceComponent: TickComponent}, rt.clock.nowNs())
 			if tickRing == nil {
 				tickRing = rt.attachInRingLocked(tk)
@@ -1383,7 +1431,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 				continue
 			}
 			rt.spliceMu.RUnlock()
-			tk.ringWait.Wake()
+			tk.wait.Wake()
 		}
 	}
 }

@@ -156,7 +156,7 @@ func (rt *runningTopology) scaleUp(component string, n int) error {
 	}
 	rt.scaleMu.Lock()
 	defer rt.scaleMu.Unlock()
-	if rt.ctx.Err() != nil {
+	if rt.closed.Load() {
 		return fmt.Errorf("dsps: topology %q stopped", rt.topo.Name)
 	}
 	spawned := make([]*task, 0, n)
@@ -201,16 +201,13 @@ func (rt *runningTopology) spawnTask(bd *boltDecl) (*task, error) {
 		execCost:     bd.execCost,
 		tickInterval: bd.tickInterval,
 		bolt:         bd.factory(),
-		space:        make(chan struct{}, 1),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 		rng:          rand.New(rand.NewSource(taskSeed)),
 		edgeState:    uint64(taskSeed),
 	}
 	if tk.bolt == nil {
 		return nil, fmt.Errorf("dsps: bolt factory for %q returned nil", bd.name)
 	}
-	rt.initBoltInput(tk)
+	rt.initTask(tk)
 	tk.outEdges = rt.edges[bd.name]
 	tk.outFields = rt.fieldsOf(bd.name)
 	rt.tasksMu.Lock()
@@ -249,7 +246,7 @@ func (rt *runningTopology) scaleDown(component string, n int, drainTimeout time.
 	}
 	rt.scaleMu.Lock()
 	defer rt.scaleMu.Unlock()
-	if rt.ctx.Err() != nil {
+	if rt.closed.Load() {
 		return 0, fmt.Errorf("dsps: topology %q stopped", rt.topo.Name)
 	}
 	live := rt.liveTasksOf(component)
@@ -288,7 +285,8 @@ func (rt *runningTopology) scaleDown(component string, n int, drainTimeout time.
 
 		// SETTLED → STOPPED: the executor flushes staged output and acks
 		// on its way out, then closes done.
-		close(v.stop)
+		v.stopped.Store(true)
+		v.wait.Wake()
 		if !rt.awaitDone(v, deadline.Add(2*time.Second)) {
 			// Cooperative stop failed (should not happen: every blocking
 			// point in the run loop observes stop). Leave the task
@@ -302,6 +300,9 @@ func (rt *runningTopology) scaleDown(component string, n int, drainTimeout time.
 		rt.spliceMu.Lock()
 		v.dead.Store(true)
 		rt.spliceMu.Unlock()
+		// Producers still blocked on the victim's queue re-home their
+		// batches now rather than at their next recheck.
+		v.wakeSpaceWaiters()
 		if lost := rt.retireTask(v); lost > 0 || !settled {
 			forced++
 		}
@@ -335,7 +336,7 @@ func (rt *runningTopology) awaitProducers(component string, isVictim map[int]boo
 		if converged {
 			return true
 		}
-		if rt.ctx.Err() != nil || !time.Now().Before(deadline) {
+		if rt.closed.Load() || !time.Now().Before(deadline) {
 			return false
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -349,7 +350,7 @@ func (rt *runningTopology) awaitIdle(v *task, deadline time.Time) bool {
 		if v.inbound.Load() == 0 && v.queued.Load() == 0 && v.outPending.Load() == 0 {
 			return true
 		}
-		if rt.ctx.Err() != nil || !time.Now().Before(deadline) {
+		if rt.closed.Load() || !time.Now().Before(deadline) {
 			return false
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -384,7 +385,8 @@ func (rt *runningTopology) retireTask(v *task) int {
 	lost := 0
 	// The executor goroutine has exited (awaitDone) and dead was set under
 	// the splice write lock, so no producer can push again: ownership of
-	// both ring sides has transferred to this goroutine.
+	// both ring sides has transferred to this goroutine. What is left in a
+	// ring goes to the GC with it.
 	for _, r := range *v.inRings.Load() {
 		r.Close()
 		for {
@@ -393,15 +395,18 @@ func (rt *runningTopology) retireTask(v *task) int {
 				break
 			}
 			lost += b.size()
-			rt.fl.putEnvs(b)
 		}
 	}
-	// Close this task's producer-side rings so downstream consumers prune
-	// them once drained.
+	// Close this task's producer-side rings — its rings downstream and its
+	// ack rings to the spouts — so their consumers prune them once drained.
 	for _, r := range v.outRings {
 		r.Close()
 	}
 	v.outRings = nil
+	for _, ab := range v.acks {
+		ab.ring.Close()
+	}
+	v.acks = nil
 	if lost > 0 {
 		v.queued.Add(int64(-lost))
 		v.counters.dropped.Add(int64(lost))
@@ -410,7 +415,6 @@ func (rt *runningTopology) retireTask(v *task) int {
 		ob := &v.outs[i]
 		if ob.envs.size() > 0 {
 			v.outPending.Add(-1)
-			rt.fl.putEnvs(ob.envs)
 			ob.envs = envBatch{}
 		}
 	}

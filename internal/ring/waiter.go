@@ -10,10 +10,10 @@ import "sync/atomic"
 // Protocol (the Dekker-style store/load pairing makes lost wakeups
 // impossible under Go's sequentially consistent atomics):
 //
-//	consumer: Prepare() → re-check rings → if empty, select on C()
-//	          (plus shutdown channels); afterwards Cancel() unless the
-//	          wake arrived via C().
-//	producer: push → Wake().
+//	consumer: Prepare() → re-check rings and every other wake source →
+//	          if none fired, receive from C() (or time out); afterwards
+//	          Cancel() unless the wake arrived via C().
+//	waker:    push (or publish any other state) → Wake().
 //
 // Either the producer's push is ordered before the consumer's Prepare
 // — then the consumer's re-check observes the element — or Prepare is

@@ -47,12 +47,14 @@ ci:
 # invariant checking. Any violation prints the reproducing seed. The
 # engine's own chaos coverage is TestChaosSoakEngine in internal/dsps. The
 # hand-off tests (full ack rings, every wake source, ring retirement, the
-# allocation-free round trip) then repeat under the race detector.
+# allocation-free round trip) and ring.Waiter's wait tests then repeat
+# under the race detector.
 soak-short:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 4s -rate 300
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 2 -duration 4s -rate 300 -dynamic -control
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 7 -duration 4s -rate 800 -dynamic -control -elastic -shape burst
 	$(GO) test -race -count=5 -run 'TestFullAckRingDrains|TestWakeSourcesEndParkedTasks|TestRetiredBoltAckRingPruned|TestBatchRoundTripAllocatesNothing' ./internal/dsps/
+	$(GO) test -race -count=5 -run 'TestWakeBeforeWaitReturnsAtOnce|TestWakeEndsWaitEarly|TestWaitAfterWakeRunsFull|TestWaiterSpuriousTokenDrained|TestKernelWaitHonoursShortTimeout' ./internal/ring/
 
 # Full soak (~2min): a longer dspsim chaos replay plus the stretched
 # engine and controlled-bypass soak tests. CHAOS_SOAK_SECONDS widens the

@@ -385,7 +385,8 @@ func (l *Loader) parseDir(dir string) ([]*parsedUnit, error) {
 		}
 		// Only the files the go command builds on this platform: a
 		// package may define one name in files with exclusive
-		// build constraints (sleep_linux.go, sleep_other.go).
+		// build constraints (internal/ring's futex_linux.go and
+		// futex_other.go).
 		if ok, err := build.Default.MatchFile(dir, n); err != nil {
 			return nil, err
 		} else if !ok {

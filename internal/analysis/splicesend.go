@@ -95,7 +95,7 @@ func scanSpliceBlock(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 		}
 		// Select comm clauses are scanned statement-by-statement (the comm
 		// op first, then the body) so Lock/Unlock calls inside a case keep
-		// tracking — the ticker's locked self-push lives in this shape.
+		// tracking.
 		if sel, ok := stmt.(*ast.SelectStmt); ok {
 			for _, c := range sel.Body.List {
 				cc, ok := c.(*ast.CommClause)

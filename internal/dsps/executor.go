@@ -45,25 +45,27 @@ type task struct {
 	worker       *workerProc
 	execCost     time.Duration
 	tickInterval time.Duration
+	// nextTickNs is when a ticking bolt's next tick comes due on the
+	// coarse clock: written by the executor, read by the clock goroutine
+	// (see wakeDueTicks).
+	nextTickNs atomic.Int64
 
 	spout Spout
 	bolt  Bolt
 
-	// Spouts only: napping is 1 during napSpout's futex wait, opsPending
-	// while ops may wait on the ack rings (see signalOps). They sit away
-	// from the slot counters the spout writes per root, so that the bolts'
-	// loads of them do not pull a cache line the spout keeps dirty.
-	napping    atomic.Uint32
+	// Spouts only: opsPending is 1 while ops may wait on the ack rings
+	// (see signalOps). It sits away from the slot counters the spout
+	// writes per root, so that the bolts' loads of it do not pull a cache
+	// line the spout keeps dirty.
 	opsPending atomic.Uint32
 	done       chan struct{} // closed when the executor goroutine exits
 	rng        *rand.Rand    // fault-probability draws; executor-goroutine-local
 
-	// wait is the one thing the executor blocks on (timer bounds a timed
-	// wait). A push, ops, freed queue space, a splice, ScaleDown's stop
-	// (stopped) and shutdown are each published before their Wake, and
-	// the executor re-checks them all after Prepare.
+	// wait is the one thing the executor blocks on. A push, ops, freed
+	// queue space, a splice, ScaleDown's stop (stopped) and shutdown are
+	// each published before their Wake, and the executor re-checks them
+	// all after Prepare.
 	wait    *ring.Waiter
-	timer   *time.Timer
 	stopped atomic.Bool
 
 	// Input. inRings (bolts) is the copy-on-write list of per-producer
@@ -108,7 +110,6 @@ type task struct {
 	// executor goroutine touches it (see counterStage).
 	stage     *counterStage
 	slots     slotPool   // spout: its acker slots; executor-goroutine-local
-	naps      int64      // spout: kernel-timed idle waits taken; executor-goroutine-local
 	opScratch []ackOp    // spout: drainAcks' pop buffer; executor-goroutine-local
 	acks      []ackBatch // bolt: staged ops and ack ring per upstream spout
 
@@ -302,14 +303,12 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 	return rt, nil
 }
 
-// initTask wires what every executor blocks on — its waiter and a
-// stopped timer — and its (initially empty) input lists: per-producer
-// rings for a bolt, per-bolt ack rings for a spout.
+// initTask wires what every executor blocks on, its waiter, and its
+// (initially empty) input lists: per-producer rings for a bolt, per-bolt
+// ack rings for a spout.
 func (rt *runningTopology) initTask(tk *task) {
 	tk.done = make(chan struct{})
 	tk.wait = ring.NewWaiter()
-	tk.timer = time.NewTimer(time.Hour)
-	tk.timer.Stop()
 	rings := make([]*ring.SPSC[envBatch], 0)
 	tk.inRings.Store(&rings)
 	acks := make([]*ring.SPSC[ackOp], 0)
@@ -411,29 +410,11 @@ func (rt *runningTopology) stale(tk *task) bool {
 	return rt.routeEpoch.Load() != tk.routeGen.Load()
 }
 
-// sleep blocks tk's goroutine on its waiter for at most d. The caller has
-// called tk.wait.Prepare and re-checked what a wake stands for.
-func (tk *task) sleep(d time.Duration) {
-	if !tk.timer.Stop() {
-		// Drop a fire an earlier wait left unread.
-		select {
-		case <-tk.timer.C:
-		default:
-		}
-	}
-	tk.timer.Reset(d)
-	select {
-	case <-tk.wait.C():
-	case <-tk.timer.C:
-		tk.wait.Cancel()
-	}
-}
-
 // sendAcks pushes a bolt's staged ops for one spout onto its ack ring and
 // signals the spout. Every bolt a root passes sends an op, so ops
 // outnumber roots and the ring (MaxSpoutPending ops) can fill; the bolt
 // then yields and retries until shutdown or until the spout drains it,
-// which it does before every NextTuple, in both idle waits and while
+// which it does before every NextTuple, in its idle wait and while
 // itself backpressured — so a bolt blocked here never holds up the spout
 // that would unblock it.
 //
@@ -455,16 +436,13 @@ func (rt *runningTopology) sendAcks(ab *ackBatch) {
 	ab.ops = ab.ops[:0]
 }
 
-// signalOps sets the spout sp's ops-pending word, then ends its futex nap
-// or wakes its waiter; a running spout costs the bolt three loads.
+// signalOps sets the spout sp's ops-pending word, then wakes it; a running
+// spout costs the bolt two loads.
 //
 //dsps:hotpath
 func (sp *task) signalOps() {
 	if sp.opsPending.Load() == 0 {
 		sp.opsPending.Store(1)
-	}
-	if sp.napping.Load() == 1 && sp.napping.CompareAndSwap(1, 0) {
-		futexWake(&sp.napping)
 	}
 	sp.wait.Wake()
 }
@@ -473,7 +451,7 @@ func (rt *runningTopology) start() {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		rt.clock.run(&rt.closed)
+		rt.clock.run(&rt.closed, rt.wakeDueTicks)
 	}()
 	for _, tk := range rt.tasks {
 		rt.wg.Add(1)
@@ -483,6 +461,26 @@ func (rt *runningTopology) start() {
 			go rt.runBolt(tk)
 		}
 	}
+}
+
+// wakeDueTicks wakes every ticking bolt whose next tick came due between
+// two readings of the coarse clock, prev and now; the bolt delivers it at
+// its loop top. It runs on the clock goroutine after each refresh, so that
+// a ticking bolt parks untimed like any other: a timed park per idle
+// round, until the next tick, doubled app_paced's p99 latency.
+func (rt *runningTopology) wakeDueTicks(prev, now int64) {
+	rt.tasksMu.RLock()
+	for _, tk := range rt.tasks {
+		if next := tk.nextTickNs.Load(); tk.tickInterval > 0 && prev < next && next <= now {
+			tk.wait.Wake()
+		}
+	}
+	rt.tasksMu.RUnlock()
+}
+
+// tickDue reports whether the bolt tk's next tick has come due.
+func (rt *runningTopology) tickDue(tk *task) bool {
+	return tk.tickInterval > 0 && rt.clock.nowNs() >= tk.nextTickNs.Load()
 }
 
 func (rt *runningTopology) stop() {
@@ -796,10 +794,11 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 		}
 		target.awaitSpace(src.wait)
 		src.wait.Prepare()
-		if target.queued.Load()+n <= bound || target.dead.Load() || rt.mustRecheck(src) {
+		d := time.Duration(recheckAt - rt.clock.nowNs())
+		if d <= 0 || target.queued.Load()+n <= bound || target.dead.Load() || rt.mustRecheck(src) {
 			src.wait.Cancel()
 		} else {
-			src.sleep(time.Duration(recheckAt - rt.clock.nowNs()))
+			src.wait.Wait(d)
 		}
 		rt.drainAcks(src)
 		if rt.closed.Load() || src.stopped.Load() {
@@ -936,21 +935,13 @@ func (rt *runningTopology) deliverDone(tk *task) {
 	p.head, p.nDone = 0, 0
 }
 
-// Upper bounds on one spout wait. A timer wait shorter than 1 ms still
-// takes at least 1 ms on Linux (the netpoller's epoll_wait sleeps in
-// milliseconds), so an ack has to be a wake source of the timer wait: an
-// ack left for the timer to find costs a root a full quantum of complete
-// latency.
-//
-// The same quantum stretches the 100 µs re-poll to ≈1.1 ms, and a spout
-// whose roots come due faster than that emits each up to a quantum late.
-// napSpout is the wait that honours spoutRepollInterval, taken by the
-// spouts kernelTimedRepoll picks. It blocks the spout's thread in a futex
-// wait that an ack ends (sendAcks wakes it), so a completion is delivered
-// when it arrives, at the price of a wake-up per ack batch instead of one
-// per interval. The tasks the spout's P has just readied wait with the
-// blocked thread; a low-rate spout therefore stays on the timer, and a
-// closed-loop spout never reaches either idle wait.
+// How long a spout waits when it has nothing to do. Both waits end early
+// on ops, a splice or shutdown: an ack left for the timeout to find would
+// cost its root the rest of the wait in complete latency. The re-poll is
+// shorter than the runtime timer's quantum (≈1.06 ms on Linux, where the
+// netpoller's epoll_wait sleeps in milliseconds), so ring.Waiter times it
+// in the kernel: on the timer every root of a spout whose roots come due
+// faster than that would be emitted up to a quantum late.
 const (
 	// spoutRepollInterval is how long a spout whose NextTuple had nothing
 	// waits before it asks again.
@@ -960,65 +951,22 @@ const (
 	spoutThrottleRecheck = time.Millisecond
 )
 
-// parkSpout is the spout loop's timer wait. It flushes and publishes first —
+// parkSpout is the spout loop's idle wait. It flushes and publishes first —
 // the ops that would wake the spout may never be produced while tuples
-// sit in its output buffers — then blocks on its waiter until ops arrive
-// (applied before it returns), d elapses, a splice or shutdown; the loop
-// top takes the last two.
+// sit in its output buffers — and drops the ack rings of retired bolts,
+// then blocks on its waiter until ops arrive (applied before it returns),
+// d elapses, a splice or shutdown; the loop top takes the last two.
 func (rt *runningTopology) parkSpout(tk *task, d time.Duration) {
-	rt.idleSpout(tk)
+	rt.flushOut(tk)
+	tk.stage.publish(tk, rt.clock.nowNs())
+	pruneRings(&tk.ringMu, &tk.ackRings, staleRing[ackOp])
 	tk.wait.Prepare()
 	if rt.mustRecheck(tk) || rt.stale(tk) {
 		tk.wait.Cancel()
 	} else {
-		tk.sleep(d)
+		tk.wait.Wait(d)
 	}
 	rt.drainAcks(tk)
-}
-
-// idleSpout readies a spout for one of its idle waits: it flushes its
-// output buffers, publishes its counters and drops the ack rings of
-// retired bolts.
-func (rt *runningTopology) idleSpout(tk *task) {
-	rt.flushOut(tk)
-	tk.stage.publish(tk, rt.clock.nowNs())
-	pruneRings(&tk.ringMu, &tk.ackRings, staleRing[ackOp])
-}
-
-// kernelTimedRepoll picks the idle wait of a spout whose NextTuple had
-// nothing, from streak: the roots it emitted since its previous idle wait.
-// Two or more mean roots came due during that wait, so the wait outlasted
-// the gap between the spout's roots and the timer's quantum is what delays
-// them; the spout takes the kernel-timed wait. Zero or one mean the timer
-// wait fits inside the gap, and a kernel sleep would only hold the P.
-func kernelTimedRepoll(streak int) bool {
-	return kernelSleepOK && streak >= 2
-}
-
-// napSpout is the spout loop's kernel-timed wait. Like parkSpout it
-// flushes and publishes first, and it returns at once with the ops that
-// already arrived. Otherwise it yields, so that the bolts its flush
-// readied on this P run before the P sits in the syscall, and waits in
-// futex(2) for spoutRepollInterval or until a bolt signals ops. Setting
-// napping before the last look at the ops-pending word, as signalOps sets
-// that word before it looks at napping, means a wake-up is missed only by
-// ops that land between the two; those wait out the interval. The loop
-// top takes the ops and shutdown that arrived. It reports whether no ops
-// cut the wait short: only such a wait ends the spout's streak.
-func (rt *runningTopology) napSpout(tk *task) (full bool) {
-	rt.idleSpout(tk)
-	if tk.opsPending.Load() != 0 {
-		rt.drainAcks(tk)
-		return false
-	}
-	runtime.Gosched()
-	tk.napping.Store(1)
-	if tk.opsPending.Load() == 0 {
-		futexWait(&tk.napping, 1, spoutRepollInterval)
-		tk.naps++
-	}
-	tk.napping.Store(0)
-	return tk.opsPending.Load() == 0
 }
 
 func (rt *runningTopology) runSpout(tk *task) {
@@ -1031,7 +979,6 @@ func (rt *runningTopology) runSpout(tk *task) {
 	// but no more often than every 10 ms.
 	sweepEvery := int64(max(rt.cfg.AckTimeout/2, 10*time.Millisecond))
 	nextSweep := rt.clock.nowNs() + sweepEvery
-	streak := 0 // roots emitted since the last idle wait
 	for {
 		if rt.closed.Load() {
 			return
@@ -1070,17 +1017,9 @@ func (rt *runningTopology) runSpout(tk *task) {
 			if tk.firstBufNs != 0 && rt.clock.nowNs()-tk.firstBufNs >= int64(flushInterval) {
 				rt.flushOut(tk)
 			}
-			streak++
 			continue
 		}
-		if kernelTimedRepoll(streak) {
-			if !rt.napSpout(tk) {
-				continue // ops cut the nap short: the spout is still busy
-			}
-		} else {
-			rt.parkSpout(tk, spoutRepollInterval)
-		}
-		streak = 0
+		rt.parkSpout(tk, spoutRepollInterval)
 	}
 }
 
@@ -1229,21 +1168,12 @@ func (bc *boltCollector) settle() {
 	bc.stage.publish(bc.tk, bc.rt.clock.nowNs())
 }
 
-// processTuple runs the full per-tuple bolt path: tick bypass, fault
-// draws, the interference cost model, Execute, metrics, and the tuple's
-// ack op. Returns false when the topology shut down mid-stall.
+// processTuple runs the full per-tuple bolt path: fault draws, the
+// interference cost model, Execute, metrics, and the tuple's ack op.
+// Returns false when the topology shut down mid-stall.
 //
 //dsps:hotpath
 func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl *Tuple, enqueuedNs int64) bool {
-	if tpl.IsTick() {
-		// Ticks bypass the fault/cost/ack machinery: they exist only to
-		// advance bolt-internal time.
-		collector.current = tpl
-		collector.failed = false
-		tk.bolt.Execute(tpl)
-		collector.current = nil
-		return true
-	}
 	st := &collector.stage
 	startNs := rt.clock.nowNs()
 	if startNs != st.pubNs {
@@ -1268,7 +1198,7 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 			tk.wait.Cancel()
 			return false
 		}
-		tk.sleep(10 * time.Millisecond)
+		tk.wait.Wait(10 * time.Millisecond)
 		fault, faulty = rt.cluster.faults.get(tk.worker.id)
 	}
 	if faulty && fault.DropProb > 0 && tk.rng.Float64() < fault.DropProb {
@@ -1332,22 +1262,18 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	return true
 }
 
-// runBolt is the bolt executor loop: drain every producer ring, flush,
-// and when every ring is dry park on the waiter at once. Spinning first
-// (yield-probing before the park) was measured and lost: it bought idle
-// latency with a busy core (DESIGN.md › Fast-path ledger).
+// runBolt is the bolt executor loop: deliver a due tick, drain every
+// producer ring, flush, and when every ring is dry park on the waiter at
+// once. Spinning first (yield-probing before the park) was measured and
+// lost: it bought idle latency with a busy core (DESIGN.md › Fast-path
+// ledger).
 func (rt *runningTopology) runBolt(tk *task) {
 	defer rt.wg.Done()
 	defer close(tk.done)
 	collector := &boltCollector{rt: rt, tk: tk}
 	tk.stage = &collector.stage
 	tk.bolt.Prepare(rt.taskContext(tk), collector)
-	if tk.tickInterval > 0 {
-		tickDone := make(chan struct{})
-		defer close(tickDone)
-		rt.wg.Add(1)
-		go rt.runTicker(tk, tickDone)
-	}
+	tk.nextTickNs.Store(rt.clock.nowNs() + int64(tk.tickInterval))
 	for {
 		rt.maybeRebuild(tk)
 		if rt.closed.Load() {
@@ -1360,79 +1286,45 @@ func (rt *runningTopology) runBolt(tk *task) {
 			collector.settle()
 			return
 		}
+		// A tick bypasses the fault, cost and ack machinery: it exists
+		// only to advance bolt-internal time. It comes due on the coarse
+		// clock, not through the input queue, so a full queue delays it by
+		// at most a round of input batches and drops none.
+		ticked := rt.tickDue(tk)
+		if ticked {
+			tk.bolt.Execute(NewTickTuple())
+			next := tk.nextTickNs.Load() + int64(tk.tickInterval)
+			if now := rt.clock.nowNs(); next <= now {
+				next = now + int64(tk.tickInterval) // skip the ticks a stall missed
+			}
+			tk.nextTickNs.Store(next)
+		}
 		processed, ok := rt.drainInRings(tk, collector)
 		if !ok {
 			return
 		}
-		if processed > 0 {
+		if processed > 0 || ticked {
 			// Bolts emit only while processing input, so flushing here
 			// (rather than on a deadline) bounds output latency by the
 			// input batch and leaves nothing buffered while idle.
 			collector.settle()
 			continue
 		}
-		// Park. Prepare publishes the parked flag before the re-check of
+		// Park. Prepare publishes the prepared state before the re-check of
 		// every wake source, on a *fresh* ring list: a producer's attach
 		// and push are sequenced before its Wake, so either the re-check
-		// sees the element or the Wake sees the parked flag. A splice wakes
-		// the bolt so that even an idle one re-acks the route epoch
-		// promptly (ScaleDown waits on that convergence).
+		// sees the element or the Wake ends the wait. A splice wakes the
+		// bolt so that even an idle one re-acks the route epoch promptly
+		// (ScaleDown waits on that convergence), and the clock wakes a
+		// ticking bolt when its tick comes due.
 		pruneRings(&tk.ringMu, &tk.inRings, staleRing[envBatch])
 		tk.wait.Prepare()
-		if !ringsEmpty(*tk.inRings.Load()) || rt.mustRecheck(tk) || rt.stale(tk) {
+		if !ringsEmpty(*tk.inRings.Load()) || rt.mustRecheck(tk) || rt.stale(tk) || rt.tickDue(tk) {
 			tk.wait.Cancel()
 			continue
 		}
 		tk.counters.ringParks.Add(1)
-		<-tk.wait.C()
-	}
-}
-
-// runTicker feeds tick tuples to a bolt task at its declared interval,
-// until the bolt's executor exits and closes done. Sends are
-// non-blocking: a saturated queue drops the tick rather than adding
-// backpressure (Storm's semantics — ticks are best-effort).
-//
-//dsps:ringproducer
-func (rt *runningTopology) runTicker(tk *task, done <-chan struct{}) {
-	defer rt.wg.Done()
-	ticker := time.NewTicker(tk.tickInterval)
-	defer ticker.Stop()
-	// The ticker goroutine is a producer in its own right, so it owns a
-	// private ring to its bolt — it must never share the executor
-	// goroutine's outRings cache.
-	var tickRing *ring.SPSC[envBatch]
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			// The self-send rides the splice read lock like any producer:
-			// once ScaleDown marks the task dead under the write lock, no
-			// tick can slip into the rings it is about to reclaim.
-			rt.spliceMu.RLock()
-			if tk.dead.Load() {
-				rt.spliceMu.RUnlock()
-				return
-			}
-			if !tk.reserve(1, int64(rt.cfg.QueueSize)) {
-				rt.spliceMu.RUnlock()
-				continue // full queue drops the tick
-			}
-			b := newEnvBatch(1)
-			b.add(&Tuple{SourceComponent: TickComponent}, rt.clock.nowNs())
-			if tickRing == nil {
-				tickRing = rt.attachInRingLocked(tk)
-			}
-			if !tickRing.Push(b) {
-				// Defensive: back the reservation out (see sendBatch).
-				tk.release(1)
-				rt.spliceMu.RUnlock()
-				continue
-			}
-			rt.spliceMu.RUnlock()
-			tk.wait.Wake()
-		}
+		tk.wait.Wait(0)
 	}
 }
 

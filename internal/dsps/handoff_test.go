@@ -54,14 +54,21 @@ func TestFullAckRingDrains(t *testing.T) {
 	}
 }
 
-// parkedTopology submits src(1) -> work(2) with a spout that emits
-// nothing, and returns once every bolt has parked on its waiter.
+// parkedTick is the tick interval of parkedTopology's ticking bolts: long
+// enough that a tick cannot stand in for a lost wake-up inside the 100 ms
+// bound of TestWakeSourcesEndParkedTasks.
+const parkedTick = 400 * time.Millisecond
+
+// parkedTopology submits src(1) -> work(2) and src(1) -> tick(2), whose
+// tasks tick every parkedTick, with a spout that emits nothing, and returns
+// once every bolt has parked on its waiter.
 func parkedTopology(t *testing.T) (*Cluster, *runningTopology) {
 	t.Helper()
 	spout := &gatedSpout{}
 	b := NewTopologyBuilder("parked")
 	b.SetSpout("src", func() Spout { return spout }, 1, "n")
 	b.SetBolt("work", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("src")
+	b.SetBolt("tick", func() Bolt { return &tickCounterBolt{} }, 2).ShuffleGrouping("src").WithTickInterval(parkedTick)
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +96,9 @@ func parkedTopology(t *testing.T) (*Cluster, *runningTopology) {
 // data reaches a task parked on its waiter: shutdown ends the parked
 // spout and bolts, ScaleDown's stop ends the parked victim, and a splice
 // makes the parked survivors and the spout rebuild their routes — all
-// within 100 ms. A bolt's park has no timeout, so a lost wake-up shows as
-// a hang.
+// within 100 ms. A plain bolt's park has no timeout and a ticking bolt's
+// lasts until its next tick, so a lost wake-up shows as a hang or a
+// ≥ 100 ms delay. A retired ticking bolt hears no more ticks.
 func TestWakeSourcesEndParkedTasks(t *testing.T) {
 	const bound = 100 * time.Millisecond
 	t.Run("shutdown", func(t *testing.T) {
@@ -116,6 +124,29 @@ func TestWakeSourcesEndParkedTasks(t *testing.T) {
 		}
 		if took := time.Since(start); took > bound {
 			t.Fatalf("ScaleDown of a parked bolt took %v, want < %v", took, bound)
+		}
+		ticking := rt.liveTasksOf("tick")
+		survivor, victim := ticking[0].bolt.(*tickCounterBolt), ticking[1]
+		start = time.Now()
+		if err := c.ScaleDown("parked", "tick", 1, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-victim.done:
+		default:
+			t.Fatal("ScaleDown returned before its ticking victim exited")
+		}
+		if took := time.Since(start); took > bound {
+			t.Fatalf("ScaleDown of a parked ticking bolt took %v, want < %v", took, bound)
+		}
+		retired := victim.bolt.(*tickCounterBolt)
+		victimTicks, survivorTicks := retired.ticks.Load(), survivor.ticks.Load()
+		time.Sleep(parkedTick + 100*time.Millisecond)
+		if got := retired.ticks.Load(); got != victimTicks {
+			t.Fatalf("retired bolt heard %d ticks after it retired", got-victimTicks)
+		}
+		if survivor.ticks.Load() == survivorTicks {
+			t.Fatalf("surviving bolt heard no tick in %v at a %v interval", parkedTick+100*time.Millisecond, parkedTick)
 		}
 	})
 	t.Run("splice", func(t *testing.T) {

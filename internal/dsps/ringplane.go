@@ -19,10 +19,10 @@ import (
 //
 // SPSC ownership discipline (enforced by dspslint's ringmisuse
 // analyzer): a ring's push and reclaim side belongs to its producer's
-// executor goroutine (or the ticker goroutine for its private tick ring),
-// its pop side to its consumer's. Retirement transfers a retired bolt's
-// sides to the retiring goroutine only after the previous owners have
-// provably exited (ScaleDown's awaitProducers/awaitDone barriers).
+// executor goroutine, its pop side to its consumer's. Retirement transfers
+// a retired bolt's sides to the retiring goroutine only after the previous
+// owners have provably exited (ScaleDown's awaitProducers/awaitDone
+// barriers).
 
 // attachRing appends e to a copy-on-write ring list. mu orders concurrent
 // attaches against each other and against the consumer's prunes.

@@ -296,7 +296,7 @@ func (rt *runningTopology) scaleDown(component string, n int, drainTimeout time.
 		}
 
 		// RETIRED: mark the task dead under the splice lock — after this
-		// no parked send or tick can reach its queue — then reclaim it.
+		// no parked send can reach its queue — then reclaim it.
 		rt.spliceMu.Lock()
 		v.dead.Store(true)
 		rt.spliceMu.Unlock()

@@ -96,3 +96,58 @@ func TestNegativeTickIntervalClampsToDisabled(t *testing.T) {
 		t.Fatalf("disabled ticker delivered %d ticks", got)
 	}
 }
+
+// TestTicksReachBoltWithFullQueue pins that a bolt whose input queue an
+// unpaced spout keeps full still hears its ticks: they come due on the
+// bolt's own loop, not through its queue, where a full queue would drop
+// them. Each data tuple takes the bolt about a millisecond, so a round of
+// input batches (16 tuples) is well inside the 50 ms interval, and at
+// least 80% of the window's ticks must arrive.
+func TestTicksReachBoltWithFullQueue(t *testing.T) {
+	const (
+		interval = 50 * time.Millisecond
+		window   = time.Second
+	)
+	var col SpoutCollector
+	spout := &SpoutFunc{
+		OpenFn: func(_ TopologyContext, c SpoutCollector) { col = c },
+		NextFn: func() bool {
+			col.Emit(Values{1}, nil)
+			return true
+		},
+	}
+	var ticks, data atomic.Int64
+	b := NewTopologyBuilder("busyticks")
+	b.SetSpout("src", func() Spout { return spout }, 1, "n")
+	b.SetBolt("sink", func() Bolt {
+		return &BoltFunc{ExecuteFn: func(t *Tuple, _ OutputCollector) {
+			if t.IsTick() {
+				ticks.Add(1)
+				return
+			}
+			data.Add(1)
+			time.Sleep(200 * time.Microsecond)
+		}}
+	}, 1).ShuffleGrouping("src").WithTickInterval(interval)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCluster(func(cfg *ClusterConfig) { cfg.QueueSize = 16 })
+	if err := c.Submit(topo, SubmitConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	time.Sleep(2 * interval)
+	startTicks, startData := ticks.Load(), data.Load()
+	time.Sleep(window)
+	got, executed := ticks.Load()-startTicks, data.Load()-startData
+	snap := c.Snapshot()
+	if bp := snap.ComponentTasks("src")[0].BackpressureWaits; bp == 0 || executed == 0 {
+		t.Fatalf("spout blocked %d times and the bolt executed %d tuples: the queue was never full", bp, executed)
+	}
+	want := int64(window / interval * 8 / 10)
+	if got < want {
+		t.Fatalf("a bolt with a full queue heard %d ticks in %v at a %v interval, want ≥ %d", got, window, interval, want)
+	}
+}

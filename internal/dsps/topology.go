@@ -136,7 +136,9 @@ func (d *BoltDeclarer) WithExecCost(cost time.Duration) *BoltDeclarer {
 // every task of this bolt at the given interval, mirroring Storm's
 // topology.tick.tuple.freq: windowed bolts slide on ticks so windows
 // advance even when the data stream stalls. Ticks carry no simulated
-// service cost and are not reliability-tracked.
+// service cost and are not reliability-tracked. The executor delivers
+// them between input batches, so a full input queue delays a tick but
+// never drops it.
 func (d *BoltDeclarer) WithTickInterval(interval time.Duration) *BoltDeclarer {
 	if interval < 0 {
 		interval = 0

@@ -58,7 +58,8 @@ const TickComponent = "__tick"
 // IsTick reports whether t is a system tick tuple.
 func (t *Tuple) IsTick() bool { return t.SourceComponent == TickComponent }
 
-// NewTickTuple builds a tick tuple, for unit-testing windowed bolts.
+// NewTickTuple builds a tick tuple: the executor's, and one for
+// unit-testing windowed bolts.
 func NewTickTuple() *Tuple { return &Tuple{SourceComponent: TickComponent} }
 
 // NewTestTuple builds a tuple with the given schema and values outside the

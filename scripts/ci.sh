@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # CI gate: vet, gofmt, the dspslint invariant linter (including the unused
-# analyzer), doccheck, build, a windows and a darwin cross-build, full test
+# analyzer), doccheck, build, a windows and a darwin cross-build (and vet
+# of the packages with a platform split), full test
 # suite, the race detector over the packages with real concurrency
 # (training engine, stream engine, SPSC ring plane, chaos harness,
 # prediction server), one iteration of every
@@ -44,11 +45,14 @@ make doccheck
 echo "== go build =="
 go build ./...
 
-echo "== cross-build (windows, darwin: no kernel-timed spout wait there) =="
-# internal/dsps splits its kernel sleep across sleep_linux.go and
-# sleep_other.go; these builds keep the fallback compiling.
+echo "== cross-build and vet (windows, darwin: no kernel-timed wait there) =="
+# internal/ring splits ring.Waiter's kernel-timed wait across
+# futex_linux.go and futex_other.go; these builds keep the fallback
+# compiling, and the vets check it and the packages that wait on it.
 GOOS=windows go build ./...
 GOOS=darwin go build ./...
+GOOS=windows go vet ./internal/ring/ ./internal/dsps/
+GOOS=darwin go vet ./internal/ring/ ./internal/dsps/
 
 echo "== go test =="
 go test ./...
